@@ -8,7 +8,8 @@ to the output file.  Identical argv + seed produce byte-identical data rows
 regardless of ``--threads``.
 
 Config precedence for seed/threads: flags > environment (EXPSUM_SEED,
-EXPSUM_THREADS) > key=value config file passed with ``--config``.
+EXPSUM_THREADS) > key=value config file passed with ``--config``.  Without
+any of them the seed is 0, except for ``verify``, whose default is 20240.
 
 Exit codes: 0 success, 1 usage error, 2 numeric guard or overflow,
 3 verification suite failure.
@@ -135,7 +136,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=None, help="worker count (wall time only)")
     parser.add_argument("--out", type=str, default=None, help="output path (stdout if absent)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--tol", type=float, default=1e-8, help="tolerance for exact engines")
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
 
 
@@ -214,7 +214,7 @@ def _resolve_settings(args) -> None:
         elif "seed" in config:
             args.seed = int(config["seed"])
         else:
-            args.seed = 0
+            args.seed = 20240 if args.subcommand == "verify" else 0
     if args.threads is None:
         env = os.environ.get("EXPSUM_THREADS")
         if env is not None:
@@ -433,7 +433,7 @@ def _verify_oracles(quick: bool) -> list[dict]:
 
 
 def _cmd_verify(args) -> tuple[list[dict], int]:
-    reports = verification_suite(quick=args.quick, seed=SeedSpec(args.seed or 20240))
+    reports = verification_suite(quick=args.quick, seed=SeedSpec(args.seed))
     rows = [
         {"check": r.name, "ok": r.ok, "checked": r.checked, "detail": r.detail}
         for r in reports
@@ -448,6 +448,9 @@ def _cmd_verify(args) -> tuple[list[dict], int]:
 def _cmd_slope(args) -> tuple[list[dict], int]:
     with open(args.input, newline="") as fh:
         reader = csv.DictReader(fh)
+        for col in (args.x_col, args.y_col):
+            if col not in (reader.fieldnames or ()):
+                raise ValueError(f"{args.input} has no column {col!r}")
         points = [(float(row[args.x_col]), float(row[args.y_col])) for row in reader]
     fit = slope_fit(points)
     rows = [

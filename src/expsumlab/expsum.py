@@ -8,10 +8,12 @@ arithmetic (overflow-checked at 128 bits, never wrapped).  For arbitrary
 p >= 1 a rectangle-rule quadrature is provided; on even integer p it is exact
 once the node count exceeds the polynomial bandwidth.
 
-Convolutions are dense over the frequency span when the span is small
-(packed big-integer multiplication keeps them exact) and sparse map-based
-otherwise, since realized frequency sets like {N(j^d)} have huge span but few
-entries.  Negative frequencies are allowed everywhere.
+Integer counts and complex coefficients share one convolution.  It is dense
+over the frequency span when the profiles fill their spans, and merges
+pairwise frequency sums otherwise, since realized frequency sets like
+{N(j^d)} have huge span but few entries.  Counts stay in int64 only where no
+sum can wrap and in Python integers beyond.  Negative frequencies are allowed
+everywhere.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import COUNT_LIMIT, check_count
+from .errors import check_count
 
-DENSE_SPAN_LIMIT = 1 << 20
 _INT64_SAFE = 1 << 62
 
 
@@ -95,74 +96,49 @@ class RepresentationTable:
 
 
 # ---------------------------------------------------------------------------
-# exact integer convolution
+# convolution
 # ---------------------------------------------------------------------------
 
-def _kronecker_multiply(va: list[int], vb: list[int]) -> list[int]:
-    # Exact polynomial product by packing coefficients into one big integer.
-    amax, bmax = max(va), max(vb)
-    out_len = len(va) + len(vb) - 1
-    if amax == 0 or bmax == 0:
-        return [0] * out_len
-    slot_bits = (amax * bmax * min(len(va), len(vb))).bit_length() + 1
-    width = (slot_bits + 7) // 8
-    pa = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in va), "little")
-    pb = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in vb), "little")
-    raw = (pa * pb).to_bytes(out_len * width + width, "little")
-    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(out_len)]
+def _convolve(a: dict[int, complex], b: dict[int, complex]) -> dict[int, complex]:
+    """{f: sum of a[g] * b[h] over g + h = f}, sorted by f, exact zeros dropped.
 
-
-def _conv_counts_dense(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    amin, bmin = min(a), min(b)
-    va = [0] * (max(a) - amin + 1)
-    for f, c in a.items():
-        va[f - amin] = c
-    vb = [0] * (max(b) - bmin + 1)
-    for f, c in b.items():
-        vb[f - bmin] = c
-    prod = _kronecker_multiply(va, vb)
-    base = amin + bmin
-    return {base + i: c for i, c in enumerate(prod) if c}
-
-
-def _conv_counts_sparse(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    mass_a = sum(a.values())
-    mass_b = sum(b.values())
-    fmax = max(abs(max(a)) + abs(max(b)), abs(min(a)) + abs(min(b)))
-    if mass_a * mass_b < _INT64_SAFE and fmax < _INT64_SAFE:
-        fa = np.fromiter(sorted(a), dtype=np.int64)
-        fb = np.fromiter(sorted(b), dtype=np.int64)
-        ca = np.fromiter((a[int(f)] for f in fa), dtype=np.int64)
-        cb = np.fromiter((b[int(f)] for f in fb), dtype=np.int64)
-        sums = np.add.outer(fa, fb).ravel()
-        weights = np.multiply.outer(ca, cb).ravel()
-        uniq, inv = np.unique(sums, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(acc, inv, weights)
-        return {int(f): int(c) for f, c in zip(uniq, acc)}
-    out: dict[int, int] = {}
-    for fa_, ca_ in sorted(a.items()):
-        for fb_, cb_ in sorted(b.items()):
-            k = fa_ + fb_
-            out[k] = out.get(k, 0) + ca_ * cb_
-    return dict(sorted(out.items()))
-
-
-def _use_dense(a: dict, b: dict) -> bool:
-    # Dense is only worthwhile when the profiles actually fill their span;
-    # sparse wins whenever pairwise work is smaller than the output length.
-    span = (max(a) + max(b)) - (min(a) + min(b))
-    return span <= DENSE_SPAN_LIMIT and span <= 4 * len(a) * len(b)
-
-
-def _conv_counts(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    if _use_dense(a, b):
-        out = _conv_counts_dense(a, b)
+    Integer profiles stay exact: numpy runs in int64 only while every
+    frequency sum and the product of the masses are below 2^62 (no partial
+    sum can then wrap), and a Python loop takes the rest.  Direct convolution
+    of the dense arrays costs the product of their lengths, so it runs when
+    that is at most four times the number of entry pairs; otherwise the
+    pairwise sums are merged.
+    """
+    if not a or not b:
+        return {}
+    lo_a, hi_a, lo_b, hi_b = min(a), max(a), min(b), max(b)
+    exact = isinstance(next(iter(a.values())), int)
+    if max(-lo_a, hi_a) + max(-lo_b, hi_b) >= _INT64_SAFE or (
+        exact and sum(a.values()) * sum(b.values()) >= _INT64_SAFE
+    ):
+        out: dict[int, complex] = {}
+        for fa, ca in a.items():
+            for fb, cb in b.items():
+                out[fa + fb] = out.get(fa + fb, 0) + ca * cb
+        return {f: c for f, c in sorted(out.items()) if c}
+    dtype = np.int64 if exact else np.complex128
+    fa = np.fromiter(a, np.int64, len(a))
+    fb = np.fromiter(b, np.int64, len(b))
+    ca = np.fromiter(a.values(), dtype, len(a))
+    cb = np.fromiter(b.values(), dtype, len(b))
+    if (hi_a - lo_a + 1) * (hi_b - lo_b + 1) <= 4 * len(a) * len(b):
+        va = np.zeros(hi_a - lo_a + 1, dtype)
+        va[fa - lo_a] = ca
+        vb = np.zeros(hi_b - lo_b + 1, dtype)
+        vb[fb - lo_b] = cb
+        coeffs = np.convolve(va, vb)
+        freqs = np.arange(lo_a + lo_b, hi_a + hi_b + 1)
     else:
-        out = _conv_counts_sparse(a, b)
-    for c in out.values():
-        check_count(c, "integer convolution")
-    return out
+        freqs, slot = np.unique(np.add.outer(fa, fb).ravel(), return_inverse=True)
+        coeffs = np.zeros(len(freqs), dtype)
+        np.add.at(coeffs, slot, np.multiply.outer(ca, cb).ravel())
+    keep = coeffs != 0
+    return dict(zip(freqs[keep].tolist(), coeffs[keep].tolist()))
 
 
 def representation_table(spectrum: FrequencySpectrum, n: int) -> RepresentationTable:
@@ -180,7 +156,10 @@ def representation_table(spectrum: FrequencySpectrum, n: int) -> RepresentationT
     profile = spectrum.multiplicities()
     table = dict(profile)
     for _ in range(n - 1):
-        table = _conv_counts(table, profile)
+        table = _convolve(table, profile)
+    # Every count feeds a count at least as large into the next convolution,
+    # so checking the last table's largest count checks them all.
+    check_count(max(table.values()), "integer convolution")
     return RepresentationTable(table, n)
 
 
@@ -193,30 +172,6 @@ def even_moment(spectrum: FrequencySpectrum, n: int) -> int:
     table = representation_table(spectrum, n)
     total = sum(c * c for c in table.counts.values())
     return check_count(total, "even moment")
-
-
-# ---------------------------------------------------------------------------
-# complex coefficient path
-# ---------------------------------------------------------------------------
-
-def _conv_complex(a: dict[int, complex], b: dict[int, complex]) -> dict[int, complex]:
-    if _use_dense(a, b):
-        amin, bmin = min(a), min(b)
-        va = np.zeros(max(a) - amin + 1, dtype=np.complex128)
-        for f, c in a.items():
-            va[f - amin] = c
-        vb = np.zeros(max(b) - bmin + 1, dtype=np.complex128)
-        for f, c in b.items():
-            vb[f - bmin] = c
-        prod = np.convolve(va, vb)
-        base = amin + bmin
-        return {base + i: complex(c) for i, c in enumerate(prod)}
-    out: dict[int, complex] = {}
-    for fa, ca in sorted(a.items()):
-        for fb, cb in sorted(b.items()):
-            k = fa + fb
-            out[k] = out.get(k, 0j) + ca * cb
-    return dict(sorted(out.items()))
 
 
 def even_norm_coeff(spectrum: FrequencySpectrum, n: int) -> float:
@@ -232,7 +187,7 @@ def even_norm_coeff(spectrum: FrequencySpectrum, n: int) -> float:
     profile = spectrum.merged()
     conv = dict(profile)
     for _ in range(n - 1):
-        conv = _conv_complex(conv, profile)
+        conv = _convolve(conv, profile)
     return math.fsum(abs(c) ** 2 for _, c in sorted(conv.items()))
 
 

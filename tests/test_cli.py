@@ -15,6 +15,7 @@ import pytest
 import expsumlab
 from expsumlab.bounds import GridReport
 from expsumlab.cli import run
+from expsumlab.processes import SeedSpec
 
 
 def run_capture(argv, capsys):
@@ -144,6 +145,14 @@ class TestSlope:
         slope = float(parse_csv(out)[0]["slope"])
         assert 2.5 < slope < 3.5
 
+    def test_missing_column_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "moments.csv"
+        data.write_text("size,mean\n16,100.0\n32,800.0\n")
+        code = run(["slope", "--input", str(data), "--x-col", "nope"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "'nope'" in err
+
     @staticmethod
     def make_args(out):
         return [
@@ -168,6 +177,8 @@ class TestSlope:
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert run(["nonsense"]) == 1
+        # --tol was accepted and ignored; it is no longer a flag
+        assert run(["divisor", "--x", "10", "--tol", "1e-8"]) == 1
         capsys.readouterr()
 
     def test_missing_required(self, capsys):
@@ -227,6 +238,37 @@ class TestPrecedence:
         )
         manifest = json.loads((tmp_path / "flag.csv.manifest.json").read_text())
         assert manifest["master_seed"] == 9
+
+    @pytest.mark.parametrize(
+        "flag, env, config, expected",
+        [
+            (["--seed", "0"], None, "", 0),
+            ([], "0", "", 0),
+            ([], None, "seed = 0\n", 0),
+            ([], None, "", 20240),
+            (["--seed", "5"], "0", "", 5),
+        ],
+        ids=["flag", "env", "config", "default", "flag-beats-env"],
+    )
+    def test_verify_seed(self, flag, env, config, expected, tmp_path, capsys, monkeypatch):
+        import expsumlab.cli as cli_mod
+
+        seeds = []
+
+        def recording(quick=False, seed=None):
+            seeds.append(seed)
+            return []
+
+        monkeypatch.setattr(cli_mod, "verification_suite", recording)
+        if env is None:
+            monkeypatch.delenv("EXPSUM_SEED", raising=False)
+        else:
+            monkeypatch.setenv("EXPSUM_SEED", env)
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(config)
+        assert run(["verify", "--quick", "--config", str(cfg), *flag]) == 0
+        capsys.readouterr()
+        assert seeds == [SeedSpec(expected)]
 
     def test_config_file_lowest(self, tmp_path, monkeypatch):
         monkeypatch.delenv("EXPSUM_SEED", raising=False)

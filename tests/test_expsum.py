@@ -40,7 +40,34 @@ def oracle_quadrature(terms, p, nodes):
     return total / nodes
 
 
+def oracle_convolution(terms, n):
+    """Frequency -> sum of coefficient products over ordered n-tuples of terms, pair by pair."""
+    table = {0: 1}
+    for _ in range(n):
+        step = {}
+        for s, c in table.items():
+            for f, a in terms:
+                step[s + f] = step.get(s + f, 0) + c * a
+        table = step
+    return table
+
+
 unit_freq_lists = st.lists(st.integers(-20, 50), min_size=1, max_size=6)
+
+# Eighty frequencies in [-50, 50] fill their span, so their convolutions run
+# dense; twelve spread over [-1e9, 1e9] run on merged pairwise sums.
+_rng = np.random.default_rng(2024)
+DENSE_FREQS = _rng.integers(-50, 51, 80).tolist()
+SPARSE_FREQS = _rng.integers(-(10**9), 10**9 + 1, 12).tolist()
+ROUTES = pytest.mark.parametrize("freqs, dense", [(DENSE_FREQS, True), (SPARSE_FREQS, False)])
+
+
+def spy_dense_calls(monkeypatch):
+    """A list that grows by one on every np.convolve call, i.e. every dense convolution."""
+    calls = []
+    convolve = np.convolve
+    monkeypatch.setattr(np, "convolve", lambda a, b: calls.append(1) or convolve(a, b))
+    return calls
 
 
 class TestRepresentationTable:
@@ -51,6 +78,9 @@ class TestRepresentationTable:
     def test_single_frequency(self):
         table = representation_table(FrequencySpectrum.unit([5]), 3)
         assert table.counts == {15: 1}
+        # mass product 2^64 is past int64: the Python-integer fallback
+        table = representation_table(FrequencySpectrum.unit([0] * (1 << 16)), 4)
+        assert table.counts == {0: 2**64}
 
     def test_three_frequencies(self):
         table = representation_table(FrequencySpectrum.unit([1, 2, 3]), 2)
@@ -70,6 +100,14 @@ class TestRepresentationTable:
     def test_mass_is_terms_to_the_n(self, freqs, n):
         table = representation_table(FrequencySpectrum.unit(freqs), n)
         assert table.total() == len(freqs) ** n
+
+    @ROUTES
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_pairwise_oracle(self, freqs, dense, n, monkeypatch):
+        calls = spy_dense_calls(monkeypatch)
+        table = representation_table(FrequencySpectrum.unit(freqs), n)
+        assert table.counts == oracle_convolution([(f, 1) for f in freqs], n)
+        assert bool(calls) == dense
 
     def test_huge_span_uses_sparse_path(self):
         freqs = [0, 10**13, 3 * 10**13]
@@ -91,7 +129,11 @@ class TestEvenMoment:
     @given(unit_freq_lists, st.integers(1, 2))
     @settings(max_examples=60, deadline=None)
     def test_matches_tuple_enumeration(self, freqs, n):
-        assert even_moment(FrequencySpectrum.unit(freqs), n) == oracle_even_moment(freqs, n)
+        expected = oracle_even_moment(freqs, n)
+        assert even_moment(FrequencySpectrum.unit(freqs), n) == expected
+        # frequencies near 2^63 take the Python-integer fallback
+        shifted = FrequencySpectrum.unit([f + 2**63 for f in freqs])
+        assert even_moment(shifted, n) == expected
 
     @given(unit_freq_lists, st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
@@ -106,6 +148,8 @@ class TestEvenMoment:
         spectrum = FrequencySpectrum.unit([0] * (1 << 13))
         with pytest.raises(OverflowError):
             even_moment(spectrum, 5)
+        with pytest.raises(OverflowError):
+            representation_table(spectrum, 10)  # the count 2^130 itself
 
 
 class TestEvenNormCoeff:
@@ -120,6 +164,9 @@ class TestEvenNormCoeff:
     def test_mixed_coefficients(self):
         spectrum = FrequencySpectrum.from_pairs([(1, 1), (2, 1j), (3, 1)])
         assert even_norm_coeff(spectrum, 2) == pytest.approx(11.0, rel=1e-12)
+        # coefficients that cancel leave nothing to convolve
+        cancelled = FrequencySpectrum.from_pairs([(0, 1), (0, -1), (3, 0)])
+        assert even_norm_coeff(cancelled, 3) == 0.0
 
     def test_parseval_at_n_one(self):
         spectrum = FrequencySpectrum.from_pairs([(0, 0.5), (4, -2.0), (4, 1.0)])
@@ -146,6 +193,21 @@ class TestEvenNormCoeff:
         a = even_norm_coeff(spectrum, 2)
         b = even_norm_coeff(rotated, 2)
         assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
+        # so is a common frequency shift, here onto the Python fallback
+        shifted = FrequencySpectrum.from_pairs([(f + 2**63, c) for f, c in pairs])
+        assert even_norm_coeff(shifted, 2) == pytest.approx(a, rel=1e-12, abs=1e-12)
+
+    @ROUTES
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_pairwise_oracle(self, freqs, dense, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        coeffs = rng.normal(size=len(freqs)) + 1j * rng.normal(size=len(freqs))
+        pairs = list(zip(freqs, coeffs.tolist()))
+        calls = spy_dense_calls(monkeypatch)
+        got = even_norm_coeff(FrequencySpectrum.from_pairs(pairs), n)
+        expected = math.fsum(abs(c) ** 2 for c in oracle_convolution(pairs, n).values())
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert bool(calls) == (dense and n > 1)
 
 
 class TestQuadrature:
