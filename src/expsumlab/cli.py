@@ -32,7 +32,6 @@ import numpy as np
 from . import __version__
 from .bounds import verification_suite
 from .errors import GuardError
-from .expsum import FrequencySpectrum, even_norm_coeff, lp_norm_quadrature
 from .lattice import (
     GreenRuzsaSpec,
     ShellQuery,
@@ -46,7 +45,7 @@ from .lattice import (
     shell_sup_ratio,
     sparsity_count,
 )
-from .majorant import genericity_experiment, majorant_ratio
+from .majorant import genericity_experiment, majorant_ratio, majorant_ratio_quadrature
 from .moments import ExperimentSpec, TimeMap, mc_even_moment, mc_general_moment, slope_fit
 from .processes import Pmf, SeedSpec
 
@@ -378,7 +377,8 @@ def _cmd_majorant(args) -> tuple[list[dict], int]:
     if not args.freqs:
         raise ValueError("majorant needs --freqs unless --genericity is given")
     freqs = _parse_int_list(args.freqs)
-    result = majorant_ratio(freqs, args.p, args.restarts, SeedSpec(args.seed))
+    search = majorant_ratio if args.p % 2 == 0 else majorant_ratio_quadrature
+    result = search(freqs, args.p, args.restarts, SeedSpec(args.seed))
     rows = [
         {
             "freqs": ";".join(str(f) for f in freqs),
@@ -451,7 +451,11 @@ def _cmd_slope(args) -> tuple[list[dict], int]:
         for col in (args.x_col, args.y_col):
             if col not in (reader.fieldnames or ()):
                 raise ValueError(f"{args.input} has no column {col!r}")
-        points = [(float(row[args.x_col]), float(row[args.y_col])) for row in reader]
+        points = []
+        for row in reader:
+            if row[args.x_col] is None or row[args.y_col] is None:
+                raise ValueError(f"{args.input} line {reader.line_num} is shorter than its header")
+            points.append((float(row[args.x_col]), float(row[args.y_col])))
     fit = slope_fit(points)
     rows = [
         {

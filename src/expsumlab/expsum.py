@@ -5,8 +5,9 @@ finite algebraic quantity: merge coefficients by frequency, convolve the
 profile n times with itself, and sum the squared magnitudes.  With unit
 coefficients everything is integer counting and is carried out in exact
 arithmetic (overflow-checked at 128 bits, never wrapped).  For arbitrary
-p >= 1 a rectangle-rule quadrature is provided; on even integer p it is exact
-once the node count exceeds the polynomial bandwidth.
+p >= 1 a rectangle-rule quadrature is provided, with S evaluated on an FFT
+grid; on even integer p it is exact once the node count exceeds the
+polynomial bandwidth.
 
 Integer counts and complex coefficients share one convolution.  It is dense
 over the frequency span when the profiles fill their spans, and merges
@@ -25,9 +26,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import check_count
+from .errors import GuardError, check_count
 
 _INT64_SAFE = 1 << 62
+_NODE_LIMIT = 1 << 24  # 256 MiB per complex128 grid; an ascent holds about ten
 
 
 @dataclass(frozen=True)
@@ -203,14 +205,30 @@ def suggested_nodes(spectrum: FrequencySpectrum, p: float) -> int:
     return 4 * n * span + 7
 
 
-def lp_norm_quadrature(spectrum: FrequencySpectrum, p: float, nodes: int) -> float:
-    """Rectangle-rule approximation of ``int_T |S(y)|^p dy``.
+def _grid_values(terms: Iterable[tuple[int, complex]], nodes: int) -> np.ndarray:
+    """S(i/nodes) for i < nodes, where S(y) = sum of c e(f y) over the terms.
 
-    The nodes are y = i/nodes.  Because the frequencies are integers, the
-    phase f*i/nodes is reduced mod 1 in exact integer arithmetic before being
-    passed to exp, so huge frequencies lose nothing.  For even integer
-    p = 2n and nodes > 2n*(max f - min f) the rule integrates the underlying
-    trigonometric polynomial exactly.
+    One inverse FFT of the coefficients binned at their residues f mod nodes;
+    the residues are taken in exact integer arithmetic, so huge frequencies
+    lose no phase.
+    """
+    if nodes > _NODE_LIMIT:
+        raise GuardError(f"{nodes} quadrature nodes exceed the desk-scale guard 2^24")
+    residues, coeffs = zip(*((f % nodes, c) for f, c in terms))
+    bins = np.zeros(nodes, np.complex128)
+    np.add.at(bins, np.array(residues, np.int64), np.array(coeffs, np.complex128))
+    values = np.fft.ifft(bins)
+    values *= nodes
+    return values
+
+
+def lp_norm_quadrature(spectrum: FrequencySpectrum, p: float, nodes: int) -> float:
+    """Rectangle-rule approximation of ``int_T |S(y)|^p dy`` on y = i/nodes.
+
+    S is evaluated at all nodes at once on an FFT grid (``_grid_values``).
+    For even integer p = 2n and nodes > n*(max f - min f) the rule
+    integrates |S|^{2n}, a trigonometric polynomial of that degree, exactly.
+    A node count past 2^24 raises GuardError before any work.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -218,18 +236,9 @@ def lp_norm_quadrature(spectrum: FrequencySpectrum, p: float, nodes: int) -> flo
         raise ValueError("nodes must be a positive integer")
     if not spectrum.terms:
         raise ValueError("empty spectrum")
-    profile = spectrum.merged()
-    residues = np.array([f % nodes for f in profile], dtype=np.int64)
-    coeffs = np.array([profile[f] for f in profile], dtype=np.complex128)
-    total = 0.0
-    block = max(1, min(nodes, (1 << 22) // max(1, len(residues))))
-    for start in range(0, nodes, block):
-        i = np.arange(start, min(start + block, nodes), dtype=np.int64)
-        phase_idx = (i[:, None] * residues[None, :]) % nodes
-        z = np.exp((2j * np.pi / nodes) * phase_idx)
-        s = np.sum(z * coeffs[None, :], axis=1)
-        total += float(np.sum(np.abs(s) ** p))
-    return total / nodes
+    moduli = np.abs(_grid_values(spectrum.terms, nodes))
+    moduli **= p
+    return float(np.mean(moduli))
 
 
 def sup_norm_upper(spectrum: FrequencySpectrum) -> float:

@@ -5,29 +5,43 @@ against the unit-coefficient norm.  The objective is convex in the
 coefficient vector, so its maximum over the polydisc sits at unimodular
 coefficients a_j = e^{i theta_j}; only phases are optimized.
 
-For even p the objective is evaluated exactly (it is an algebraic function of
-the merged coefficient profile), and as a function of any single phase it is
-a trigonometric polynomial of degree p/2.  Each coordinate update therefore
-recovers that polynomial from a handful of exact samples, maximizes it on a
-dense grid, and polishes by golden section to a 1e-12 bracket.  Multi-start
-from the all-ones vector plus random phase vectors; the reported maximum is
-a lower bound on the true supremum.
+One cyclic coordinate ascent (``_ascend``) serves every p.  It keeps
+S(y) = sum_j e^{i theta_j} e(f_j y) at K equally spaced nodes.  Changing one
+phase changes S by a rank-one term: with R = S - e^{i theta_j} e(f_j y), the
+objective along coordinate j is g(theta) = mean_k |R_k + e^{i theta} e(f_j y_k)|^p,
+so M trial phases cost one M x K array.  For even p = 2n, g is a
+trigonometric polynomial of degree n: 2n+1 samples give it exactly through
+one FFT, and it is maximized on a dense grid and then by Newton steps.  On
+K = n*span + 1 nodes the rectangle rule integrates |S|^{2n} exactly.  For
+other p the objective is the rectangle rule itself; g is sampled at 33
+phases and polished by golden section.  A move is kept only if it raises
+the objective.
+
+When the span is so large that 2n+1 samples of K node values cost more than
+2n+1 exact evaluations of ``even_norm_coeff``, the even-p search takes its
+samples from ``even_norm_coeff`` instead.  Multi-start from the all-ones
+vector plus random phase vectors; the reported maximum is a lower bound on
+the true supremum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .expsum import FrequencySpectrum, even_norm_coeff, lp_norm_quadrature, suggested_nodes
+from .expsum import FrequencySpectrum, _grid_values, even_norm_coeff, lp_norm_quadrature, suggested_nodes
 from .moments import ExperimentSpec, TimeMap, _sample_values
 from .processes import Pmf, SeedSpec
 
 _SWEEP_LIMIT = 80
 _BRACKET_TOL = 1e-12
+_COARSE = 33  # trial phases per coordinate at non-even p
+_NEWTON_STEPS = 8
+_BLOCK = 1 << 22  # slice entries evaluated at once
 
 
 @dataclass(frozen=True)
@@ -65,51 +79,174 @@ def _golden_max(f, lo: float, hi: float, tol: float = _BRACKET_TOL) -> float:
     return 0.5 * (lo + hi)
 
 
-def _ascend_even(
-    spectrum: FrequencySpectrum, n: int, phases: np.ndarray, base: float
-) -> tuple[float, np.ndarray]:
-    """Cyclic coordinate ascent on the exact even-p objective."""
-    size = len(phases)
-    harmonics = 4 * n + 4  # strictly more than the 2n+1 needed samples
-    grid = np.linspace(0.0, 2.0 * math.pi, 64 * n + 64, endpoint=False)
-    basis = np.exp(1j * np.outer(np.arange(1, n + 1), grid))
+def _even_degree(p: float) -> int:
+    """n for an even integer p = 2n, else 0."""
+    return int(p) // 2 if p == int(p) and int(p) % 2 == 0 else 0
 
-    def objective(theta: np.ndarray) -> float:
-        return even_norm_coeff(spectrum.with_phases(theta), n)
 
-    best = objective(phases)
-    for _ in range(_SWEEP_LIMIT):
-        sweep_gain = 0.0
-        for j in range(size):
-            samples = []
-            saved = phases[j]
-            for k in range(harmonics):
-                phases[j] = 2.0 * math.pi * k / harmonics
-                samples.append(objective(phases))
-            phases[j] = saved
-            coeff = np.fft.fft(np.asarray(samples)) / harmonics
-            cm = coeff[1 : n + 1]
+class _Grid:
+    """The rectangle-rule objective on K nodes, with S kept current."""
 
-            def profile(theta: float) -> float:
-                return float(coeff[0].real) + 2.0 * float(
-                    np.sum(cm.real * np.cos(np.arange(1, n + 1) * theta)
-                           - cm.imag * np.sin(np.arange(1, n + 1) * theta))
-                )
+    def __init__(self, freqs: Sequence[int], p: float, nodes: int):
+        self.freqs, self.p, self.nodes = freqs, p, nodes
+        self.roots = _grid_values([(1, 1.0)], nodes)  # e(k/K), guarded like every grid
+        self.index = np.arange(nodes, dtype=np.int64)
 
-            dense = coeff[0].real + 2.0 * (cm.real @ basis.real - cm.imag @ basis.imag)
-            i_star = int(np.argmax(dense))
-            width = grid[1] - grid[0]
-            theta_star = _golden_max(profile, grid[i_star] - width, grid[i_star] + width)
-            phases[j] = theta_star % (2.0 * math.pi)
-            candidate = objective(phases)
-            if candidate > best:
-                sweep_gain += candidate - best
-                best = candidate
-            else:
-                phases[j] = saved
-        if sweep_gain < 1e-10 * max(1.0, base):
+    def _column(self, j: int) -> np.ndarray:
+        return self.roots[(self.freqs[j] % self.nodes * self.index) % self.nodes]
+
+    def value(self, phases: np.ndarray) -> float:
+        """Recompute S from the phases; return mean |S|^p."""
+        self.s = _grid_values(zip(self.freqs, np.exp(1j * phases)), self.nodes)
+        return float(np.mean(np.abs(self.s) ** self.p))
+
+    def along(self, phases: np.ndarray, j: int) -> Callable[[np.ndarray], np.ndarray]:
+        u = self._column(j)
+        rest = self.s - np.exp(1j * phases[j]) * u
+        # |rest + e^{i theta} u|^2 = level + Re(e^{i theta} cross), as |u| = 1
+        level = rest.real**2 + rest.imag**2 + 1.0
+        cross = 2.0 * np.conj(rest) * u
+        rows = max(1, _BLOCK // self.nodes)
+
+        def g(thetas: np.ndarray) -> np.ndarray:
+            out = np.empty(len(thetas))
+            for lo in range(0, len(thetas), rows):
+                t = thetas[lo : lo + rows, None]
+                sq = level + np.cos(t) * cross.real - np.sin(t) * cross.imag
+                out[lo : lo + rows] = (np.maximum(sq, 0.0) ** (self.p / 2)).sum(axis=1)
+            return out / self.nodes
+
+        return g
+
+    def move(self, phases: np.ndarray, j: int, theta: float) -> None:
+        self.s += (np.exp(1j * theta) - np.exp(1j * phases[j])) * self._column(j)
+        phases[j] = theta
+
+
+class _Exact:
+    """The exact even-p objective, one ``even_norm_coeff`` call per phase vector."""
+
+    def __init__(self, spectrum: FrequencySpectrum, n: int):
+        self.spectrum, self.n = spectrum, n
+
+    def value(self, phases: np.ndarray) -> float:
+        return even_norm_coeff(self.spectrum.with_phases(phases), self.n)
+
+    def along(self, phases: np.ndarray, j: int) -> Callable[[np.ndarray], np.ndarray]:
+        def g(thetas: np.ndarray) -> np.ndarray:
+            trial = phases.copy()
+            out = np.empty(len(thetas))
+            for i, theta in enumerate(thetas):
+                trial[j] = theta
+                out[i] = self.value(trial)
+            return out
+
+        return g
+
+    def move(self, phases: np.ndarray, j: int, theta: float) -> None:
+        phases[j] = theta
+
+
+def _exact_is_cheaper(spectrum: FrequencySpectrum, n: int, nodes: int) -> bool:
+    """Whether one ``even_norm_coeff`` call costs less than K node values.
+
+    The exact call runs n-1 convolutions of the merged profile (d distinct
+    frequencies).  Each costs what ``_convolve`` pays: the product of the
+    dense lengths, or four times the number of entry pairs if smaller.
+    """
+    freqs = spectrum.freqs
+    d = len(set(freqs))
+    span = max(freqs) - min(freqs)
+    cost = d
+    for i in range(1, n):
+        entries = min(math.comb(d + i - 1, i), i * span + 1)
+        cost += min((i * span + 1) * (span + 1), 4 * entries * d)
+    return cost < nodes
+
+
+def _even_argmax(g: Callable[[np.ndarray], np.ndarray], n: int) -> float:
+    """Maximizer of g, a trigonometric polynomial of degree n, from 2n+1 samples.
+
+    The samples' FFT gives g exactly; its maximum on 64(n+1) phases (the same
+    FFT, zero-padded) is refined by Newton steps, kept only if they stay
+    within one grid step of it and do not lower g.
+    """
+    m = np.arange(1, n + 1)
+    fourier = np.fft.rfft(g(2.0 * math.pi * np.arange(2 * n + 1) / (2 * n + 1)))
+    c = fourier[1:] / (2 * n + 1)  # g = c_0 + 2 Re sum_m c_m e^{i m theta}
+
+    def wave(theta: float) -> np.ndarray:
+        return c * np.exp(1j * m * theta)
+
+    width = 2.0 * math.pi / (64 * n + 64)
+    start = width * int(np.argmax(np.fft.irfft(fourier, 64 * n + 64)))
+    theta = start
+    for _ in range(_NEWTON_STEPS):
+        z = wave(theta)
+        curve = np.dot(m * m, z.real)  # -g''/2
+        if curve <= 0.0:
             break
-    return best, phases
+        step = np.dot(m, z.imag) / curve  # g'/g''
+        theta -= step
+        if abs(step) < 1e-15:
+            break
+    if abs(theta - start) > width or wave(theta).real.sum() < wave(start).real.sum():
+        theta = start
+    return theta % (2.0 * math.pi)
+
+
+def _coarse_argmax(g: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Best of 33 equally spaced phases, polished by golden section."""
+    coarse = np.linspace(0.0, 2.0 * math.pi, _COARSE, endpoint=False)
+    i_star = int(np.argmax(g(coarse)))
+    width = coarse[1]
+    theta = _golden_max(lambda t: g(np.array([t]))[0], coarse[i_star] - width, coarse[i_star] + width)
+    return theta % (2.0 * math.pi)
+
+
+def _ascend(objective: _Grid | _Exact, phases: np.ndarray, p: float, base: float) -> np.ndarray:
+    """Cyclic coordinate ascent from ``phases`` (updated in place and returned)."""
+    n = _even_degree(p)
+    for _ in range(_SWEEP_LIMIT):
+        best = objective.value(phases)
+        gain = 0.0
+        for j in range(len(phases)):
+            g = objective.along(phases, j)
+            theta = _even_argmax(g, n) if n else _coarse_argmax(g)
+            candidate = float(g(np.array([theta]))[0])
+            if candidate > best:
+                gain += candidate - best
+                best = candidate
+                objective.move(phases, j, theta)
+        if gain < 1e-10 * max(1.0, base):
+            break
+    return phases
+
+
+def _search(
+    spectrum: FrequencySpectrum,
+    p: float,
+    restarts: int,
+    seed: SeedSpec,
+    objective: _Grid | _Exact,
+    final: Callable[[FrequencySpectrum], float],
+) -> MajorantResult:
+    """Multi-start ascent, scored by ``final``: all-ones phases first, then random ones."""
+    base = final(spectrum)
+    best_val = -math.inf
+    best_phases: np.ndarray | None = None
+    for r in range(restarts):
+        if r == 0:
+            phases = np.zeros(spectrum.size)
+        else:
+            phases = seed.generator(r).uniform(0.0, 2.0 * math.pi, spectrum.size)
+        phases = _ascend(objective, phases, p, base)
+        val = final(spectrum.with_phases(phases))
+        if val > best_val:
+            best_val = val
+            best_phases = phases.copy()
+    ratio = (best_val / base) ** (1.0 / p)
+    return MajorantResult(base, best_val, ratio, tuple(float(t) for t in best_phases), restarts)
 
 
 def majorant_ratio(
@@ -120,7 +257,10 @@ def majorant_ratio(
     Multi-start ascent: the all-ones vector first (so the result never falls
     below the unit-coefficient moment), then ``restarts - 1`` random phase
     vectors.  Ties between restarts resolve toward the earlier one.  The
-    returned ratio is (best/base)^{1/p}, a lower bound on the true constant.
+    ascent runs on K = n*span + 1 nodes, where the rectangle rule is exact,
+    unless exact evaluations are cheaper; base and best moments are
+    ``even_norm_coeff`` values.  The returned ratio is (best/base)^{1/p}, a
+    lower bound on the true constant.
     """
     if p < 2 or p != int(p) or int(p) % 2 != 0:
         raise ValueError("exact majorant optimization needs an even integer p >= 2")
@@ -130,20 +270,12 @@ def majorant_ratio(
         raise ValueError("frequency list must be nonempty")
     n = int(p) // 2
     spectrum = FrequencySpectrum.unit(freqs)
-    base = even_norm_coeff(spectrum, n)
-    best_val = -math.inf
-    best_phases: np.ndarray | None = None
-    for r in range(restarts):
-        if r == 0:
-            phases = np.zeros(len(freqs))
-        else:
-            phases = seed.generator(r).uniform(0.0, 2.0 * math.pi, len(freqs))
-        val, phases = _ascend_even(spectrum, n, phases, base)
-        if val > best_val:
-            best_val = val
-            best_phases = phases.copy()
-    ratio = (best_val / base) ** (1.0 / p)
-    return MajorantResult(base, best_val, ratio, tuple(float(t) for t in best_phases), restarts)
+    nodes = n * (max(spectrum.freqs) - min(spectrum.freqs)) + 1
+    if _exact_is_cheaper(spectrum, n, nodes):
+        objective = _Exact(spectrum, n)
+    else:
+        objective = _Grid(spectrum.freqs, p, nodes)
+    return _search(spectrum, p, restarts, seed, objective, functools.partial(even_norm_coeff, n=n))
 
 
 def majorant_ratio_quadrature(
@@ -155,9 +287,10 @@ def majorant_ratio_quadrature(
 ) -> MajorantResult:
     """Approximate majorant search for arbitrary p >= 1 (quadrature objective).
 
-    Coordinate updates bracket on a coarse grid and polish by golden section
-    directly on the quadrature objective; unlike the even-p path, nothing
-    here is exact, and the result is only as good as the node count.
+    The same ascent as ``majorant_ratio``, on the rectangle rule with
+    ``nodes`` points (``suggested_nodes`` by default); base and best moments
+    are ``lp_norm_quadrature`` values.  Nothing here is exact for non-even
+    p: the result is only as good as the node count.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -165,48 +298,8 @@ def majorant_ratio_quadrature(
         raise ValueError("restarts must be at least 1")
     spectrum = FrequencySpectrum.unit(freqs)
     nd = nodes if nodes is not None else suggested_nodes(spectrum, p)
-    base = lp_norm_quadrature(spectrum, p, nd)
-
-    def objective(theta: np.ndarray) -> float:
-        return lp_norm_quadrature(spectrum.with_phases(theta), p, nd)
-
-    best_val = -math.inf
-    best_phases = None
-    coarse = np.linspace(0.0, 2.0 * math.pi, 33, endpoint=False)
-    for r in range(restarts):
-        phases = (
-            np.zeros(len(spectrum.terms))
-            if r == 0
-            else seed.generator(r).uniform(0.0, 2.0 * math.pi, len(spectrum.terms))
-        )
-        best = objective(phases)
-        for _ in range(_SWEEP_LIMIT):
-            gain = 0.0
-            for j in range(len(phases)):
-                saved = phases[j]
-
-                def slice_obj(theta: float) -> float:
-                    phases[j] = theta
-                    return objective(phases)
-
-                vals = [slice_obj(t) for t in coarse]
-                i_star = int(np.argmax(vals))
-                width = coarse[1] - coarse[0]
-                theta_star = _golden_max(slice_obj, coarse[i_star] - width, coarse[i_star] + width)
-                phases[j] = theta_star % (2.0 * math.pi)
-                cand = objective(phases)
-                if cand > best:
-                    gain += cand - best
-                    best = cand
-                else:
-                    phases[j] = saved
-            if gain < 1e-10 * max(1.0, base):
-                break
-        if best > best_val:
-            best_val = best
-            best_phases = phases.copy()
-    ratio = (best_val / base) ** (1.0 / p)
-    return MajorantResult(base, best_val, ratio, tuple(float(t) for t in best_phases), restarts)
+    final = functools.partial(lp_norm_quadrature, p=p, nodes=nd)
+    return _search(spectrum, p, restarts, seed, _Grid(spectrum.freqs, p, nd), final)
 
 
 def genericity_experiment(
@@ -224,14 +317,22 @@ def genericity_experiment(
 
     For each size, `samples` paths are realized on the mapped index set
     {1..size}; each realized spectrum is phase-optimized and the event
-    ratio >= size^epsilon recorded.  Binomial standard errors accompany every
-    point.  Because the optimizer lower-bounds the supremum, the reported
+    ratio >= size^epsilon recorded: by ``majorant_ratio`` at even p, by
+    ``majorant_ratio_quadrature`` otherwise.  Binomial standard errors
+    accompany every point.  Because the optimizer lower-bounds the supremum, the reported
     probabilities lower-bound the true event probabilities.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if samples < 1:
         raise ValueError("samples must be positive")
+    # Sample streams are (stream_index << 16) ^ size and optimizer streams set
+    # bit 40 on top; both stay distinct only below these bounds.
+    if seed.stream_index >= 1 << 24:
+        raise ValueError("seed stream_index must be below 2^24")
+    if any(size >= 1 << 16 for size in sizes):
+        raise ValueError("sizes must be below 2^16")
+    search = majorant_ratio if _even_degree(p) else majorant_ratio_quadrature
     points: list[GenericityPoint] = []
     for size in sizes:
         spec = ExperimentSpec(
@@ -248,7 +349,7 @@ def genericity_experiment(
         hits = 0
         for i in range(samples):
             values = sorted(_sample_values(spec, i))
-            result = majorant_ratio(values, p, restarts, opt_seed)
+            result = search(values, p, restarts, opt_seed)
             if result.ratio >= threshold:
                 hits += 1
         prob = hits / samples

@@ -88,6 +88,16 @@ class TestBasicCommands:
         assert float(row["ratio"]) == pytest.approx(1.0, abs=1e-6)
         assert float(row["base_moment"]) == 19.0
 
+    def test_majorant_non_even_p(self, capsys):
+        code, out = run_capture(
+            ["majorant", "--freqs", "0,1,3", "--p", "3", "--restarts", "1"], capsys
+        )
+        row = parse_csv(out)[0]
+        assert code == 0 and row["p"] == "3"
+        # {0, 1, 3} is the Green-Ruzsa set on which the p=3 majorant property fails
+        assert float(row["best_moment"]) > float(row["base_moment"])
+        assert float(row["ratio"]) > 1.0
+
     def test_json_format(self, capsys):
         code, out = run_capture(["divisor", "--x", "10,100", "--format", "json"], capsys)
         rows = json.loads(out)
@@ -152,6 +162,14 @@ class TestSlope:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "'nope'" in err
+
+    def test_short_row_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "moments.csv"
+        data.write_text("size,mean\n16,100.0\n32\n")
+        code = run(["slope", "--input", str(data)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "line 3" in err
 
     @staticmethod
     def make_args(out):

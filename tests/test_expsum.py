@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from expsumlab import (
     FrequencySpectrum,
+    GuardError,
     even_moment,
     even_norm_coeff,
     lp_norm_quadrature,
@@ -30,13 +31,33 @@ def oracle_even_moment(freqs, n):
     return hits
 
 
-def oracle_quadrature(terms, p, nodes):
+def direct_quadrature(terms, p, nodes):
     """Direct rectangle rule, no phase reduction tricks."""
     total = 0.0
     for i in range(nodes):
         y = i / nodes
         s = sum(c * np.exp(2j * np.pi * f * y) for f, c in terms)
         total += abs(s) ** p
+    return total / nodes
+
+
+def oracle_quadrature(terms, p, nodes):
+    """Rectangle rule from an explicit nodes x terms phase matrix.
+
+    The phase index i*f is reduced mod nodes in exact integer arithmetic, so
+    huge frequencies lose nothing.
+    """
+    profile = {}
+    for f, c in terms:
+        profile[f] = profile.get(f, 0j) + c
+    residues = np.array([f % nodes for f in profile], dtype=np.int64)
+    coeffs = np.array(list(profile.values()), dtype=np.complex128)
+    total = 0.0
+    block = max(1, min(nodes, (1 << 22) // len(residues)))
+    for start in range(0, nodes, block):
+        i = np.arange(start, min(start + block, nodes), dtype=np.int64)
+        z = np.exp((2j * np.pi / nodes) * ((i[:, None] * residues[None, :]) % nodes))
+        total += float(np.sum(np.abs(z @ coeffs) ** p))
     return total / nodes
 
 
@@ -229,7 +250,7 @@ class TestQuadrature:
         terms = [(2, 1.0 + 0j), (5, 0.3 - 0.4j), (9, -1.0 + 0j)]
         spectrum = FrequencySpectrum.from_pairs(terms)
         got = lp_norm_quadrature(spectrum, 3.0, 41)
-        assert got == pytest.approx(oracle_quadrature(terms, 3.0, 41), rel=1e-12)
+        assert got == pytest.approx(direct_quadrature(terms, 3.0, 41), rel=1e-12)
 
     def test_huge_frequencies_lose_no_phase(self):
         base = FrequencySpectrum.unit([0, 1, 3])
@@ -266,6 +287,37 @@ class TestQuadrature:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             lp_norm_quadrature(FrequencySpectrum.unit([1]), 0.5, 8)
+
+    @pytest.mark.parametrize("width", [50, 10**9, 2**62 - 1])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0, 4.0])
+    def test_matches_phase_matrix_oracle(self, width, p):
+        rng = np.random.default_rng(int(p * 10) + width % 97)
+        freqs = rng.integers(-width, width, 12, endpoint=True).tolist()
+        freqs[0], freqs[1] = -width, width
+        freqs[2] = freqs[3]  # a repeated frequency merges into one bin
+        coeffs = rng.normal(size=12) + 1j * rng.normal(size=12)
+        terms = list(zip(freqs, coeffs.tolist()))
+        spectrum = FrequencySpectrum.from_pairs(terms)
+        for nodes in (1, 7, 64, 101, 997):
+            got = lp_norm_quadrature(spectrum, p, nodes)
+            assert got == pytest.approx(oracle_quadrature(terms, p, nodes), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_even_p_exact_at_bandwidth(self, n):
+        # |S|^{2n} has frequencies in [-n*span, n*span]; n*span + 1 nodes integrate it exactly
+        rng = np.random.default_rng(30 + n)
+        for _ in range(20):
+            freqs = rng.integers(-40, 41, int(rng.integers(1, 10))).tolist()
+            spectrum = FrequencySpectrum.unit(freqs).with_phases(rng.uniform(0, 2 * np.pi, len(freqs)))
+            nodes = n * (max(freqs) - min(freqs)) + 1
+            got = lp_norm_quadrature(spectrum, 2 * n, nodes)
+            assert got == pytest.approx(even_norm_coeff(spectrum, n), rel=1e-12)
+
+    def test_absurd_node_count_is_guarded(self):
+        spectrum = FrequencySpectrum.unit([0, 1, 3])
+        for nodes in ((1 << 24) + 1, 10**18):
+            with pytest.raises(GuardError):
+                lp_norm_quadrature(spectrum, 3.0, nodes)
 
 
 class TestSupNorm:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from expsumlab import FrequencySpectrum, SeedSpec, even_norm_coeff
+from expsumlab import FrequencySpectrum, SeedSpec, even_norm_coeff, lp_norm_quadrature, majorant
 from expsumlab.majorant import genericity_experiment, majorant_ratio, majorant_ratio_quadrature
 from expsumlab.moments import TimeMap
 from expsumlab.processes import Pmf
@@ -77,6 +77,72 @@ class TestMajorantRatio:
         assert result.ratio == pytest.approx(1.0, abs=1e-6)
 
 
+def spy_routes(monkeypatch):
+    """Count coordinate slices taken on the FFT grid and from exact evaluations."""
+    calls = {"grid": 0, "exact": 0}
+    for name, cls in (("grid", majorant._Grid), ("exact", majorant._Exact)):
+        along = cls.along
+
+        def counted(self, phases, j, _along=along, _name=name):
+            calls[_name] += 1
+            return _along(self, phases, j)
+
+        monkeypatch.setattr(cls, "along", counted)
+    return calls
+
+
+class TestRoutes:
+    def test_huge_span_takes_exact_samples(self, monkeypatch):
+        calls = spy_routes(monkeypatch)
+        result = majorant_ratio([1, 10**9], 4, restarts=2, seed=SEED)
+        assert result.ratio == pytest.approx(1.0, abs=1e-12)
+        assert result.base_moment == 6.0
+        assert calls["exact"] > 0 and calls["grid"] == 0
+
+    def test_small_span_runs_on_grid(self, monkeypatch):
+        calls = spy_routes(monkeypatch)
+        freqs = [j * j for j in range(1, 11)]
+        result = majorant_ratio(freqs, 4, restarts=2, seed=SEED)
+        assert result.ratio == pytest.approx(1.0, abs=1e-6)
+        assert calls["grid"] > 0 and calls["exact"] == 0
+
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_routes_reach_the_same_optimum(self, p):
+        # from a random start both routes climb back to the all-ones moment
+        freqs = [0, 2, 3, 7, 11]
+        start = SEED.generator(1).uniform(0, 2 * math.pi, len(freqs))
+        spectrum = FrequencySpectrum.unit(freqs)
+        n = p // 2
+        ends = []
+        for route in (majorant._Grid(spectrum.freqs, p, n * 11 + 1), majorant._Exact(spectrum, n)):
+            phases = majorant._ascend(route, start.copy(), p, even_norm_coeff(spectrum, n))
+            ends.append(even_norm_coeff(spectrum.with_phases(phases), n))
+        assert ends[0] == pytest.approx(even_norm_coeff(spectrum, n), rel=1e-9)
+        assert ends[1] == pytest.approx(ends[0], rel=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_even_argmax_is_exact(self, n):
+        # a degree-n profile peaked off every grid phase
+        for a in (0.123456789, 2.5, 5.999):
+            def g(t, a=a):
+                return sum(np.cos(m * (t - a)) / m for m in range(1, n + 1))
+
+            assert majorant._even_argmax(g, n) == pytest.approx(a, abs=1e-12)
+
+    def test_rank_one_move_matches_recompute(self):
+        freqs = [-3, 0, 4, 4, 9]
+        phases = SEED.generator(4).uniform(0, 2 * math.pi, len(freqs))
+        grid = majorant._Grid(freqs, 3.0, 41)
+        grid.value(phases)
+        for j, theta in ((1, 0.7), (3, 5.1), (1, 2.2)):
+            grid.move(phases, j, theta)
+            moved = grid.s.copy()
+            assert grid.value(phases) == pytest.approx(
+                lp_norm_quadrature(FrequencySpectrum.unit(freqs).with_phases(phases), 3.0, 41), rel=1e-12
+            )
+            np.testing.assert_allclose(moved, grid.s, rtol=0, atol=1e-12)
+
+
 class TestQuadratureVariant:
     def test_matches_exact_path_for_even_p(self):
         exact = majorant_ratio([0, 2, 5], 4, restarts=2, seed=SEED)
@@ -91,6 +157,34 @@ class TestQuadratureVariant:
 
 
 class TestGenericity:
+    def test_non_even_p_uses_quadrature_search(self, monkeypatch):
+        seen = []
+        search = majorant.majorant_ratio_quadrature
+
+        def spy(freqs, p, *args):
+            seen.append(p)
+            return search(freqs, p, *args)
+
+        monkeypatch.setattr(majorant, "majorant_ratio_quadrature", spy)
+        points = genericity_experiment(
+            "poisson", TimeMap("identity"), [4, 8], 3, 0.2, samples=3, restarts=1, seed=SEED
+        )
+        assert [pt.size for pt in points] == [4, 8]
+        assert seen == [3] * 6
+        assert all(0.0 <= pt.probability <= 1.0 for pt in points)
+
+    def test_colliding_streams_rejected(self):
+        # sample streams are (stream_index << 16) ^ size; optimizer streams add bit 40
+        args = ("poisson", TimeMap("identity"))
+        with pytest.raises(ValueError, match="2\\^16"):
+            genericity_experiment(*args, [4, 1 << 16], 4, 0.2, samples=1, restarts=1, seed=SEED)
+        with pytest.raises(ValueError, match="2\\^24"):
+            genericity_experiment(*args, [4], 4, 0.2, samples=1, restarts=1, seed=SeedSpec(404, 1 << 24))
+        (point,) = genericity_experiment(
+            *args, [4], 2, 0.2, samples=1, restarts=1, seed=SeedSpec(404, (1 << 24) - 1)
+        )
+        assert point.size == 4
+
     def test_p2_probability_zero(self):
         points = genericity_experiment(
             "poisson", TimeMap("identity"), [4, 8], 2, 0.3, samples=8, restarts=1, seed=SEED
