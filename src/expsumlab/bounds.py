@@ -26,7 +26,7 @@ from .moments import (
     coincidence_probability_poisson,
     interval_coefficients,
 )
-from .processes import SeedSpec
+from .processes import SeedSpec, poisson_pmf
 
 _E50 = math.exp(50.0)
 _TINY_FRACTION = 1e-18
@@ -46,21 +46,6 @@ def _check(exact: float, bound: float) -> BoundCheck:
     return BoundCheck(exact, bound, holds, bound - exact)
 
 
-_logfact_cache: list[float] = [0.0]
-
-
-def _logfact(k: int) -> float:
-    while len(_logfact_cache) <= k:
-        _logfact_cache.append(_logfact_cache[-1] + math.log(len(_logfact_cache)))
-    return _logfact_cache[k]
-
-
-def _logpmf(a: int, lam: float) -> float:
-    if lam == 0.0:
-        return 0.0 if a == 0 else -math.inf
-    return -lam + a * math.log(lam) - math.lgamma(a + 1)
-
-
 def poisson_concentration_check(m: int, lam: float) -> BoundCheck:
     """P[|N(m) - m| > lam*sqrt(m)] against the bound 2 e^{-lam^2/4}.
 
@@ -77,7 +62,7 @@ def poisson_concentration_check(m: int, lam: float) -> BoundCheck:
     # lower tail: a < m - dev
     a0 = math.ceil(m - dev) - 1
     if a0 >= 0:
-        term = math.exp(_logpmf(a0, float(m)))
+        term = poisson_pmf(float(m), a0)
         a = a0
         while a >= 0:
             terms.append(term)
@@ -85,7 +70,7 @@ def poisson_concentration_check(m: int, lam: float) -> BoundCheck:
             a -= 1
     # upper tail: a > m + dev
     a = math.floor(m + dev) + 1
-    term = math.exp(_logpmf(a, float(m)))
+    term = poisson_pmf(float(m), a)
     running = 0.0
     tiny_run = 0
     while True:
@@ -106,11 +91,11 @@ def poisson_concentration_check(m: int, lam: float) -> BoundCheck:
 def pmf_sup_over_t(a: int) -> BoundCheck:
     """sup_t P[N(t) = a] = a^a e^{-a} / a! against 1/sqrt(2 pi a).
 
-    The supremum over the mean sits at t = a; evaluated in log space.
+    The supremum over the mean sits at t = a.
     """
     if a < 1 or a != int(a):
         raise ValueError("a must be a positive integer")
-    exact = math.exp(a * math.log(a) - a - math.lgamma(a + 1))
+    exact = poisson_pmf(float(a), a)
     return _check(exact, 1.0 / math.sqrt(2.0 * math.pi * a))
 
 
@@ -123,16 +108,11 @@ def pmf_sup_over_a(t: float) -> tuple[int, float, float]:
     if t < 0:
         raise ValueError("t must be nonnegative")
     k = math.floor(t)
-    value = math.exp(_logpmf(k, t)) if t > 0 else 1.0
+    value = poisson_pmf(t, k)
     bound = 1.0 if k == 0 else min(1.0, 1.0 / math.sqrt(2.0 * math.pi * k))
     a_max = int(t + 10.0 * math.sqrt(t) + 10.0)
-    if t > 0:
-        _logfact(a_max)
-        arange = np.arange(a_max + 1, dtype=np.float64)
-        logs = -t + arange * math.log(t) - np.asarray(_logfact_cache[: a_max + 1])
-        top = float(np.max(logs))
-        if top > math.log(max(value, 1e-300)) + 1e-10:
-            raise RuntimeError("pmf mode scan found a larger value than floor(t)")
+    if np.max(poisson_pmf(t, np.arange(a_max + 1))) > value * (1.0 + 1e-10):
+        raise RuntimeError("pmf mode scan found a larger value than floor(t)")
     return k, value, bound
 
 
@@ -158,25 +138,18 @@ def _combo_exact_probability(means: Sequence[float], coeffs: Sequence[int], a: i
     dist[0] = 1.0
     for mu, c in zip(means, coeffs):
         kmax = a // c
-        _logfact(kmax)
-        ks = np.arange(kmax + 1, dtype=np.float64)
-        pmf = np.exp(-mu + ks * math.log(mu) - np.asarray(_logfact_cache[: kmax + 1]))
         v = np.zeros(c * kmax + 1, dtype=np.float64)
-        v[::c] = pmf
+        v[::c] = poisson_pmf(mu, np.arange(kmax + 1))
         dist = np.convolve(dist, v)[: a + 1]
     return float(dist[a])
 
 
-def combo_pmf_bound_check(
-    means: Sequence[float], coeffs: Sequence[int], a: int, tol: float
-) -> BoundCheck:
+def combo_pmf_bound_check(means: Sequence[float], coeffs: Sequence[int], a: int) -> BoundCheck:
     """P[sum_i c_i N_i = a] against min{1, 1/sqrt(2 pi floor(max mean))}.
 
-    The probability is computed by exact truncated convolution (the target a
-    caps every variable), well inside the requested tolerance.
+    The probability is computed by exact truncated convolution: the target a
+    caps every variable, so the truncation discards nothing.
     """
-    if not (0.0 < tol <= 1e-3):
-        raise ValueError("tol must lie in (0, 1e-3]")
     if len(means) != len(coeffs) or not means:
         raise ValueError("means and coeffs must be equal-length and nonempty")
     if any(mu <= 0 for mu in means):
@@ -191,9 +164,7 @@ def combo_pmf_bound_check(
     return _check(exact, bound)
 
 
-def interval_sum_bound_check(
-    intervals: Sequence[tuple[float, float]], a: int, tol: float
-) -> BoundCheck:
+def interval_sum_bound_check(intervals: Sequence[tuple[float, float]], a: int) -> BoundCheck:
     """P[sum_i (N(k_i) - N(j_i)) = a] against the widest-interval mode bound.
 
     The intervals are decomposed into elementary pieces with integer
@@ -201,8 +172,6 @@ def interval_sum_bound_check(
     truncated DP of the combination check is run.  The bound uses
     floor((k_m - j_m)/(2n)) for the widest interval m among n intervals.
     """
-    if not (0.0 < tol <= 1e-3):
-        raise ValueError("tol must lie in (0, 1e-3]")
     if not intervals:
         raise ValueError("need at least one interval")
     for j, k in intervals:
@@ -335,7 +304,7 @@ def verification_suite(quick: bool = False, seed: SeedSpec | None = None) -> lis
         means = [float(gen.uniform(0.1, 5.0)) for _ in range(n)]
         coeffs = [int(gen.integers(1, 4)) for _ in range(n)]
         a = int(gen.integers(0, 11))
-        if not combo_pmf_bound_check(means, coeffs, a, 1e-9).holds:
+        if not combo_pmf_bound_check(means, coeffs, a).holds:
             failures.append(f"combo means={means} coeffs={coeffs} a={a}")
     reports.append(_report("combo_pmf_bound", failures, trials))
 
@@ -350,10 +319,10 @@ def verification_suite(quick: bool = False, seed: SeedSpec | None = None) -> lis
             k = j + float(gen.uniform(0.1, 10.0))
             intervals.append((j, k))
         a = int(gen.integers(0, 9))
-        if not interval_sum_bound_check(intervals, a, 1e-9).holds:
+        if not interval_sum_bound_check(intervals, a).holds:
             failures.append(f"interval_sum intervals={intervals} a={a}")
         if a == 0:
-            chk = interval_sum_bound_check(intervals, 0, 1e-9)
+            chk = interval_sum_bound_check(intervals, 0)
             other = coincidence_probability_poisson(
                 SignedTimeMultiset(
                     tuple(k for _, k in intervals), tuple(j for j, _ in intervals)

@@ -4,12 +4,13 @@ Every library surface is exposed as a subcommand emitting CSV (default) or
 JSON rows; floats are serialized with 17 significant digits so files
 round-trip exactly.  When ``--out`` is given, a JSON manifest (subcommand,
 argv, master seed, version, timestamps, sha256 of the data) is written next
-to the output file.  Identical argv + seed produce byte-identical data rows
-regardless of ``--threads``.
+to the output file.  Identical argv + seed produce byte-identical data rows.
 
-Config precedence for seed/threads: flags > environment (EXPSUM_SEED,
-EXPSUM_THREADS) > key=value config file passed with ``--config``.  Without
-any of them the seed is 0, except for ``verify``, whose default is 20240.
+Seed precedence: ``--seed`` > the EXPSUM_SEED environment variable > a
+key=value config file passed with ``--config``, whose only keys are ``seed``
+and ``samples``.  Without any of them the seed is 0, except for ``verify``,
+whose default is 20240.  ``--samples`` (``moment`` and ``majorant``) falls
+back to the config file, then to 200.
 
 Exit codes: 0 success, 1 usage error, 2 numeric guard or overflow,
 3 verification suite failure.
@@ -125,14 +126,15 @@ def _config_values(path: str | None) -> dict[str, str]:
                 if not line or line.startswith("#"):
                     continue
                 key, _, val = line.partition("=")
-                values[key.strip().lower()] = val.strip()
+                key = key.strip().lower()
+                if key not in ("seed", "samples"):
+                    raise ValueError(f"{path}: unknown key {key!r}")
+                values[key] = val.strip()
     return values
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master seed (u64)")
-    parser.add_argument("--samples", type=int, default=None, help="Monte Carlo samples")
-    parser.add_argument("--threads", type=int, default=None, help="worker count (wall time only)")
     parser.add_argument("--out", type=str, default=None, help="output path (stdout if absent)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
@@ -153,6 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmf", type=str, default=None, help="iid pmf as v:p,v:p")
     p.add_argument("--mode", choices=("auto", "even", "quadrature"), default="auto")
     p.add_argument("--nodes", type=int, default=None, help="quadrature nodes (default auto)")
+    p.add_argument("--samples", type=int, default=None, help="Monte Carlo samples")
     _add_common(p)
 
     p = sub.add_parser("shell", help="shell counts |k^d - j^d - E| < D")
@@ -189,6 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", dest="time_map", default="identity")
     p.add_argument("--sizes", type=str, default="8,16,32,64")
     p.add_argument("--epsilon", type=float, default=0.2)
+    p.add_argument("--samples", type=int, default=None, help="genericity samples per size")
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the full inequality and oracle suite")
@@ -214,15 +218,7 @@ def _resolve_settings(args) -> None:
             args.seed = int(config["seed"])
         else:
             args.seed = 20240 if args.subcommand == "verify" else 0
-    if args.threads is None:
-        env = os.environ.get("EXPSUM_THREADS")
-        if env is not None:
-            args.threads = int(env)
-        elif "threads" in config:
-            args.threads = int(config["threads"])
-        else:
-            args.threads = 1
-    if args.samples is None:
+    if "samples" in vars(args) and args.samples is None:
         args.samples = int(config.get("samples", 200))
 
 
@@ -243,9 +239,9 @@ def _cmd_moment(args) -> tuple[list[dict], int]:
         even_ok = args.p >= 2 and args.p == int(args.p) and int(args.p) % 2 == 0
         use_even = args.mode == "even" or (args.mode == "auto" and even_ok)
         if use_even:
-            est = mc_even_moment(spec, threads=args.threads)
+            est = mc_even_moment(spec)
         else:
-            est = mc_general_moment(spec, nodes=args.nodes, threads=args.threads)
+            est = mc_general_moment(spec, nodes=args.nodes)
         rows.append(
             {
                 "process": args.process,

@@ -9,7 +9,7 @@ Two routes are implemented and cross-checked against each other:
 
 * Monte Carlo: sample a path, evaluate the realized exponential sum's norm
   exactly (even p) or by quadrature (general p), average.  Per-sample seeding
-  makes estimates bitwise reproducible for any worker count.
+  makes estimates bitwise reproducible.
 * Exact: closed forms at p = 2 for the Poisson and i.i.d. processes, and for
   small Poisson instances at any even p via coincidence probabilities
   P[sum of process values = sum of process values], computed by decomposing
@@ -22,9 +22,8 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .processes import (
     ProcessPath,
     SeedSpec,
     TimeGrid,
+    poisson_pmf,
     sample_iid,
     sample_poisson_path,
     sample_random_walk,
@@ -151,22 +151,6 @@ def _sample_values(spec: ExperimentSpec, sample_index: int) -> tuple[int, ...]:
     return tuple(path.values[int(t)] for t in times)
 
 
-def _run_samples(count: int, one: Callable[[int], float], threads: int) -> list[float]:
-    # Per-sample seeding makes the result independent of the chunking.
-    if threads <= 1:
-        return [one(i) for i in range(count)]
-    results = [0.0] * count
-    chunk = (count + threads - 1) // threads
-
-    def run_chunk(start: int) -> None:
-        for i in range(start, min(start + chunk, count)):
-            results[i] = one(i)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run_chunk, range(0, count, chunk)))
-    return results
-
-
 def _summarize(values: list[float], spec: ExperimentSpec, descriptor: str) -> MomentEstimate:
     n = len(values)
     mean = math.fsum(values) / n
@@ -178,7 +162,7 @@ def _summarize(values: list[float], spec: ExperimentSpec, descriptor: str) -> Mo
     return MomentEstimate(mean, se, n, spec.seed, spec.p, descriptor)
 
 
-def mc_even_moment(spec: ExperimentSpec, threads: int = 1) -> MomentEstimate:
+def mc_even_moment(spec: ExperimentSpec) -> MomentEstimate:
     """Unbiased Monte Carlo estimate of the even moment E||.||_{2n}^{2n}.
 
     Each sample realizes the process on the mapped times, forms the unit
@@ -192,11 +176,11 @@ def mc_even_moment(spec: ExperimentSpec, threads: int = 1) -> MomentEstimate:
         values = _sample_values(spec, i)
         return float(even_moment(FrequencySpectrum.unit(values), n))
 
-    values = _run_samples(spec.samples, one, threads)
+    values = [one(i) for i in range(spec.samples)]
     return _summarize(values, spec, spec.descriptor() + "/exact-even")
 
 
-def mc_general_moment(spec: ExperimentSpec, nodes: int | None = None, threads: int = 1) -> MomentEstimate:
+def mc_general_moment(spec: ExperimentSpec, nodes: int | None = None) -> MomentEstimate:
     """Monte Carlo estimate for any p >= 1, each sample by quadrature.
 
     With ``nodes=None`` each sample uses the default node count for its
@@ -208,7 +192,7 @@ def mc_general_moment(spec: ExperimentSpec, nodes: int | None = None, threads: i
         nd = nodes if nodes is not None else suggested_nodes(spectrum, spec.p)
         return lp_norm_quadrature(spectrum, spec.p, nd)
 
-    values = _run_samples(spec.samples, one, threads)
+    values = [one(i) for i in range(spec.samples)]
     tag = "auto" if nodes is None else str(nodes)
     return _summarize(values, spec, spec.descriptor() + f"/quadrature:{tag}")
 
@@ -261,24 +245,20 @@ def interval_coefficients(
     return lengths, coeffs
 
 
-def _poisson_pmf_vector(lam: float, k: int) -> np.ndarray:
-    a = np.arange(k + 1, dtype=np.float64)
-    logfact = np.array([math.lgamma(x + 1.0) for x in range(k + 1)])
-    return np.exp(-lam + a * math.log(lam) - logfact)
-
-
 def truncated_poisson_pmf(lam: float, tail_budget: float) -> np.ndarray:
     """Pmf vector over 0..K with discarded upper-tail mass below the budget.
 
     The cutoff starts at mean + max(20, 12*sqrt(mean)) and doubles until the
-    numerically verified tail falls under the budget.
+    tail bound P[N > K] <= pmf(K+1) (K+2)/(K+2-mean), a geometric series
+    valid for K+2 > mean, falls under the budget.  A cutoff past the DP
+    support guard raises GuardError, so an unreachable budget fails fast.
     """
     k = int(lam + max(20.0, math.ceil(12.0 * math.sqrt(lam))))
-    while True:
-        pmf = _poisson_pmf_vector(lam, k)
-        if 1.0 - math.fsum(pmf.tolist()) < tail_budget:
-            return pmf
+    while k <= _DP_SUPPORT_LIMIT:
+        if poisson_pmf(lam, k + 1) * (k + 2) / (k + 2 - lam) < tail_budget:
+            return poisson_pmf(lam, np.arange(k + 1))
         k *= 2
+    raise GuardError("Poisson truncation cutoff exceeds the desk-scale guard")
 
 
 def coincidence_probability_poisson(s: SignedTimeMultiset, tol: float) -> float:

@@ -7,10 +7,10 @@ Three processes drive every experiment in this package:
 * the simple random walk with fair +/-1 steps.
 
 All sampling is routed through counter-based Philox streams keyed by
-``(master_seed, stream_index, sample_index)``, so Monte Carlo loops can be
-chunked across workers in any order and still produce bitwise identical
-results.  Poisson increments are drawn exactly in distribution (numpy's
-Generator uses the exact multiplication method for small means and an exact
+``(master_seed, stream_index, sample_index)``, so each Monte Carlo sample is
+bitwise reproducible on its own, whatever samples run before it.  Poisson
+increments are drawn exactly in distribution (numpy's Generator uses the
+exact multiplication method for small means and an exact
 transformed-rejection sampler for large means; no normal approximation is
 ever involved).
 """
@@ -139,14 +139,21 @@ class ProcessPath:
             raise ValueError("one value per grid point required")
 
 
-def poisson_pmf(mean: float, a: int) -> float:
+def poisson_pmf(mean: float, a: int | np.ndarray) -> float | np.ndarray:
     """P[N = a] for a Poisson variable of the given mean.
 
-    Evaluated in log space so huge means neither overflow nor lose the tiny
-    tail values; underflow saturates to 0.  mean = 0 is the point mass at 0.
+    ``a`` is an int, or an ndarray of nonnegative ints for the pmf at each
+    entry.  Evaluated in log space so huge means neither overflow nor lose
+    the tiny tail values; underflow saturates to 0.  mean = 0 is the point
+    mass at 0.
     """
     if mean < 0:
         raise ValueError("mean must be nonnegative")
+    if isinstance(a, np.ndarray):
+        if mean == 0.0:
+            return np.where(a == 0, 1.0, 0.0)
+        logfact = np.array([math.lgamma(x + 1.0) for x in a.tolist()])
+        return np.exp(-mean + a * math.log(mean) - logfact)
     if a < 0:
         return 0.0
     if mean == 0.0:

@@ -122,24 +122,24 @@ class TestRobbins:
 
 class TestComboBound:
     def test_single_poisson_at_mode(self):
-        chk = combo_pmf_bound_check([5.0], [1], 5, 1e-9)
+        chk = combo_pmf_bound_check([5.0], [1], 5)
         assert chk.exact == pytest.approx(poisson_pmf(5.0, 5), rel=1e-12)
         assert chk.bound == pytest.approx(1 / math.sqrt(2 * math.pi * 5), rel=1e-14)
         assert chk.holds
 
     def test_zero_target_forces_zeros(self):
-        chk = combo_pmf_bound_check([1.0, 1.0], [2, 1], 0, 1e-9)
+        chk = combo_pmf_bound_check([1.0, 1.0], [2, 1], 0)
         assert chk.exact == pytest.approx(math.exp(-2.0), rel=1e-12)
         # floor(max mean) = 1, so the mode bound is 1/sqrt(2 pi), not 1
         assert chk.bound == pytest.approx(1 / math.sqrt(2 * math.pi), rel=1e-14)
         assert chk.holds
 
     def test_sub_unit_means_bound_is_one(self):
-        chk = combo_pmf_bound_check([0.4, 0.9], [1, 3], 1, 1e-9)
+        chk = combo_pmf_bound_check([0.4, 0.9], [1, 3], 1)
         assert chk.bound == 1.0
 
     def test_poisson_additivity(self):
-        chk = combo_pmf_bound_check([3.0, 4.0], [1, 1], 7, 1e-9)
+        chk = combo_pmf_bound_check([3.0, 4.0], [1, 1], 7)
         assert chk.exact == pytest.approx(poisson_pmf(7.0, 7), rel=1e-12)
         assert chk.bound == pytest.approx(1 / math.sqrt(2 * math.pi * 4), rel=1e-14)
 
@@ -147,30 +147,28 @@ class TestComboBound:
         means, coeffs = [1.5, 0.7], [2, 1]
         # beyond a = 60 the remaining mass is far below 1e-9
         total = sum(
-            combo_pmf_bound_check(means, coeffs, a, 1e-6).exact for a in range(61)
+            combo_pmf_bound_check(means, coeffs, a).exact for a in range(61)
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            combo_pmf_bound_check([1.0], [1], 2, 0.5)
-        with pytest.raises(ValueError):
-            combo_pmf_bound_check([1.0, 2.0], [1], 2, 1e-9)
+            combo_pmf_bound_check([1.0, 2.0], [1], 2)
 
 
 class TestIntervalSum:
     def test_single_interval(self):
-        chk = interval_sum_bound_check([(0.0, 4.0)], 4, 1e-9)
+        chk = interval_sum_bound_check([(0.0, 4.0)], 4)
         assert chk.exact == pytest.approx(poisson_pmf(4.0, 4), rel=1e-12)
         assert chk.bound == pytest.approx(1 / math.sqrt(2 * math.pi * 2), rel=1e-14)
 
     def test_nested_intervals_zero_sum(self):
         # the sum is zero iff every increment over the union [0, 10] vanishes
-        chk = interval_sum_bound_check([(0.0, 10.0), (2.0, 3.0)], 0, 1e-9)
+        chk = interval_sum_bound_check([(0.0, 10.0), (2.0, 3.0)], 0)
         assert chk.exact == pytest.approx(math.exp(-10.0), rel=1e-10)
 
     def test_disjoint_additivity(self):
-        chk = interval_sum_bound_check([(0.0, 1.0), (2.0, 3.0)], 1, 1e-9)
+        chk = interval_sum_bound_check([(0.0, 1.0), (2.0, 3.0)], 1)
         assert chk.exact == pytest.approx(2 * math.exp(-2.0), rel=1e-12)
 
     def test_agrees_with_coincidence_engine(self):
@@ -181,7 +179,7 @@ class TestIntervalSum:
             for _ in range(n):
                 j = float(gen.uniform(0, 8))
                 intervals.append((j, j + float(gen.uniform(0.1, 6))))
-            chk = interval_sum_bound_check(intervals, 0, 1e-9)
+            chk = interval_sum_bound_check(intervals, 0)
             other = coincidence_probability_poisson(
                 SignedTimeMultiset(
                     tuple(k for _, k in intervals), tuple(j for j, _ in intervals)
@@ -192,7 +190,7 @@ class TestIntervalSum:
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
-            interval_sum_bound_check([(2.0, 2.0)], 0, 1e-9)
+            interval_sum_bound_check([(2.0, 2.0)], 0)
 
 
 class TestSqrtLogTransfer:

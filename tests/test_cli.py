@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import pytest
 
 import expsumlab
 from expsumlab.bounds import GridReport
-from expsumlab.cli import run
+from expsumlab.cli import build_parser, run
 from expsumlab.processes import SeedSpec
 
 
@@ -129,13 +131,6 @@ class TestDeterminism:
         assert run(self.ARGS + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        out1 = tmp_path / "t1.csv"
-        out4 = tmp_path / "t4.csv"
-        assert run(self.ARGS + ["--threads", "1", "--out", str(out1)]) == 0
-        assert run(self.ARGS + ["--threads", "4", "--out", str(out4)]) == 0
-        assert out1.read_bytes() == out4.read_bytes()
-
     def test_manifest_digest_matches(self, tmp_path):
         out = tmp_path / "m.csv"
         assert run(self.ARGS + ["--out", str(out)]) == 0
@@ -197,6 +192,11 @@ class TestExitCodes:
         assert run(["nonsense"]) == 1
         # --tol was accepted and ignored; it is no longer a flag
         assert run(["divisor", "--x", "10", "--tol", "1e-8"]) == 1
+        capsys.readouterr()
+
+    def test_samples_only_where_read(self, capsys):
+        # only moment and majorant draw samples
+        assert run(["divisor", "--x", "10", "--samples", "5"]) == 1
         capsys.readouterr()
 
     def test_missing_required(self, capsys):
@@ -291,7 +291,7 @@ class TestPrecedence:
     def test_config_file_lowest(self, tmp_path, monkeypatch):
         monkeypatch.delenv("EXPSUM_SEED", raising=False)
         cfg = tmp_path / "lab.cfg"
-        cfg.write_text("# settings\nseed = 77\nthreads = 2\n")
+        cfg.write_text("# settings\nseed = 77\n")
         out = tmp_path / "cfg.csv"
         run(
             [
@@ -302,8 +302,39 @@ class TestPrecedence:
         manifest = json.loads((tmp_path / "cfg.csv.manifest.json").read_text())
         assert manifest["master_seed"] == 77
 
+    def test_config_unknown_key_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("seed = 77\nthreads = 2\n")
+        assert run(["divisor", "--x", "10", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}: unknown key 'threads'\n"
+
 
 PROJECT_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_cli_examples():
+    """Every ``expsumlab ...`` command in README's sh blocks, as argv lists."""
+    text = (PROJECT_ROOT / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["expsumlab"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_examples_parse(capsys):
+    commands = _readme_cli_examples()
+    assert len(commands) >= 13
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: expsumlab {shlex.join(argv)}")
 
 
 def _declared_console_script(name):

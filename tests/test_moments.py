@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,10 +22,12 @@ from expsumlab import (
     lp_norm_quadrature,
     mc_even_moment,
     mc_general_moment,
+    poisson_pmf,
     slope_fit,
     suggested_nodes,
 )
-from expsumlab.moments import _sample_values, interval_coefficients
+from expsumlab.errors import GuardError
+from expsumlab.moments import _sample_values, interval_coefficients, truncated_poisson_pmf
 
 SEED = SeedSpec(2024, 3)
 
@@ -109,10 +112,38 @@ class TestCoincidence:
         with pytest.raises(ValueError):
             coincidence_probability_poisson(SignedTimeMultiset((1.0,), ()), 0.5)
 
+    def test_tolerance_below_rounding_level_returns(self):
+        # 1 - sum(pmf) levels off near 1e-16, far above the per-interval budget
+        s = SignedTimeMultiset((1.0, 2.0), (3.0,))
+        got = coincidence_probability_poisson(s, 1e-18)
+        assert got == pytest.approx(oracle_equal_poisson_sums(1.0), rel=1e-14)
+
     def test_interval_coefficients_cancel(self):
         lengths, coeffs = interval_coefficients((1.0, 2.0), (3.0,))
         assert lengths == [1.0, 1.0]
         assert coeffs == [1, -1]
+
+
+class TestTruncatedPmf:
+    def test_budget_below_rounding_level(self):
+        # At this mean 1 - sum(pmf) levels off at 1.1e-16 as K doubles.
+        lam, budget = 2.6, 1e-20
+        pmf = truncated_poisson_pmf(lam, budget)
+        k = len(pmf) - 1
+        bound = poisson_pmf(lam, k + 1) * (k + 2) / (k + 2 - lam)
+        assert bound < budget
+        assert math.fsum(poisson_pmf(lam, a) for a in range(k + 1, k + 200)) <= bound
+
+    def test_unreachable_budget_fails_fast(self):
+        with pytest.raises(GuardError):
+            truncated_poisson_pmf(2.6, 0.0)
+
+    @pytest.mark.parametrize("lam", [0.3, 2.6, 17.5, 400.0])
+    def test_vector_matches_scalar_pmf(self, lam):
+        pmf = truncated_poisson_pmf(lam, 1e-12)
+        scalar = np.array([poisson_pmf(lam, a) for a in range(len(pmf))])
+        # numpy's exp and math.exp may round the same exponent 1 ulp apart
+        np.testing.assert_array_max_ulp(pmf, scalar, maxulp=1)
 
 
 class TestExactEvenMoment:
@@ -172,13 +203,6 @@ class TestMonteCarlo:
         est = mc_even_moment(spec)
         exact = exact_second_moment_iid(pmf, 8)
         assert abs(est.mean - exact) <= 5 * est.std_error
-
-    def test_thread_count_does_not_change_values(self):
-        spec = ExperimentSpec("walk", tuple(range(1, 20)), TimeMap("identity"), 4.0, 64, SEED)
-        a = mc_even_moment(spec, threads=1)
-        b = mc_even_moment(spec, threads=4)
-        assert a.mean == b.mean
-        assert a.std_error == b.std_error
 
     def test_general_matches_even_per_sample(self):
         spec = ExperimentSpec("poisson", tuple(range(1, 6)), TimeMap("identity"), 2.0, 30, SEED)

@@ -40,6 +40,12 @@ class TestPoissonPmf:
     def test_underflow_saturates(self):
         assert poisson_pmf(1e6, 0) == 0.0
 
+    def test_array_argument(self):
+        a = np.arange(6)
+        expected = [math.exp(-4.7) * 4.7**k / math.factorial(k) for k in range(6)]
+        np.testing.assert_allclose(poisson_pmf(4.7, a), expected, rtol=1e-13)
+        assert poisson_pmf(0.0, a).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
     @given(st.floats(0.01, 50), st.integers(0, 120))
     @settings(max_examples=50, deadline=None)
     def test_in_unit_interval(self, mean, a):
