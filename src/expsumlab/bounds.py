@@ -11,16 +11,21 @@ bounds sup_t P[N(t)=a] <= 1/sqrt(2 pi a) and sup_a P[N(t)=a] at a = floor(t),
 Robbins' two-sided Stirling refinement, mode bounds for positive integer
 combinations of independent Poisson variables and for sums of process
 increments, and the transfer of |x-y| windows across the sqrt(t log t) scale.
+``verification_suite`` runs all of them on grids, together with the exact
+oracles of the lattice counters, and is the one place the ``verify``
+subcommand gets its checks from.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .lattice import ShellQuery, divisor_summatory, shell_count_brute, shell_count_fast
 from .moments import (
     SignedTimeMultiset,
     coincidence_probability_poisson,
@@ -102,8 +107,10 @@ def pmf_sup_over_t(a: int) -> BoundCheck:
 def pmf_sup_over_a(t: float) -> tuple[int, float, float]:
     """(argmax, value, bound) of a -> P[N(t) = a]; the mode is floor(t).
 
-    A scan over a in [0, t + 10 sqrt(t) + 10] confirms no strictly larger
-    value exists (at integer t the pmf ties at t-1 and t).
+    A scan over a in [0, t + 10 sqrt(t) + 10] confirms no larger value
+    exists beyond float noise (at integer t the pmf ties at t-1 and t).  The
+    pmf is exp of t, a log t and log a!, so its relative noise is a few ulps
+    of their size, which reaches 2 t log t.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -111,7 +118,9 @@ def pmf_sup_over_a(t: float) -> tuple[int, float, float]:
     value = poisson_pmf(t, k)
     bound = 1.0 if k == 0 else min(1.0, 1.0 / math.sqrt(2.0 * math.pi * k))
     a_max = int(t + 10.0 * math.sqrt(t) + 10.0)
-    if np.max(poisson_pmf(t, np.arange(a_max + 1))) > value * (1.0 + 1e-10):
+    log_t = abs(math.log(t)) if t > 0 else 0.0
+    noise = 4.0 * sys.float_info.epsilon * (1.0 + t + a_max * log_t + math.lgamma(a_max + 1))
+    if np.max(poisson_pmf(t, np.arange(a_max + 1))) > value * (1.0 + noise):
         raise RuntimeError("pmf mode scan found a larger value than floor(t)")
     return k, value, bound
 
@@ -233,10 +242,14 @@ def _report(name: str, failures: list[str], checked: int) -> GridReport:
 
 
 def verification_suite(quick: bool = False, seed: SeedSpec | None = None) -> list[GridReport]:
-    """Run every stated inequality grid; one report per grid.
+    """Run every stated inequality grid and oracle grid; one report per grid.
 
-    quick=True shrinks the grids by roughly an order of magnitude for smoke
-    tests; the full suite is the acceptance configuration.
+    The seven inequality grids come first, then two exact-count oracles:
+    shell_oracle compares the fast and brute shell counters on every integer
+    E in [D, D^2] for D <= 10, and divisor_oracle compares the hyperbola-method
+    D(x) with a sieve at every integer x.  quick=True shrinks the grids by
+    roughly an order of magnitude for smoke tests; the full suite is the
+    acceptance configuration.
     """
     seed = seed or SeedSpec(20240)
     reports: list[GridReport] = []
@@ -332,5 +345,26 @@ def verification_suite(quick: bool = False, seed: SeedSpec | None = None) -> lis
             if abs(chk.exact - other) > 1e-8:
                 failures.append(f"interval_vs_coincidence intervals={intervals}")
     reports.append(_report("interval_sum_bound", failures, trials))
+
+    d_cap = 100 if quick else 400
+    failures, checked = [], 0
+    for d in (2, 3) if quick else (2, 3, 4, 5):
+        for D in range(1, 11):
+            for e in range(D, min(D * D, d_cap) + 1):
+                q = ShellQuery(d, float(e), float(D))
+                checked += 1
+                if shell_count_brute(q).count != shell_count_fast(q).count:
+                    failures.append(f"shell d={d} E={e} D={D}")
+    reports.append(_report("shell_oracle", failures, checked))
+
+    top = 2000 if quick else 20_000
+    counts = np.zeros(top + 1, dtype=np.int64)
+    for a in range(1, top + 1):
+        counts[a::a] += 1
+    sums = np.cumsum(counts)
+    failures = [
+        f"divisor x={x}" for x in range(1, top + 1) if divisor_summatory(float(x)) != int(sums[x])
+    ]
+    reports.append(_report("divisor_oracle", failures, top))
 
     return reports

@@ -1,10 +1,14 @@
-"""Reproducible experiment runner.
+"""Reproducible experiment runner, and the only one the package has.
 
 Every library surface is exposed as a subcommand emitting CSV (default) or
-JSON rows; floats are serialized with 17 significant digits so files
-round-trip exactly.  When ``--out`` is given, a JSON manifest (subcommand,
-argv, master seed, version, timestamps, sha256 of the data) is written next
-to the output file.  Identical argv + seed produce byte-identical data rows.
+JSON rows.  A ladder is one subcommand over a comma list (``moment --sizes``,
+``shell --mode sup --D``, ``divisor --x``, ``hyperbolic --x``), and ``slope``
+fits its growth exponent.  ``verify`` prints one row per report of
+``bounds.verification_suite``.  Floats are serialized with 17 significant
+digits so files round-trip exactly.  When ``--out`` is given, a JSON
+manifest (subcommand, argv, master seed, version, timestamps, sha256 of the
+data) is written next to the output file.  Identical argv + seed produce
+byte-identical data rows.
 
 Seed precedence: ``--seed`` > the EXPSUM_SEED environment variable > a
 key=value config file passed with ``--config``, whose only keys are ``seed``
@@ -28,8 +32,6 @@ import os
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from .bounds import verification_suite
 from .errors import GuardError
@@ -39,6 +41,7 @@ from .lattice import (
     divisor_error,
     divisor_summatory,
     greenruzsa_generate,
+    hyperbolic_count,
     representation_count,
     diophantine_count,
     shell_count_brute,
@@ -46,7 +49,7 @@ from .lattice import (
     shell_sup_ratio,
     sparsity_count,
 )
-from .majorant import genericity_experiment, majorant_ratio, majorant_ratio_quadrature
+from .majorant import _even_degree, genericity_experiment, majorant_ratio, majorant_ratio_quadrature
 from .moments import ExperimentSpec, TimeMap, mc_even_moment, mc_general_moment, slope_fit
 from .processes import Pmf, SeedSpec
 
@@ -160,13 +163,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shell", help="shell counts |k^d - j^d - E| < D")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--D", type=float, required=True)
+    p.add_argument("--D", type=str, required=True, help="comma list with --mode sup, else one value")
     p.add_argument("--E", type=float, default=None, help="single E (default: grid over [D, D^2])")
     p.add_argument("--mode", choices=("both", "brute", "fast", "sup"), default="both")
     p.add_argument("--e-samples", type=int, default=2048, dest="e_samples")
     _add_common(p)
 
     p = sub.add_parser("divisor", help="divisor summatory function and its error term")
+    p.add_argument("--x", type=str, required=True, help="comma list of evaluation points")
+    _add_common(p)
+
+    p = sub.add_parser("hyperbolic", help="two-sided counts R_d(x) = #{0 < |k|^d - |j|^d <= x}")
+    p.add_argument("--d", type=int, required=True)
     p.add_argument("--x", type=str, required=True, help="comma list of evaluation points")
     _add_common(p)
 
@@ -185,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("majorant", help="phase-optimized majorant ratios")
     p.add_argument("--freqs", type=str, default=None, help="comma list of frequencies")
-    p.add_argument("--p", type=int, default=4)
+    p.add_argument("--p", type=float, default=4.0)
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--genericity", action="store_true")
     p.add_argument("--process", choices=("poisson", "walk", "iid"), default="poisson")
@@ -236,8 +244,7 @@ def _cmd_moment(args) -> tuple[list[dict], int]:
             seed=SeedSpec(args.seed, size),
             pmf=pmf,
         )
-        even_ok = args.p >= 2 and args.p == int(args.p) and int(args.p) % 2 == 0
-        use_even = args.mode == "even" or (args.mode == "auto" and even_ok)
+        use_even = args.mode == "even" or (args.mode == "auto" and _even_degree(args.p))
         if use_even:
             est = mc_even_moment(spec)
         else:
@@ -273,23 +280,28 @@ def _shell_grid(D: float, cap: int) -> list[float]:
 
 
 def _cmd_shell(args) -> tuple[list[dict], int]:
+    d_values = [float(tok) for tok in args.D.split(",")]
     rows = []
     if args.mode == "sup":
-        count, ratio, argmax_e = shell_sup_ratio(args.d, args.D, args.e_samples)
-        rows.append(
-            {
-                "d": args.d,
-                "D": args.D,
-                "sup_count": count,
-                "sup_ratio": ratio,
-                "argmax_E": argmax_e,
-                "e_samples": args.e_samples,
-            }
-        )
+        for D in d_values:
+            count, ratio, argmax_e = shell_sup_ratio(args.d, D, args.e_samples)
+            rows.append(
+                {
+                    "d": args.d,
+                    "D": D,
+                    "sup_count": count,
+                    "sup_ratio": ratio,
+                    "argmax_E": argmax_e,
+                    "e_samples": args.e_samples,
+                }
+            )
         return rows, 0
-    grid = [args.E] if args.E is not None else _shell_grid(args.D, args.e_samples)
+    if len(d_values) != 1:
+        raise ValueError(f"shell --mode {args.mode} takes one --D value; a list needs --mode sup")
+    (D,) = d_values
+    grid = [args.E] if args.E is not None else _shell_grid(D, args.e_samples)
     for e in grid:
-        q = ShellQuery(args.d, e, args.D)
+        q = ShellQuery(args.d, e, D)
         row: dict = {"E": e}
         if args.mode in ("brute", "both"):
             res = shell_count_brute(q)
@@ -310,6 +322,15 @@ def _cmd_divisor(args) -> tuple[list[dict], int]:
     for tok in args.x.split(","):
         x = float(tok)
         rows.append({"x": x, "summatory": divisor_summatory(x), "error": divisor_error(x)})
+    return rows, 0
+
+
+def _cmd_hyperbolic(args) -> tuple[list[dict], int]:
+    rows = []
+    for tok in args.x.split(","):
+        x = float(tok)
+        count = hyperbolic_count(args.d, x)
+        rows.append({"d": args.d, "x": x, "count": count, "ratio": count / x ** (2.0 / args.d)})
     return rows, 0
 
 
@@ -373,7 +394,7 @@ def _cmd_majorant(args) -> tuple[list[dict], int]:
     if not args.freqs:
         raise ValueError("majorant needs --freqs unless --genericity is given")
     freqs = _parse_int_list(args.freqs)
-    search = majorant_ratio if args.p % 2 == 0 else majorant_ratio_quadrature
+    search = majorant_ratio if _even_degree(args.p) else majorant_ratio_quadrature
     result = search(freqs, args.p, args.restarts, SeedSpec(args.seed))
     rows = [
         {
@@ -388,53 +409,12 @@ def _cmd_majorant(args) -> tuple[list[dict], int]:
     return rows, 0
 
 
-def _verify_oracles(quick: bool) -> list[dict]:
-    rows = []
-    # shell fast-vs-brute spot grid
-    mismatches = []
-    checked = 0
-    d_values = (2, 3) if quick else (2, 3, 4, 5)
-    d_cap = 100 if quick else 400
-    for d in d_values:
-        for D in range(1, 11):
-            for e in range(D, min(D * D, d_cap) + 1):
-                q = ShellQuery(d, float(e), float(D))
-                checked += 1
-                if shell_count_brute(q).count != shell_count_fast(q).count:
-                    mismatches.append(f"shell d={d} E={e} D={D}")
-    rows.append(
-        {
-            "check": "shell_oracle",
-            "ok": not mismatches,
-            "checked": checked,
-            "detail": "ok" if not mismatches else mismatches[0],
-        }
-    )
-    # divisor hyperbola vs sieve
-    top = 2000 if quick else 20_000
-    counts = np.zeros(top + 1, dtype=np.int64)
-    for a in range(1, top + 1):
-        counts[a::a] += 1
-    sums = np.cumsum(counts)
-    bad = [int(x) for x in range(1, top + 1) if divisor_summatory(float(x)) != int(sums[x])]
-    rows.append(
-        {
-            "check": "divisor_oracle",
-            "ok": not bad,
-            "checked": top,
-            "detail": "ok" if not bad else f"divisor x={bad[0]}",
-        }
-    )
-    return rows
-
-
 def _cmd_verify(args) -> tuple[list[dict], int]:
     reports = verification_suite(quick=args.quick, seed=SeedSpec(args.seed))
     rows = [
         {"check": r.name, "ok": r.ok, "checked": r.checked, "detail": r.detail}
         for r in reports
     ]
-    rows.extend(_verify_oracles(args.quick))
     failures = [r["check"] for r in rows if not r["ok"]]
     for name in failures:
         print(f"verification failure: {name}", file=sys.stderr)
@@ -468,6 +448,7 @@ _DISPATCH = {
     "moment": _cmd_moment,
     "shell": _cmd_shell,
     "divisor": _cmd_divisor,
+    "hyperbolic": _cmd_hyperbolic,
     "repcount": _cmd_repcount,
     "greenruzsa": _cmd_greenruzsa,
     "majorant": _cmd_majorant,

@@ -11,6 +11,10 @@ Counting conventions are exact and explicit:
   positive integers (so N starts at 1);
 * R_d(x) uses the half-open condition 0 < |k|^d - |j|^d <= x over all of Z^2.
 
+Both are counted by one routine: pairs j < k with k^d - j^d on an inclusive
+integer window.  A shell passes the integers strictly inside (E - D, E + D);
+R_d(x) passes [1, floor(x)] and adds the sign and axis symmetries.
+
 Real-valued E, D are honored exactly: integer quantities are compared with
 the real bounds through exact rational thresholds, so boundary lattice points
 are never misclassified by float rounding.  All powers are arbitrary
@@ -68,20 +72,6 @@ def _strict_window(E: float, D: float) -> tuple[int, int]:
     return math.floor(lo_f) + 1, math.ceil(hi_f) - 1
 
 
-def _search_first(lo: int, hi: int, pred: Callable[[int], bool]) -> tuple[int, int]:
-    """Smallest x in [lo, hi] with pred(x), else hi + 1; returns (x, steps)."""
-    steps = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        steps += 1
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    steps += 1
-    return (lo if pred(lo) else hi + 1), steps
-
-
 def shell_count_brute(q: ShellQuery) -> CountResult:
     """Count shell pairs by scanning j and bisecting the k-range.
 
@@ -126,19 +116,13 @@ def shell_count_brute(q: ShellQuery) -> CountResult:
     return CountResult(check_count(count, "shell count"), "brute", work)
 
 
-def _g(j: int, b: int, d: int) -> int:
-    return (j + b) ** d - j**d - b**d
-
-
-def shell_count_fast(q: ShellQuery) -> CountResult:
-    """Count shell pairs by scanning the difference b = k - j.
+def _window_count(d: int, lo: int, hi: int) -> CountResult:
+    """Pairs j < k in N with lo <= k^d - j^d <= hi, by scanning b = k - j.
 
     Writing k = j + b turns the window into bounds on the strictly
     increasing g(j) = (j+b)^d - j^d - b^d, and each b needs only two integer
-    binary searches; total work O((E+D)^{1/d} log(E+D)).
+    binary searches; total work O(hi^{1/d} log hi).
     """
-    lo, hi = _strict_window(q.E, q.D)
-    d = q.d
     count = 0
     work = 0
     b = 1
@@ -170,6 +154,11 @@ def shell_count_fast(q: ShellQuery) -> CountResult:
                 count += x - j_lo
         b += 1
     return CountResult(check_count(count, "shell count"), "fast", work)
+
+
+def shell_count_fast(q: ShellQuery) -> CountResult:
+    """Count shell pairs on the integer window of |v - E| < D, scanning k - j."""
+    return _window_count(q.d, *_strict_window(q.E, q.D))
 
 
 def _floor_root(v: int, d: int) -> int:
@@ -258,26 +247,17 @@ def shell_power_law_bound(d: int, D: float, s: float) -> float:
 def hyperbolic_count(d: int, x: float) -> int:
     """R_d(x) = #{(j,k) in Z^2 : 0 < |k|^d - |j|^d <= x}.
 
-    Decomposes by sign symmetry: 4 * (positive-pair count with the half-open
-    condition) + 2 * floor(x^{1/d}) for the axis pairs (0, +-k).
+    Decomposes by sign symmetry: 4 * (pairs 1 <= j < k with k^d - j^d in
+    [1, floor(x)], counted by the shell counter) + 2 * floor(x^{1/d}) for
+    the axis pairs (0, +-k).
     """
     if d < 2 or d != int(d):
         raise ValueError("d must be an integer >= 2")
     if x < 1:
         raise ValueError("x must be at least 1")
     fx = math.floor(Fraction(x))
-    positive = 0
-    b = 1
-    while b**d <= fx:
-        # count j >= 1 with 0 < g(j) + b^d <= fx; g > 0 always holds
-        g_hi = fx - b**d
-        if g_hi >= _g(1, b, d):
-            ub = _floor_root(max(g_hi // (d * b), 1), d - 1) + 1 if d > 1 else g_hi
-            j_hi, _ = _search_first(1, ub + 1, lambda j: _g(j, b, d) > g_hi)
-            positive += j_hi - 1
-        b += 1
-    axis = _floor_root(fx, d)
-    return check_count(4 * positive + 2 * axis, "hyperbolic count")
+    positive = _window_count(d, 1, fx).count
+    return check_count(4 * positive + 2 * _floor_root(fx, d), "hyperbolic count")
 
 
 # ---------------------------------------------------------------------------

@@ -306,7 +306,7 @@ def genericity_experiment(
     process: str,
     time_map: TimeMap,
     sizes: Sequence[int],
-    p: int,
+    p: float,
     epsilon: float,
     samples: int,
     restarts: int,

@@ -266,8 +266,15 @@ def coincidence_probability_poisson(s: SignedTimeMultiset, tol: float) -> float:
 
     The signed combination of truncated independent Poisson increments is
     convolved into an explicit distribution; only the probability at 0 is
-    read off.  Truncation discards less than tol of total mass, so the result
-    is an underestimate by less than tol.
+    read off.  Truncation discards less than tol of total mass, so in exact
+    arithmetic the result would underestimate by less than tol.
+
+    float64 adds a rounding term that tol cannot shrink.  An interval of
+    length lam with coefficient c, truncated at K, enters as the exp of terms
+    up to lam + K |log lam| + log K! in size, and spreads over |c| K DP
+    slots.  With R = eps * sum over intervals of (|c| K + lam + K |log lam|
+    + log K!), eps = 2^-52, the result lies within tol + R * result of the
+    true probability.  A tol below R * result is accepted but buys nothing.
     """
     if not (0.0 < tol <= 1e-3):
         raise ValueError("tol must lie in (0, 1e-3]")
@@ -304,7 +311,9 @@ def exact_even_moment_poisson(times: Sequence[float], n: int, tol: float) -> flo
 
     Sums the coincidence probability over all 2n-tuples of times; memoizes on
     the unordered (plus, minus) signature, which collapses the tuple count
-    dramatically.  Accurate to |times|^{2n} * tol.
+    dramatically.  Accurate to |times|^{2n} * tol plus R * result, where R
+    is the largest rounding term of coincidence_probability_poisson over the
+    signatures.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")

@@ -104,6 +104,30 @@ class TestPmfSup:
     def test_over_a_zero(self):
         assert pmf_sup_over_a(0.0) == (0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("t", [45357.0, 1e5, 6294988.990221888])
+    def test_over_a_large_t_within_float_noise(self, t):
+        # the log-space pmf is noisy at relative 1e-10..1e-8 here, which a
+        # fixed 1e-10 slack mistook for a second mode
+        argmax, value, bound = pmf_sup_over_a(t)
+        assert argmax == math.floor(t)
+        assert value <= bound
+
+    def test_over_a_scan_catches_larger_value(self, monkeypatch):
+        import expsumlab.bounds as bounds_mod
+
+        def bumped(mean, a):
+            values = poisson_pmf(mean, a)
+            if isinstance(a, np.ndarray):
+                values = values.copy()
+                values[math.floor(mean) + 3] = 1.001 * values.max()
+            return values
+
+        monkeypatch.setattr(bounds_mod, "poisson_pmf", bumped)
+        with pytest.raises(RuntimeError, match="larger value"):
+            pmf_sup_over_a(45357.0)
+        with pytest.raises(RuntimeError, match="larger value"):
+            pmf_sup_over_a(4.7)
+
 
 class TestRobbins:
     def test_n1_explicit(self):
@@ -228,5 +252,8 @@ class TestVerificationSuite:
             "sqrt_log_transfer",
             "combo_pmf_bound",
             "interval_sum_bound",
+            "shell_oracle",
+            "divisor_oracle",
         } <= names
+        assert [r.name for r in reports][-2:] == ["shell_oracle", "divisor_oracle"]
         assert all(r.ok for r in reports)

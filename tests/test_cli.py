@@ -17,6 +17,7 @@ import pytest
 import expsumlab
 from expsumlab.bounds import GridReport
 from expsumlab.cli import build_parser, run
+from expsumlab.lattice import hyperbolic_count
 from expsumlab.processes import SeedSpec
 
 
@@ -54,6 +55,35 @@ class TestBasicCommands:
         assert float(rows[0]["sup_ratio"]) == pytest.approx(
             int(rows[0]["sup_count"]) / 8 ** (2 / 3)
         )
+
+    def test_shell_sup_list_matches_single_runs(self, capsys):
+        code, out = run_capture(["shell", "--d", "3", "--D", "10,20", "--mode", "sup"], capsys)
+        assert code == 0
+        singles = []
+        for D in ("10", "20"):
+            single_code, single = run_capture(["shell", "--d", "3", "--D", D, "--mode", "sup"], capsys)
+            assert single_code == 0
+            singles.extend(parse_csv(single))
+        assert parse_csv(out) == singles
+
+    def test_shell_list_needs_sup_mode(self, capsys):
+        code = run(["shell", "--d", "3", "--D", "10,20", "--mode", "both"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_hyperbolic_rows(self, capsys):
+        code, out = run_capture(["hyperbolic", "--d", "3", "--x", "7,1000,12345.9"], capsys)
+        assert code == 0
+        rows = parse_csv(out)
+        assert [float(r["x"]) for r in rows] == [7.0, 1000.0, 12345.9]
+        for row in rows:
+            x = float(row["x"])
+            count = hyperbolic_count(3, x)
+            assert row["d"] == "3"
+            assert int(row["count"]) == count
+            assert float(row["ratio"]) == count / x ** (2 / 3)
 
     def test_repcount_table(self, capsys):
         code, out = run_capture(["repcount", "--n", "2", "--d", "2", "--M", "5"], capsys)
@@ -99,6 +129,22 @@ class TestBasicCommands:
         # {0, 1, 3} is the Green-Ruzsa set on which the p=3 majorant property fails
         assert float(row["best_moment"]) > float(row["base_moment"])
         assert float(row["ratio"]) > 1.0
+
+    def test_majorant_fractional_p(self, capsys):
+        code, out = run_capture(
+            ["majorant", "--freqs", "0,1,3", "--p", "2.5", "--restarts", "1"], capsys
+        )
+        row = parse_csv(out)[0]
+        assert code == 0 and row["p"] == "2.5"
+        assert float(row["ratio"]) >= 1.0
+
+    def test_majorant_float_even_p_same_bytes(self, capsys):
+        argv = ["majorant", "--freqs", "0,1,3", "--restarts", "2", "--seed", "5", "--p"]
+        code_int, out_int = run_capture(argv + ["4"], capsys)
+        code_float, out_float = run_capture(argv + ["4.0"], capsys)
+        assert code_int == code_float == 0
+        assert out_float == out_int
+        assert parse_csv(out_int)[0]["p"] == "4"
 
     def test_json_format(self, capsys):
         code, out = run_capture(["divisor", "--x", "10,100", "--format", "json"], capsys)

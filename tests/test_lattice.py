@@ -136,6 +136,23 @@ class TestShellCounts:
         q = ShellQuery(4, 1e6, 1e3)
         assert shell_count_fast(q).count == shell_count_brute(q).count
 
+    @pytest.mark.parametrize(
+        "d,E,D,brute,fast",
+        [
+            (3, 1000.0, 100.0, (9, 113), (9, 57)),
+            (4, 123456.5, 321.25, (1, 259), (1, 126)),
+            (5, 1e12, 1e4, (0, 7372), (0, 3475)),
+        ],
+    )
+    def test_count_and_work_pinned(self, d, E, D, brute, fast):
+        # `work` is printed as work_brute / work_fast in shell rows, so the
+        # search steps each counter takes are part of its output
+        q = ShellQuery(d, E, D)
+        got_brute = shell_count_brute(q)
+        got_fast = shell_count_fast(q)
+        assert (got_brute.count, got_brute.work, got_brute.method) == (*brute, "brute")
+        assert (got_fast.count, got_fast.work, got_fast.method) == (*fast, "fast")
+
     def test_fast_work_is_sublinear(self):
         q = ShellQuery(3, 1e6, 1e3)
         fast = shell_count_fast(q)
@@ -210,6 +227,20 @@ class TestHyperbolicCount:
     @pytest.mark.parametrize("d,x", [(2, 1234), (3, 5000), (4, 10000)])
     def test_matches_z2_loop_spot(self, d, x):
         assert hyperbolic_count(d, float(x)) == oracle_hyperbolic(d, x)
+
+    @pytest.mark.parametrize(
+        "d,x,expected",
+        [
+            (4, 2**53 + 1, 248339326),
+            (5, 2**53 + 1, 5637792),
+            (6, 2**63, 4655740),
+            (7, 10**20, 1113674),
+        ],
+    )
+    def test_large_x_pinned(self, d, x, expected):
+        # x reaches past exact float integers and past the shell query's
+        # E + D <= 2^63 guard; the integer window keeps these exact
+        assert hyperbolic_count(d, x) == expected
 
     def test_area_scale(self):
         # leading term is an area ~ x^{2/d}; boundary corrections decay slowly,

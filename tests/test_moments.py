@@ -1,6 +1,7 @@
 """Moment expectations: exact formulas, the coincidence engine, Monte Carlo."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -117,6 +118,23 @@ class TestCoincidence:
         s = SignedTimeMultiset((1.0, 2.0), (3.0,))
         got = coincidence_probability_poisson(s, 1e-18)
         assert got == pytest.approx(oracle_equal_poisson_sums(1.0), rel=1e-14)
+
+    def test_result_within_tol_plus_rounding_term(self):
+        # The stated bound: within tol + R * result of the truth, R the float64
+        # rounding term.  Here the truth is P[X = Y] = e^{-2} I_0(2) for
+        # independent Poisson(1) X, Y, and R * result is far above tol.
+        s = SignedTimeMultiset((1.0, 2.0), (3.0,))
+        tol = 1e-18
+        got = coincidence_probability_poisson(s, tol)
+        truth = math.fsum(math.exp(-2.0) / math.factorial(k) ** 2 for k in range(30))
+        lengths, coeffs = interval_coefficients(s.plus, s.minus)
+        rounding = 0.0
+        for lam, c in zip(lengths, coeffs):
+            k = len(truncated_poisson_pmf(lam, tol / len(coeffs))) - 1
+            rounding += abs(c) * k + lam + k * abs(math.log(lam)) + math.lgamma(k + 1)
+        rounding *= sys.float_info.epsilon
+        assert rounding * got > tol
+        assert abs(got - truth) <= tol + rounding * got
 
     def test_interval_coefficients_cancel(self):
         lengths, coeffs = interval_coefficients((1.0, 2.0), (3.0,))
