@@ -28,7 +28,10 @@ from .moments import (
     SlopeFit,
     TimeMap,
     coincidence_probability_poisson,
+    exact_even_moment,
+    exact_even_moment_iid,
     exact_even_moment_poisson,
+    exact_even_moment_walk,
     exact_second_moment_iid,
     exact_second_moment_poisson,
     heuristic_exponent,
@@ -64,7 +67,10 @@ __all__ = [
     "coincidence_probability_poisson",
     "even_moment",
     "even_norm_coeff",
+    "exact_even_moment",
+    "exact_even_moment_iid",
     "exact_even_moment_poisson",
+    "exact_even_moment_walk",
     "exact_second_moment_iid",
     "exact_second_moment_poisson",
     "heuristic_exponent",

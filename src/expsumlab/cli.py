@@ -14,7 +14,9 @@ Seed precedence: ``--seed`` > the EXPSUM_SEED environment variable > a
 key=value config file passed with ``--config``, whose only keys are ``seed``
 and ``samples``.  Without any of them the seed is 0, except for ``verify``,
 whose default is 20240.  ``--samples`` (``moment`` and ``majorant``) falls
-back to the config file, then to 200.
+back to the config file, then to 200.  ``moment --mode exact`` samples
+nothing: it computes each mean exactly, and ``--samples`` or ``--nodes``
+with it exits 1.
 
 Exit codes: 0 success, 1 usage error, 2 numeric guard or overflow,
 3 verification suite failure.
@@ -50,7 +52,14 @@ from .lattice import (
     sparsity_count,
 )
 from .majorant import _even_degree, genericity_experiment, majorant_ratio, majorant_ratio_quadrature
-from .moments import ExperimentSpec, TimeMap, mc_even_moment, mc_general_moment, slope_fit
+from .moments import (
+    ExperimentSpec,
+    TimeMap,
+    exact_even_moment,
+    mc_even_moment,
+    mc_general_moment,
+    slope_fit,
+)
 from .processes import Pmf, SeedSpec
 
 
@@ -150,13 +159,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("moment", help="Monte Carlo moment experiments over a size ladder")
+    p = sub.add_parser("moment", help="moment experiments over a size ladder, Monte Carlo or exact")
     p.add_argument("--process", choices=("poisson", "walk", "iid"), required=True)
     p.add_argument("--map", dest="time_map", default="identity", help="identity | power:D | arith:R")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--sizes", type=str, required=True, help="comma list, A = {1..size}")
     p.add_argument("--pmf", type=str, default=None, help="iid pmf as v:p,v:p")
-    p.add_argument("--mode", choices=("auto", "even", "quadrature"), default="auto")
+    p.add_argument("--mode", choices=("auto", "even", "quadrature", "exact"), default="auto")
     p.add_argument("--nodes", type=int, default=None, help="quadrature nodes (default auto)")
     p.add_argument("--samples", type=int, default=None, help="Monte Carlo samples")
     _add_common(p)
@@ -226,13 +235,16 @@ def _resolve_settings(args) -> None:
             args.seed = int(config["seed"])
         else:
             args.seed = 20240 if args.subcommand == "verify" else 0
-    if "samples" in vars(args) and args.samples is None:
+    if "samples" in vars(args) and args.samples is None and getattr(args, "mode", None) != "exact":
         args.samples = int(config.get("samples", 200))
 
 
 def _cmd_moment(args) -> tuple[list[dict], int]:
     time_map = _parse_map(args.time_map)
     pmf = _parse_pmf(args.pmf)
+    exact = args.mode == "exact"
+    if exact and (args.samples is not None or args.nodes is not None):
+        raise ValueError("--mode exact samples nothing: drop --samples and --nodes")
     rows = []
     for size in _parse_int_list(args.sizes):
         spec = ExperimentSpec(
@@ -240,12 +252,14 @@ def _cmd_moment(args) -> tuple[list[dict], int]:
             index_set=tuple(range(1, size + 1)),
             time_map=time_map,
             p=args.p,
-            samples=args.samples,
+            samples=1 if exact else args.samples,
             seed=SeedSpec(args.seed, size),
             pmf=pmf,
         )
         use_even = args.mode == "even" or (args.mode == "auto" and _even_degree(args.p))
-        if use_even:
+        if exact:
+            est = exact_even_moment(spec)
+        elif use_even:
             est = mc_even_moment(spec)
         else:
             est = mc_general_moment(spec, nodes=args.nodes)

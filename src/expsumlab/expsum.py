@@ -104,43 +104,80 @@ class RepresentationTable:
 def _convolve(a: dict[int, complex], b: dict[int, complex]) -> dict[int, complex]:
     """{f: sum of a[g] * b[h] over g + h = f}, sorted by f, exact zeros dropped.
 
-    Integer profiles stay exact: numpy runs in int64 only while every
-    frequency sum and the product of the masses are below 2^62 (no partial
-    sum can then wrap), and a Python loop takes the rest.  Direct convolution
-    of the dense arrays costs the product of their lengths, so it runs when
-    that is at most four times the number of entry pairs; otherwise the
-    pairwise sums are merged.
+    Integer profiles are counts (nonnegative) and stay exact: numpy runs in
+    int64 while every frequency sum and the product of the masses are below
+    2^62 (no partial sum can then wrap), and on int64 limbs past that.
+    Direct convolution of the dense arrays costs the product of their
+    lengths, so it runs when that is at most four times the number of entry
+    pairs; otherwise the pairwise sums are merged.  A Python pair loop takes
+    frequencies past 2^62, and sparse profiles past the mass bound.
     """
     if not a or not b:
         return {}
     lo_a, hi_a, lo_b, hi_b = min(a), max(a), min(b), max(b)
     exact = isinstance(next(iter(a.values())), int)
-    if max(-lo_a, hi_a) + max(-lo_b, hi_b) >= _INT64_SAFE or (
-        exact and sum(a.values()) * sum(b.values()) >= _INT64_SAFE
-    ):
-        out: dict[int, complex] = {}
-        for fa, ca in a.items():
-            for fb, cb in b.items():
-                out[fa + fb] = out.get(fa + fb, 0) + ca * cb
-        return {f: c for f, c in sorted(out.items()) if c}
-    dtype = np.int64 if exact else np.complex128
+    big = exact and sum(a.values()) * sum(b.values()) >= _INT64_SAFE
+    dense = (hi_a - lo_a + 1) * (hi_b - lo_b + 1) <= 4 * len(a) * len(b)
+    if max(-lo_a, hi_a) + max(-lo_b, hi_b) >= _INT64_SAFE or (big and not dense):
+        return _convolve_pairs(a, b)
     fa = np.fromiter(a, np.int64, len(a))
     fb = np.fromiter(b, np.int64, len(b))
-    ca = np.fromiter(a.values(), dtype, len(a))
-    cb = np.fromiter(b.values(), dtype, len(b))
-    if (hi_a - lo_a + 1) * (hi_b - lo_b + 1) <= 4 * len(a) * len(b):
-        va = np.zeros(hi_a - lo_a + 1, dtype)
-        va[fa - lo_a] = ca
-        vb = np.zeros(hi_b - lo_b + 1, dtype)
-        vb[fb - lo_b] = cb
-        coeffs = np.convolve(va, vb)
+    if big:
+        coeffs = _convolve_limbs(
+            fa - lo_a, list(a.values()), hi_a - lo_a + 1, fb - lo_b, list(b.values()), hi_b - lo_b + 1
+        )
         freqs = np.arange(lo_a + lo_b, hi_a + hi_b + 1)
     else:
-        freqs, slot = np.unique(np.add.outer(fa, fb).ravel(), return_inverse=True)
-        coeffs = np.zeros(len(freqs), dtype)
-        np.add.at(coeffs, slot, np.multiply.outer(ca, cb).ravel())
+        dtype = np.int64 if exact else np.complex128
+        ca = np.fromiter(a.values(), dtype, len(a))
+        cb = np.fromiter(b.values(), dtype, len(b))
+        if dense:
+            va = np.zeros(hi_a - lo_a + 1, dtype)
+            va[fa - lo_a] = ca
+            vb = np.zeros(hi_b - lo_b + 1, dtype)
+            vb[fb - lo_b] = cb
+            coeffs = np.convolve(va, vb)
+            freqs = np.arange(lo_a + lo_b, hi_a + hi_b + 1)
+        else:
+            freqs, slot = np.unique(np.add.outer(fa, fb).ravel(), return_inverse=True)
+            coeffs = np.zeros(len(freqs), dtype)
+            np.add.at(coeffs, slot, np.multiply.outer(ca, cb).ravel())
     keep = coeffs != 0
     return dict(zip(freqs[keep].tolist(), coeffs[keep].tolist()))
+
+
+def _convolve_pairs(a: dict[int, complex], b: dict[int, complex]) -> dict[int, complex]:
+    """_convolve by a Python loop over all entry pairs, in Python numbers."""
+    out: dict[int, complex] = {}
+    for fa, ca in a.items():
+        for fb, cb in b.items():
+            out[fa + fb] = out.get(fa + fb, 0) + ca * cb
+    return {f: c for f, c in sorted(out.items()) if c}
+
+
+def _convolve_limbs(ia, ca, na, ib, cb, nb) -> np.ndarray:
+    """Dense convolution of nonnegative integers placed at ia (length na) and ib (nb).
+
+    Each count is cut into s-bit limbs, with s chosen so that limb products
+    summed over the shorter array stay below 2^62.  Every limb pair is
+    convolved in int64, and the results are shifted and summed as Python
+    integers.
+    """
+    s = (62 - min(na, nb).bit_length()) // 2
+    mask = (1 << s) - 1
+
+    def limbs(idx, counts, size):
+        for shift in range(0, max(counts).bit_length(), s):
+            v = np.zeros(size, np.int64)
+            v[idx] = [(c >> shift) & mask for c in counts]
+            yield shift, v
+
+    total = np.zeros(na + nb - 1, dtype=object)
+    b_limbs = list(limbs(ib, cb, nb))
+    for sa, va in limbs(ia, ca, na):
+        for sb, vb in b_limbs:
+            total += np.convolve(va, vb).astype(object) << (sa + sb)
+    return total
 
 
 def representation_table(spectrum: FrequencySpectrum, n: int) -> RepresentationTable:

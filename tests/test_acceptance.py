@@ -18,6 +18,7 @@ from expsumlab import (
     SeedSpec,
     TimeMap,
     even_norm_coeff,
+    exact_even_moment,
     exact_even_moment_poisson,
     lp_norm_quadrature,
     mc_even_moment,
@@ -236,3 +237,24 @@ def test_c12_majorant_even_p_and_genericity_trend():
     report(12, "even-p majorant ratios and genericity trend", ok,
            f"(worst |ratio-1| {worst:.2e}, probabilities "
            f"{[pt.probability for pt in points]})")
+
+
+def test_c13_exact_growth_exponents_and_monte_carlo_rung():
+    # c03's and c04's exponents from exact means, with no sampling noise,
+    # and one Monte Carlo rung per process against its exact mean.
+    ladder = (16, 32, 64, 128, 256)
+    ok = True
+    details = []
+    for process, seed, (lo, hi) in (("poisson", 42, (2.8, 3.2)), ("walk", 43, (3.3, 3.7))):
+        exact = {}
+        for M in ladder:
+            spec = ExperimentSpec(process, tuple(range(1, M + 1)), TimeMap("identity"), 4.0, 200,
+                                  SeedSpec(seed, M))
+            exact[M] = exact_even_moment(spec).mean
+        slope = slope_fit([(float(M), v) for M, v in exact.items()]).slope
+        mc = mc_even_moment(ExperimentSpec(process, tuple(range(1, 65)), TimeMap("identity"), 4.0,
+                                           200, SeedSpec(seed, 64)))
+        gap = abs(mc.mean - exact[64]) / mc.std_error
+        ok = ok and lo <= slope <= hi and gap <= 5.0
+        details.append(f"{process}: slope {slope:.3f} in [{lo}, {hi}], M=64 gap/SE {gap:.2f}")
+    report(13, "exact growth exponents and a Monte Carlo rung", ok, "(" + "; ".join(details) + ")")

@@ -146,6 +146,22 @@ class TestBasicCommands:
         assert out_float == out_int
         assert parse_csv(out_int)[0]["p"] == "4"
 
+    def test_moment_exact_rows(self, capsys):
+        code, out = run_capture(
+            ["moment", "--process", "walk", "--p", "4", "--sizes", "4,8", "--mode", "exact"], capsys
+        )
+        rows = parse_csv(out)
+        assert code == 0
+        assert [float(r["mean"]) for r in rows] == pytest.approx([70.0, 821.5], rel=1e-13)
+        assert all(r["samples"] == "0" and r["std_error"] == "0" for r in rows)
+        assert rows[1]["descriptor"] == "walk/identity/p=4/|A|=8/exact"
+
+    @pytest.mark.parametrize("flag", [["--samples", "5"], ["--nodes", "64"]])
+    def test_moment_exact_rejects_sampling_flags(self, flag, capsys):
+        argv = ["moment", "--process", "poisson", "--p", "4", "--sizes", "8", "--mode", "exact"]
+        assert run(argv + flag) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_json_format(self, capsys):
         code, out = run_capture(["divisor", "--x", "10,100", "--format", "json"], capsys)
         rows = json.loads(out)

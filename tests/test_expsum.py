@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from expsumlab import (
     suggested_nodes,
     sup_norm_upper,
 )
+from expsumlab.expsum import _convolve, _convolve_pairs
 
 
 def oracle_even_moment(freqs, n):
@@ -99,7 +101,7 @@ class TestRepresentationTable:
     def test_single_frequency(self):
         table = representation_table(FrequencySpectrum.unit([5]), 3)
         assert table.counts == {15: 1}
-        # mass product 2^64 is past int64: the Python-integer fallback
+        # mass product 2^64 is past int64: the int64-limb route
         table = representation_table(FrequencySpectrum.unit([0] * (1 << 16)), 4)
         assert table.counts == {0: 2**64}
 
@@ -129,6 +131,32 @@ class TestRepresentationTable:
         table = representation_table(FrequencySpectrum.unit(freqs), n)
         assert table.counts == oracle_convolution([(f, 1) for f in freqs], n)
         assert bool(calls) == dense
+
+    def test_dense_past_int64_matches_pair_loop(self, monkeypatch):
+        # The 11-fold table of 1..64 has mass 2^66: its last convolution
+        # crosses 2^62 and runs on int64 limbs.
+        profile = FrequencySpectrum.unit(range(1, 65)).multiplicities()
+        reference = dict(profile)
+        for _ in range(10):
+            reference = _convolve_pairs(reference, profile)
+        calls = spy_dense_calls(monkeypatch)
+        table = representation_table(FrequencySpectrum.unit(range(1, 65)), 11)
+        assert table.counts == reference
+        assert len(calls) > 10
+
+    def test_limbs_on_both_sides(self):
+        gen = np.random.default_rng(7)
+        a = {f: (1 << 100) + int(gen.integers(1 << 62)) for f in range(-30, 300)}
+        b = {f: int(gen.integers(1, 1 << 62)) << 8 for f in range(5, 90)}
+        assert _convolve(a, b) == _convolve_pairs(a, b)
+
+    def test_dense_past_int64_is_fast(self):
+        started = time.perf_counter()
+        table = representation_table(FrequencySpectrum.unit(range(1, 2049)), 6)
+        elapsed = time.perf_counter() - started
+        assert table.total() == 2048**6
+        assert table[6] == 1 and table[6 * 2048] == 1 and table[7] == 6
+        assert elapsed < 1.0
 
     def test_huge_span_uses_sparse_path(self):
         freqs = [0, 10**13, 3 * 10**13]

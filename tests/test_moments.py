@@ -1,5 +1,6 @@
 """Moment expectations: exact formulas, the coincidence engine, Monte Carlo."""
 
+import itertools
 import math
 import sys
 
@@ -16,7 +17,11 @@ from expsumlab import (
     SignedTimeMultiset,
     TimeMap,
     coincidence_probability_poisson,
+    even_moment,
+    exact_even_moment,
+    exact_even_moment_iid,
     exact_even_moment_poisson,
+    exact_even_moment_walk,
     exact_second_moment_iid,
     exact_second_moment_poisson,
     heuristic_exponent,
@@ -164,9 +169,68 @@ class TestTruncatedPmf:
         np.testing.assert_array_max_ulp(pmf, scalar, maxulp=1)
 
 
+def tuple_walk_even_moment(times, n, tol):
+    """The sum over all ordered 2n-tuples of their coincidence probability.
+
+    The engine before the transfer matrix, kept as its oracle: one
+    coincidence DP per distinct unordered (plus, minus) signature.
+    """
+    ts = tuple(float(t) for t in times)
+    cache = {}
+    terms = []
+    for combo in itertools.product(range(len(ts)), repeat=2 * n):
+        plus = tuple(sorted(ts[i] for i in combo[:n]))
+        minus = tuple(sorted(ts[i] for i in combo[n:]))
+        key = (plus, minus) if plus <= minus else (minus, plus)
+        if key not in cache:
+            cache[key] = coincidence_probability_poisson(SignedTimeMultiset(plus, minus), tol)
+        terms.append(cache[key])
+    return math.fsum(terms)
+
+
+def walk_paths_even_moment(times, n):
+    """Mean of the exact even moment over all 2^T walk paths, T = max time."""
+    top = int(max(times))
+    total = 0
+    for steps in itertools.product((-1, 1), repeat=top):
+        path = [0, *itertools.accumulate(steps)]
+        total += even_moment(FrequencySpectrum.unit([path[int(t)] for t in times]), n)
+    return total / 2**top
+
+
+def iid_draws_even_moment(pmf, size, n):
+    """Probability-weighted exact even moment over all size-tuples of draws."""
+    total = 0.0
+    for draws in itertools.product(pmf.entries, repeat=size):
+        weight = math.prod(p for _, p in draws)
+        total += weight * even_moment(FrequencySpectrum.unit([v for v, _ in draws]), n)
+    return total
+
+
+def poisson_coincidence_mp(plus, minus):
+    """P[sum N(plus) = sum N(minus)] at 40 digits, by convolving c * Poisson(L) pmfs."""
+    mp = pytest.importorskip("mpmath")
+    dist = {0: mp.mpf(1)}
+    prev = mp.mpf(0)
+    for b in sorted({t for t in plus + minus if t > 0}):
+        c = sum(t >= b for t in plus) - sum(t >= b for t in minus)
+        lam, prev = mp.mpf(b) - prev, mp.mpf(b)
+        if c:
+            pmf = [mp.exp(-lam) * lam**k / mp.factorial(k) for k in range(80)]
+            out = {}
+            for x, p in dist.items():
+                for k, q in enumerate(pmf):
+                    out[x + c * k] = out.get(x + c * k, 0) + p * q
+            dist = out
+    return dist.get(0, mp.mpf(0))
+
+
 class TestExactEvenMoment:
     def test_single_time(self):
-        assert exact_even_moment_poisson([5.0], 3, 1e-6) == pytest.approx(1.0)
+        assert exact_even_moment_poisson([5.0], 3, 1e-6) == 1.0
+
+    def test_empty_times(self):
+        assert exact_even_moment_poisson([], 2, 1e-8) == 0.0
 
     def test_matches_second_moment(self):
         times = [1.0, 2.0]
@@ -180,11 +244,97 @@ class TestExactEvenMoment:
         b = exact_second_moment_poisson(times)
         assert a == pytest.approx(b, abs=2 * len(times) ** 2 * 1e-8)
 
-    def test_guard(self):
-        from expsumlab import GuardError
+    @pytest.mark.parametrize(
+        "times, n",
+        [
+            ([float(j) for j in range(1, 4)], 2),
+            ([float(j) for j in range(1, 6)], 2),
+            ([float(j) for j in range(1, 9)], 2),
+            ([float(j * j) for j in range(1, 7)], 2),
+            ([1.0, 2.0, 3.0, 4.0], 3),
+            ([0.5, 1.5, 1.5, 2.5], 2),
+            ([0.0, 0.0, 3.0], 2),
+        ],
+    )
+    def test_matches_tuple_walk(self, times, n):
+        tol = 1e-9
+        got = exact_even_moment_poisson(times, n, tol)
+        oracle = tuple_walk_even_moment(times, n, tol)
+        # each engine is within N^{2n} tol (plus rounding) of the truth
+        assert abs(got - oracle) <= 2 * len(times) ** (2 * n) * tol
 
+    def test_result_within_tol_plus_rounding_term(self):
+        # The stated bound N^{2n} (tol + R), against a 40-digit reference.
+        times, n, tol = (0.5, 1.5, 1.5, 2.5), 2, 1e-18
+        got = exact_even_moment_poisson(times, n, tol)
+        truth = 0
+        for combo in itertools.product(times, repeat=2 * n):
+            truth += poisson_coincidence_mp(combo[:n], combo[n:])
+        depth, top = len(set(times)), max(times)
+        rounding = sys.float_info.epsilon * (
+            depth * ((n + 1) ** 2 + 8) + (math.pi * n + 4) * top + 2
+        )
+        assert rounding > tol
+        assert abs(got - float(truth)) <= len(times) ** (2 * n) * (tol + rounding)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_bad_n(self, n):
+        with pytest.raises(ValueError):
+            exact_even_moment_poisson([1.0, 2.0], n, 1e-8)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, 2e-3])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError):
+            exact_even_moment_poisson([1.0, 2.0], 2, tol)
+
+    def test_guard(self):
+        # arith:2 at M = 256 needs K ~ n M^3 > 2^24 nodes; the guard fires
+        # before any allocation, so this returns at once.
+        times = TimeMap("arith", r=2.0).apply(range(1, 257))
         with pytest.raises(GuardError):
-            exact_even_moment_poisson(list(range(1, 60)), 5, 1e-6)
+            exact_even_moment_poisson(times, 2, 1e-8)
+
+    def test_past_the_old_tuple_guard(self):
+        # 59^10 tuples stopped the tuple walk; the transfer loop takes ms.
+        # The tuples whose plus side equals their minus side give N^n.
+        value = exact_even_moment_poisson(list(range(1, 60)), 5, 1e-6)
+        assert math.isfinite(value) and value >= 59**5
+
+    @pytest.mark.parametrize("size, expected", [(4, 70.0), (8, 821.5)])
+    def test_walk_known_values(self, size, expected):
+        times = [float(j) for j in range(1, size + 1)]
+        assert exact_even_moment_walk(times, 2) == pytest.approx(expected, rel=1e-13)
+        assert walk_paths_even_moment(times, 2) == expected
+
+    @pytest.mark.parametrize("times, n", [([0.0, 2.0, 2.0, 5.0], 2), ([1.0, 3.0, 4.0], 3)])
+    def test_walk_matches_path_enumeration(self, times, n):
+        got = exact_even_moment_walk(times, n)
+        assert got == pytest.approx(walk_paths_even_moment(times, n), rel=1e-13)
+
+    def test_walk_rejects_fractional_times(self):
+        with pytest.raises(ValueError):
+            exact_even_moment_walk([0.5, 1.0], 2)
+
+    @pytest.mark.parametrize("size, n", [(3, 2), (4, 2), (3, 3)])
+    def test_iid_matches_draw_enumeration(self, size, n):
+        pmf = Pmf(((-1, 0.2), (1, 0.5), (4, 0.3)))
+        got = exact_even_moment_iid(pmf, size, n)
+        assert got == pytest.approx(iid_draws_even_moment(pmf, size, n), rel=1e-13)
+
+    def test_iid_n1_equals_closed_form(self):
+        pmf = Pmf.uniform([0, 1, 3])
+        assert exact_even_moment_iid(pmf, 9, 1) == pytest.approx(
+            exact_second_moment_iid(pmf, 9), rel=1e-13
+        )
+
+    def test_spec_dispatch(self):
+        spec = ExperimentSpec("walk", (1, 2, 3, 4), TimeMap("identity"), 4.0, 1, SEED)
+        est = exact_even_moment(spec)
+        assert est.mean == pytest.approx(70.0, rel=1e-13)
+        assert (est.std_error, est.n_samples) == (0.0, 0)
+        assert est.descriptor == "walk/identity/p=4/|A|=4/exact"
+        with pytest.raises(ValueError):
+            exact_even_moment(ExperimentSpec("walk", (1, 2), TimeMap("identity"), 3.0, 1, SEED))
 
 
 class TestMonteCarlo:
