@@ -2,9 +2,9 @@
 
 Each operation computes an exact probabilistic quantity on one side and the
 corresponding analytic bound on the other, returning both together with the
-verdict.  Tail sums run in log space with explicit stopping rules (50
-consecutive terms below 1e-18 of the accumulated mass, then a geometric
-remainder bound), since the interesting scales reach e^{50} and beyond.
+verdict.  The concentration tails of one mean m come from one pmf vector on
+[0, 2m + 64]: past 2m each term is under half the one before, so the end
+term, and the remainder it bounds, is below 1e-18 of every tail reported.
 
 The bounds covered: Gaussian-like concentration of N(m) around m, the mode
 bounds sup_t P[N(t)=a] <= 1/sqrt(2 pi a) and sup_a P[N(t)=a] at a = floor(t),
@@ -34,8 +34,7 @@ from .moments import (
 from .processes import SeedSpec, poisson_pmf
 
 _E50 = math.exp(50.0)
-_TINY_FRACTION = 1e-18
-_TINY_RUN = 50
+_SCAN_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -51,46 +50,35 @@ def _check(exact: float, bound: float) -> BoundCheck:
     return BoundCheck(exact, bound, holds, bound - exact)
 
 
-def poisson_concentration_check(m: int, lam: float) -> BoundCheck:
-    """P[|N(m) - m| > lam*sqrt(m)] against the bound 2 e^{-lam^2/4}.
+def poisson_concentration_checks(m: int, lams: Sequence[float]) -> list[BoundCheck]:
+    """P[|N(m) - m| > lam*sqrt(m)] against the bound 2 e^{-lam^2/4}, per lam.
 
-    Both tails are summed exactly: the lower tail is finite, the upper tail
-    runs until the stopping rule fires past 2m, where the term ratio is below
-    1/2 and the remainder is dominated by the last term.
+    Every lam reads one pmf vector p(0..A), A = 2m + 64: lower tails from a
+    forward cumulative sum, upper tails from a reverse one, both adding their
+    smallest terms first.  Past 2m the term ratio m/a is below 1/2, so p(A) <
+    2^-63 p(2m+1) is below 1e-18 of every upper tail (each starts at or below
+    2m+1), and so is the dropped remainder, which is at most p(A).
     """
     if m < 1 or m != int(m):
         raise ValueError("m must be a positive integer")
-    if not (0.0 < lam <= math.sqrt(m)):
+    root = math.sqrt(m)
+    if not all(0.0 < lam <= root for lam in lams):
         raise ValueError("lam must lie in (0, sqrt(m)]")
-    dev = lam * math.sqrt(m)
-    terms: list[float] = []
-    # lower tail: a < m - dev
-    a0 = math.ceil(m - dev) - 1
-    if a0 >= 0:
-        term = poisson_pmf(float(m), a0)
-        a = a0
-        while a >= 0:
-            terms.append(term)
-            term *= a / m
-            a -= 1
-    # upper tail: a > m + dev
-    a = math.floor(m + dev) + 1
-    term = poisson_pmf(float(m), a)
-    running = 0.0
-    tiny_run = 0
-    while True:
-        terms.append(term)
-        running += term
-        if term < _TINY_FRACTION * max(running, 1e-300):
-            tiny_run += 1
-        else:
-            tiny_run = 0
-        if tiny_run >= _TINY_RUN and a > 2 * m:
-            break  # remainder <= term * r/(1-r) <= term, itself negligible
-        a += 1
-        term *= m / a
-    exact = math.fsum(terms)
-    return _check(exact, 2.0 * math.exp(-lam * lam / 4.0))
+    pmf = poisson_pmf(float(m), np.arange(2 * int(m) + 65))
+    lower = np.cumsum(pmf)  # lower[a] = P[N <= a]
+    upper = np.cumsum(pmf[::-1])[::-1]  # upper[a] = P[N >= a]
+    checks = []
+    for lam in lams:
+        dev = lam * root
+        a0 = math.ceil(m - dev) - 1  # largest a < m - dev
+        exact = upper[math.floor(m + dev) + 1] + (lower[a0] if a0 >= 0 else 0.0)
+        checks.append(_check(float(exact), 2.0 * math.exp(-lam * lam / 4.0)))
+    return checks
+
+
+def poisson_concentration_check(m: int, lam: float) -> BoundCheck:
+    """P[|N(m) - m| > lam*sqrt(m)] against 2 e^{-lam^2/4}; see the grid form."""
+    return poisson_concentration_checks(m, [lam])[0]
 
 
 def pmf_sup_over_t(a: int) -> BoundCheck:
@@ -105,24 +93,38 @@ def pmf_sup_over_t(a: int) -> BoundCheck:
 
 
 def pmf_sup_over_a(t: float) -> tuple[int, float, float]:
-    """(argmax, value, bound) of a -> P[N(t) = a]; the mode is floor(t).
-
-    A scan over a in [0, t + 10 sqrt(t) + 10] confirms no larger value
-    exists beyond float noise (at integer t the pmf ties at t-1 and t).  The
-    pmf is exp of t, a log t and log a!, so its relative noise is a few ulps
-    of their size, which reaches 2 t log t.
-    """
+    """(argmax, value, bound) of a -> P[N(t) = a]; the mode floor(t) is scanned."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     k = math.floor(t)
     value = poisson_pmf(t, k)
     bound = 1.0 if k == 0 else min(1.0, 1.0 / math.sqrt(2.0 * math.pi * k))
-    a_max = int(t + 10.0 * math.sqrt(t) + 10.0)
-    log_t = abs(math.log(t)) if t > 0 else 0.0
-    noise = 4.0 * sys.float_info.epsilon * (1.0 + t + a_max * log_t + math.lgamma(a_max + 1))
-    if np.max(poisson_pmf(t, np.arange(a_max + 1))) > value * (1.0 + noise):
-        raise RuntimeError("pmf mode scan found a larger value than floor(t)")
+    _check_mode(t, k)
     return k, value, bound
+
+
+def _check_mode(t: float, k: int) -> None:
+    """Raise if some a in [0, t + 10 sqrt(t) + 10] has P[N(t)=a] > P[N(t)=k].
+
+    log p(a)/p(k) is a running sum of the steps log t - log j outward from k
+    (at integer t the pmf ties at t-1 and t).  A step errs by under 3 ulps of
+    L = |log t| + log a_max; if k is the mode the sum at a then errs by under
+    |a - k| eps (3L + |log p(a)/p(k)|), so it stays below ``noise``.
+    """
+    if t == 0:
+        return  # point mass at 0
+    a_max = int(t + 10.0 * math.sqrt(t) + 10.0)
+    log_t = math.log(t)
+    best = np.cumsum(log_t - np.log(np.arange(k + 1, a_max + 1, dtype=np.float64))).max()  # a > k
+    total = 0.0
+    for hi in range(k, 0, -_SCAN_BLOCK):  # a < k, in cache-sized blocks
+        down = np.log(np.arange(hi, max(hi - _SCAN_BLOCK, 0), -1, dtype=np.float64)) - log_t
+        down[0] += total
+        total = np.cumsum(down, out=down)[-1]
+        best = max(best, down.max())
+    noise = 4.0 * sys.float_info.epsilon * a_max * (1.0 + abs(log_t) + math.log(a_max))
+    if best > noise:
+        raise RuntimeError("pmf mode scan found a larger value than floor(t)")
 
 
 def robbins_check(n: int) -> tuple[BoundCheck, BoundCheck]:
@@ -257,15 +259,11 @@ def verification_suite(quick: bool = False, seed: SeedSpec | None = None) -> lis
     m_top = 40 if quick else 200
     failures, checked = [], 0
     for m in range(1, m_top + 1):
-        lam_steps = int(10 * math.sqrt(m))
-        for i in range(1, lam_steps + 1):
-            lam = i / 10.0
-            if lam > math.sqrt(m):
-                break
-            chk = poisson_concentration_check(m, lam)
-            checked += 1
-            if not chk.holds:
-                failures.append(f"concentration m={m} lam={lam}")
+        root = math.sqrt(m)
+        lams = [i / 10.0 for i in range(1, int(10 * root) + 1) if i / 10.0 <= root]
+        checks = poisson_concentration_checks(m, lams)
+        checked += len(checks)
+        failures += [f"concentration m={m} lam={lam}" for lam, c in zip(lams, checks) if not c.holds]
     reports.append(_report("poisson_concentration", failures, checked))
 
     a_top = 500 if quick else 10_000

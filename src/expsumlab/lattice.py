@@ -264,21 +264,39 @@ def hyperbolic_count(d: int, x: float) -> int:
 # divisor summatory function
 # ---------------------------------------------------------------------------
 
+_DIVISOR_BLOCK = 1 << 20
+
+
 def divisor_summatory(x: float) -> int:
     """D(x) = sum_{n <= x} d(n) by the hyperbola identity, O(sqrt x) time.
 
-    D(x) = 2 * sum_{a <= sqrt x} floor(x/a) - floor(sqrt x)^2.
+    D(x) = 2 * sum_{a <= sqrt x} floor(x/a) - floor(sqrt x)^2, summed in blocks
+    of 2^20 divisors so memory stays flat.  x >= 2^62 raises GuardError: the
+    sum would run over 2^31 divisors.
     """
     if x < 1:
         raise ValueError("x must be at least 1")
     n = math.floor(Fraction(x))
+    if n >= 2**62:
+        raise GuardError("divisor summatory needs x < 2^62 (over 2^31 divisors past it)")
     s = math.isqrt(n)
-    if n < 2**62:
-        a = np.arange(1, s + 1, dtype=np.int64)
-        total = int(np.sum(n // a))
-    else:
-        total = sum(n // a for a in range(1, s + 1))
+    total = sum(
+        _quotient_sum(n, lo, min(lo + _DIVISOR_BLOCK, s + 1))
+        for lo in range(1, s + 1, _DIVISOR_BLOCK)
+    )
     return check_count(2 * total - s * s, "divisor summatory")
+
+
+def _quotient_sum(n: int, lo: int, hi: int) -> int:
+    """sum_{lo <= a < hi} n // a for n < 2^62 and hi - lo <= 2^20, exactly.
+
+    One int64 sum where (hi - lo) * (n // lo) < 2^63 bounds it; otherwise
+    the quotients split into 31-bit limbs, whose sums stay below 2^51.
+    """
+    q = n // np.arange(lo, hi, dtype=np.int64)
+    if (hi - lo) * (n // lo) < 2**63:
+        return int(q.sum())
+    return (int((q >> 31).sum()) << 31) + int((q & (2**31 - 1)).sum())
 
 
 def divisor_error(x: float) -> float:

@@ -1,19 +1,21 @@
 """Inequality oracles: exact quantities vs analytic bounds."""
 
 import math
+import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expsumlab import SeedSpec, SignedTimeMultiset, coincidence_probability_poisson, poisson_pmf
 from expsumlab.bounds import (
+    _check_mode,
     combo_pmf_bound_check,
     interval_sum_bound_check,
     pmf_sup_over_a,
     pmf_sup_over_t,
     poisson_concentration_check,
+    poisson_concentration_checks,
     robbins_check,
     sqrt_log_transfer_check,
     verification_suite,
@@ -27,6 +29,12 @@ def oracle_tail_probability(m: int, dev: float, top: int) -> float:
         if abs(a - m) > dev:
             total += poisson_pmf(float(m), a)
     return total
+
+
+def suite_lams(m: int) -> list[float]:
+    """The lam grid ``verification_suite`` checks at m."""
+    root = math.sqrt(m)
+    return [i / 10.0 for i in range(1, int(10 * root) + 1) if i / 10.0 <= root]
 
 
 class TestConcentration:
@@ -56,6 +64,33 @@ class TestConcentration:
             poisson_concentration_check(4, 2.5)
         with pytest.raises(ValueError):
             poisson_concentration_check(0, 0.5)
+
+    def test_grid_domain(self):
+        assert poisson_concentration_checks(4, []) == []
+        with pytest.raises(ValueError):
+            poisson_concentration_checks(4, [1.0, 2.5])
+        with pytest.raises(ValueError):
+            poisson_concentration_checks(4, [0.0])
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 25, 99, 100, 200])
+    def test_grid_equals_scalar_bit_for_bit(self, m):
+        lams = suite_lams(m)
+        grid = poisson_concentration_checks(m, lams)
+        scalar = [poisson_concentration_check(m, lam) for lam in lams]
+        assert [c.exact.hex() for c in grid] == [c.exact.hex() for c in scalar]
+        assert grid == scalar
+
+    @pytest.mark.parametrize("m, lam", [(1, 1.0), (25, 2.0), (100, 10.0), (200, math.sqrt(200))])
+    def test_matches_40_digit_tail_sum(self, m, lam):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            dev = mp.mpf(lam) * mp.sqrt(m)
+            tail = mp.fsum(
+                mp.exp(-m) * mp.mpf(m) ** a / mp.factorial(a)
+                for a in range(2 * m + 400)  # the rest is below 2^-399 of the upper tail
+                if abs(a - m) > dev
+            )
+        assert poisson_concentration_check(m, lam).exact == pytest.approx(float(tail), rel=1e-12)
 
     @given(st.integers(1, 60), st.floats(0.05, 1.0))
     @settings(max_examples=40, deadline=None)
@@ -112,21 +147,26 @@ class TestPmfSup:
         assert argmax == math.floor(t)
         assert value <= bound
 
-    def test_over_a_scan_catches_larger_value(self, monkeypatch):
-        import expsumlab.bounds as bounds_mod
+    def test_over_a_scan_catches_larger_value(self):
+        # a wrong mode must raise, on both sides of floor(t) and at every scale;
+        # at 6.3e6 a shift of 100 moves log p by 8e-4, the noise is 2e-7
+        for t, shifts in [
+            (0.5, [1, 2]),
+            (4.7, [-4, -1, 1, 3]),
+            (6.0, [-2, 1]),
+            (45357.0, [-3, 3]),
+            (6294988.99, [-100, 100]),
+        ]:
+            _check_mode(t, math.floor(t))
+            for shift in shifts:
+                with pytest.raises(RuntimeError, match="larger value"):
+                    _check_mode(t, math.floor(t) + shift)
 
-        def bumped(mean, a):
-            values = poisson_pmf(mean, a)
-            if isinstance(a, np.ndarray):
-                values = values.copy()
-                values[math.floor(mean) + 3] = 1.001 * values.max()
-            return values
-
-        monkeypatch.setattr(bounds_mod, "poisson_pmf", bumped)
-        with pytest.raises(RuntimeError, match="larger value"):
-            pmf_sup_over_a(45357.0)
-        with pytest.raises(RuntimeError, match="larger value"):
-            pmf_sup_over_a(4.7)
+    def test_over_a_scan_is_fast_at_large_t(self):
+        # the scan evaluated math.lgamma once per entry: 2.3 s at this t
+        start = time.perf_counter()
+        assert pmf_sup_over_a(6294988.99)[0] == 6294988
+        assert time.perf_counter() - start < 0.1
 
 
 class TestRobbins:
@@ -257,3 +297,17 @@ class TestVerificationSuite:
         } <= names
         assert [r.name for r in reports][-2:] == ["shell_oracle", "divisor_oracle"]
         assert all(r.ok for r in reports)
+
+    def test_quick_suite_checked_counts(self):
+        counts = {r.name: r.checked for r in verification_suite(quick=True)}
+        assert counts == {
+            "poisson_concentration": 1697,
+            "pmf_sup_over_t": 500,
+            "robbins": 500,
+            "pmf_sup_over_a": 100,
+            "sqrt_log_transfer": 1000,
+            "combo_pmf_bound": 30,
+            "interval_sum_bound": 30,
+            "shell_oracle": 680,
+            "divisor_oracle": 2000,
+        }

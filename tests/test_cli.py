@@ -270,6 +270,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "guard" in err
 
+    def test_divisor_past_guard_exits_two(self, capsys):
+        # the O(sqrt x) sum would run over 2^31 divisors; refuse at once
+        assert run(["divisor", "--x", "1e19"]) == 2
+        assert "2^62" in capsys.readouterr().err
+
     def test_domain_error_maps_to_one(self, capsys):
         assert run(["shell", "--d", "1", "--D", "4", "--E", "5"]) == 1
         capsys.readouterr()

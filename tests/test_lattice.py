@@ -13,6 +13,7 @@ from expsumlab.lattice import (
     EULER_GAMMA,
     GreenRuzsaSpec,
     ShellQuery,
+    _quotient_sum,
     diophantine_count,
     divisor_error,
     divisor_summatory,
@@ -63,6 +64,15 @@ def oracle_hyperbolic(d: int, x: int) -> int:
     return total
 
 
+def quotient_block_divisor_sum(n: int) -> int:
+    """D(n) = sum_{k <= n} floor(n/k): k <= isqrt(n) one by one, larger k
+    grouped by their quotient q, which takes n//q - n//(q+1) values of k."""
+    s = math.isqrt(n)
+    small = int(np.sum(n // np.arange(1, s + 1, dtype=np.int64)))
+    q = np.arange(1, n // (s + 1) + 1, dtype=np.int64)
+    return small + int(np.sum(q * (n // q - n // (q + 1))))
+
+
 class TestDivisor:
     def test_one(self):
         assert divisor_summatory(1.0) == 1
@@ -77,6 +87,24 @@ class TestDivisor:
 
     def test_non_integer_argument(self):
         assert divisor_summatory(10.7) == divisor_summatory(10.0)
+
+    @pytest.mark.parametrize("s", [2**20 - 1, 2**20, 2**20 + 1])
+    def test_block_edges_match_quotient_blocks(self, s):
+        # isqrt(x) on either side of the 2^20-divisor block length
+        for n in (s * s, s * s + s, (s + 1) ** 2 - 1):
+            assert divisor_summatory(float(n)) == quotient_block_divisor_sum(n)
+
+    def test_block_past_int64_is_exact(self):
+        # this block sums to about 14.4 * 2^61, past int64; the block-bound
+        # check must keep it off the wrapping int64 sum
+        n = 2**61
+        got = _quotient_sum(n, 1, 2**20 + 1)
+        assert got > 2**63
+        assert got == sum(n // a for a in range(1, 2**20 + 1))
+
+    def test_guard_past_2_62(self):
+        with pytest.raises(GuardError, match="2\\^62"):
+            divisor_summatory(2.0**62)
 
     def test_error_at_one(self):
         expected = 1.0 - (2 * EULER_GAMMA - 1)
