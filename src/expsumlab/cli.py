@@ -335,7 +335,8 @@ def _cmd_divisor(args) -> tuple[list[dict], int]:
     rows = []
     for tok in args.x.split(","):
         x = float(tok)
-        rows.append({"x": x, "summatory": divisor_summatory(x), "error": divisor_error(x)})
+        total = divisor_summatory(x)
+        rows.append({"x": x, "summatory": total, "error": divisor_error(x, total)})
     return rows, 0
 
 

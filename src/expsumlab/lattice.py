@@ -11,9 +11,18 @@ Counting conventions are exact and explicit:
   positive integers (so N starts at 1);
 * R_d(x) uses the half-open condition 0 < |k|^d - |j|^d <= x over all of Z^2.
 
-Both are counted by one routine: pairs j < k with k^d - j^d on an inclusive
-integer window.  A shell passes the integers strictly inside (E - D, E + D);
-R_d(x) passes [1, floor(x)] and adds the sign and axis symmetries.
+Two counters share that window form, pairs j < k with k^d - j^d on an
+inclusive integer window [lo, hi], and differ in how many windows they answer:
+
+* the single-window bisection (`_window_count`): two integer binary searches
+  per b = k - j, O(hi^{1/d} log hi) steps.  A shell passes the integers
+  strictly inside (E - D, E + D); R_d(x) passes [1, floor(x)] and adds the
+  sign and axis symmetries.
+* the batch sweep (`_sweep_counts`), behind `shell_sup_ratio`: every
+  difference up to the largest window top is enumerated once, per b in
+  increasing int64 blocks, and all G windows are answered by two
+  `searchsorted` calls per block, N + B * G steps for N differences, B
+  values of b and G windows.  The bisection is its oracle.
 
 Real-valued E, D are honored exactly: integer quantities are compared with
 the real bounds through exact rational thresholds, so boundary lattice points
@@ -23,6 +32,7 @@ precision; counts above 128 bits raise instead of wrapping.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -64,12 +74,16 @@ class CountResult:
 def _strict_window(E: float, D: float) -> tuple[int, int]:
     """Integers v with E - D < v < E + D, as an inclusive [lo, hi] range.
 
-    Exact for any float inputs: the bounds are converted to rationals before
-    rounding, so v = E +- D itself is always excluded.
+    Exact for any float inputs: floor and ceil are taken on the exact
+    rationals E -+ D by integer division, so v = E +- D itself is always
+    excluded.
     """
-    lo_f = Fraction(E) - Fraction(D)
-    hi_f = Fraction(E) + Fraction(D)
-    return math.floor(lo_f) + 1, math.ceil(hi_f) - 1
+    e_num, e_den = E.as_integer_ratio()
+    d_num, d_den = D.as_integer_ratio()
+    den = e_den * d_den
+    lo = (e_num * d_den - d_num * e_den) // den + 1
+    hi = -(-(e_num * d_den + d_num * e_den) // den) - 1
+    return lo, hi
 
 
 def shell_count_brute(q: ShellQuery) -> CountResult:
@@ -179,6 +193,11 @@ def _floor_root(v: int, d: int) -> int:
     return r
 
 
+_SWEEP_BLOCK = 1 << 20
+_SUP_WORK_LIMIT = 1 << 28
+_GRID_POINT_STEPS = 48  # building one sup grid point and its window, in sweep steps
+
+
 def shell_sup_ratio(d: int, D: float, e_samples: int) -> tuple[int, float, float]:
     """Maximize the shell count over D <= E <= D^2 and scale by D^{2/d}.
 
@@ -187,6 +206,17 @@ def shell_sup_ratio(d: int, D: float, e_samples: int) -> tuple[int, float, float
     difference k^d - j^d with j <= 2 D^{1/d} (counts peak near actual
     differences).  Returns (sup count, sup count / D^{2/d}, argmax E); ties
     resolve toward smaller E.
+
+    Every grid window is counted in one batch sweep (`_sweep_counts`), not by
+    one bisection per E.  The work is N + (B + 48) * G steps: the N
+    differences k^d - j^d up to the largest window top are enumerated once,
+    each of the B values of b = k - j that reach it searches all G windows,
+    and building one grid point and its window costs about 48 steps.  A step
+    is about 37 ns on a 2-vCPU Xeon; work past 2^28 steps (about 10 s) raises
+    GuardError, and so does a d, E, D that `ShellQuery` refuses at the
+    largest grid E.  A lower bound on the work (the pairs j < k <= top^{1/d},
+    and the grid points known before the grid is built) is checked first,
+    so a refusal takes at most about 5 s.
     """
     if e_samples < 1:
         raise ValueError("e_samples must be positive")
@@ -194,9 +224,18 @@ def shell_sup_ratio(d: int, D: float, e_samples: int) -> tuple[int, float, float
         raise ValueError("D must be at least 1")
     lo_e = math.ceil(Fraction(D))
     hi_e = math.floor(Fraction(D) * Fraction(D))
-    lo_e = max(lo_e, 1)
-    grid: list[float]
-    if hi_e - lo_e + 1 <= e_samples:
+    if lo_e > hi_e:
+        raise ValueError(f"no integer E lies in [D, D^2] for D = {D}")
+    integral = hi_e - lo_e + 1 <= e_samples
+    top_e = float(hi_e) if integral else float(D) * float(D)  # the largest grid E
+    ShellQuery(d, top_e, D)  # refuses a bad d, or E + D > 2^63 at the largest E
+    top = _strict_window(top_e, D)[1]
+    n_b = _floor_root(top + 1, d) - 1  # b with (1 + b)^d - 1 <= top
+    m = _floor_root(top, d)  # every pair j < k <= m differs by less than top
+    # the j = 1 differences in [lo_e, hi_e] are distinct grid points
+    known = hi_e - lo_e + 1 if integral else _floor_root(hi_e + 1, d) - _floor_root(lo_e, d)
+    _check_sup_work(m * (m - 1) // 2 + (n_b + _GRID_POINT_STEPS) * known)
+    if integral:
         grid = [float(e) for e in range(lo_e, hi_e + 1)]
     else:
         es = {float(D), float(D) * float(D)}
@@ -216,14 +255,60 @@ def shell_sup_ratio(d: int, D: float, e_samples: int) -> tuple[int, float, float
                     es.add(float(diff))
                 k += 1
         grid = sorted(es)
-    best_count = -1
-    best_e = grid[0]
-    for e in grid:
-        c = shell_count_fast(ShellQuery(d, e, D)).count
-        if c > best_count:
-            best_count = c
-            best_e = e
-    return best_count, best_count / D ** (2.0 / d), best_e
+    last_js = [_last_j(d, b, top) for b in range(1, n_b + 1)]
+    _check_sup_work(sum(last_js) + (n_b + _GRID_POINT_STEPS) * len(grid))
+    bounds = itertools.chain.from_iterable(_strict_window(e, D) for e in grid)
+    lo, hi = np.fromiter(bounds, np.int64, 2 * len(grid)).reshape(-1, 2).T
+    counts = _sweep_counts(d, lo, hi, last_js)
+    best = int(np.argmax(counts))  # the first maximum, so ties go to the smaller E
+    best_count = int(counts[best])
+    return best_count, best_count / D ** (2.0 / d), grid[best]
+
+
+def _check_sup_work(work: int) -> None:
+    if work > _SUP_WORK_LIMIT:
+        raise GuardError(
+            f"shell sup search needs at least {work} steps, past the 2^28 limit (about 10 s)"
+        )
+
+
+def _last_j(d: int, b: int, top: int) -> int:
+    """Largest j >= 0 with (j+b)^d - j^d <= top, for b^d <= top.
+
+    (j+b)^d - j^d >= b^d + d b j^{d-1} bounds the integer binary search.
+    """
+    x = 0
+    y = _floor_root((top - b**d) // (d * b), d - 1)
+    while x < y:
+        mid = (x + y + 1) >> 1
+        if (mid + b) ** d - mid**d <= top:
+            x = mid
+        else:
+            y = mid - 1
+    return x
+
+
+def _sweep_counts(d: int, lo: np.ndarray, hi: np.ndarray, last_js: Sequence[int]) -> np.ndarray:
+    """Pairs j < k with lo[i] <= k^d - j^d <= hi[i], for every window i at once.
+
+    last_js[b - 1] is the last j whose difference v_b(j) = (j+b)^d - j^d
+    stays within the largest hi.  v_b increases strictly in j, so each b is
+    enumerated once, in int64 blocks of at most _SWEEP_BLOCK entries, and
+    every window takes two searchsorted calls per block.  v_b(j) is the
+    binomial sum sum_{i<d} C(d,i) b^{d-i} j^i by Horner's rule: every term
+    and partial value is at most v_b(j) <= max(hi) < 2^63, so nothing wraps.
+    """
+    counts = np.zeros(len(lo), dtype=np.int64)
+    for b, last in enumerate(last_js, start=1):
+        coeffs = [math.comb(d, i) * b ** (d - i) for i in range(d)]
+        for start in range(1, last + 1, _SWEEP_BLOCK):
+            j = np.arange(start, min(start + _SWEEP_BLOCK, last + 1), dtype=np.int64)
+            v = np.full(len(j), coeffs[-1], dtype=np.int64)
+            for c in reversed(coeffs[:-1]):
+                v *= j
+                v += c
+            counts += np.searchsorted(v, hi, "right") - np.searchsorted(v, lo, "left")
+    return counts
 
 
 def shell_power_law_bound(d: int, D: float, s: float) -> float:
@@ -299,11 +384,17 @@ def _quotient_sum(n: int, lo: int, hi: int) -> int:
     return (int((q >> 31).sum()) << 31) + int((q & (2**31 - 1)).sum())
 
 
-def divisor_error(x: float) -> float:
-    """Error term D(x) - x log x - (2*gamma - 1) x of the divisor sum."""
+def divisor_error(x: float, summatory: int | None = None) -> float:
+    """Error term D(x) - x log x - (2*gamma - 1) x of the divisor sum.
+
+    `summatory` is D(x) when the caller already has it; otherwise it is
+    computed here.
+    """
     if x < 1:
         raise ValueError("x must be at least 1")
-    return divisor_summatory(x) - x * math.log(x) - (2 * EULER_GAMMA - 1) * x
+    if summatory is None:
+        summatory = divisor_summatory(x)
+    return summatory - x * math.log(x) - (2 * EULER_GAMMA - 1) * x
 
 
 # ---------------------------------------------------------------------------

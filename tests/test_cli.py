@@ -41,6 +41,34 @@ class TestBasicCommands:
             27 - 10 * 2.302585092994046 - (2 * 0.5772156649015329 - 1) * 10, abs=1e-9
         )
 
+    def test_divisor_sums_once_per_x(self, capsys, monkeypatch):
+        import expsumlab.cli as cli_mod
+        import expsumlab.lattice as lattice_mod
+
+        calls = []
+        original = lattice_mod.divisor_summatory
+
+        def counted(x):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(cli_mod, "divisor_summatory", counted)
+        monkeypatch.setattr(lattice_mod, "divisor_summatory", counted)
+        code, out = run_capture(["divisor", "--x", "1,10,100,12345.5,1e6,1e10,1e12"], capsys)
+        assert code == 0
+        assert len(calls) == 7
+        # the rows printed when the error term summed D(x) a second time
+        assert out == (
+            "x,summatory,error\n"
+            "1,1,0.84556867019693427\n"
+            "10,27,2.4298357720288819\n"
+            "100,482,6.0398484208842689\n"
+            "12345.5,118209,-5.0665253752681565\n"
+            "1000000,13970034,92.112232661485905\n"
+            "10000000000,231802823220,622.56477117538452\n"
+            "1000000000000,27785452449086,3354.3873901367188\n"
+        )
+
     def test_shell_both_rows_agree(self, capsys):
         code, out = run_capture(["shell", "--d", "3", "--D", "4", "--mode", "both"], capsys)
         assert code == 0
@@ -274,6 +302,17 @@ class TestExitCodes:
         # the O(sqrt x) sum would run over 2^31 divisors; refuse at once
         assert run(["divisor", "--x", "1e19"]) == 2
         assert "2^62" in capsys.readouterr().err
+
+    def test_shell_sup_past_guard_exits_two(self, capsys):
+        # the sweep would enumerate about 10^12 differences; refuse at once
+        assert run(["shell", "--d", "2", "--D", "1000000", "--mode", "sup"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric guard:") and "Traceback" not in err
+
+    def test_shell_sup_without_integer_e_exits_one(self, capsys):
+        assert run(["shell", "--d", "3", "--D", "1.2", "--mode", "sup"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no integer E") and "Traceback" not in err
 
     def test_domain_error_maps_to_one(self, capsys):
         assert run(["shell", "--d", "1", "--D", "4", "--E", "5"]) == 1

@@ -2,18 +2,24 @@
 
 import itertools
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsumlab import GuardError
+from expsumlab import GuardError, lattice
 from expsumlab.lattice import (
     EULER_GAMMA,
     GreenRuzsaSpec,
     ShellQuery,
+    _last_j,
     _quotient_sum,
+    _strict_window,
+    _sweep_counts,
+    _window_count,
     diophantine_count,
     divisor_error,
     divisor_summatory,
@@ -62,6 +68,29 @@ def oracle_hyperbolic(d: int, x: int) -> int:
         diff = kd - abs(j) ** d
         total += int(np.count_nonzero((diff > 0) & (diff <= x)))
     return total
+
+
+def per_e_sup(d: int, D: float, e_samples: int) -> tuple[list[float], list[int]]:
+    """The sup grid built by a literal loop, and one shell_count_fast per E."""
+    lo_e = math.ceil(Fraction(D))
+    hi_e = math.floor(Fraction(D) * Fraction(D))
+    if hi_e - lo_e + 1 <= e_samples:
+        grid = [float(e) for e in range(lo_e, hi_e + 1)]
+    else:
+        es = {float(D), float(D) * float(D)}
+        ratio = (hi_e / lo_e) ** (1.0 / max(e_samples - 1, 1))
+        x = float(lo_e)
+        for _ in range(e_samples):
+            es.add(min(max(x, float(D)), float(D) * float(D)))
+            x *= ratio
+        for j in range(1, int(2 * D ** (1.0 / d)) + 2):
+            k = j + 1
+            while k**d - j**d <= hi_e:
+                if k**d - j**d >= lo_e:
+                    es.add(float(k**d - j**d))
+                k += 1
+        grid = sorted(es)
+    return grid, [shell_count_fast(ShellQuery(d, e, D)).count for e in grid]
 
 
 def quotient_block_divisor_sum(n: int) -> int:
@@ -212,6 +241,106 @@ class TestShellSupRatio:
         sampled = shell_sup_ratio(3, 30.0, 40)
         assert sampled[0] <= exhaustive[0]
         assert sampled[0] >= exhaustive[0] - 1  # centers are in the sampled grid
+
+    @pytest.mark.parametrize(
+        "d,D,e_samples,integral",
+        [
+            (2, 30.0, 2048, True),
+            (2, 100.0, 512, False),
+            (3, 10.5, 2048, True),
+            (3, 10.5, 20, False),
+            (3, 100.0, 2048, False),
+            (4, 30.0, 2048, True),
+            (4, 100.0, 512, False),
+            (5, 6.0, 100, True),
+            (5, 50.0, 256, False),
+        ],
+    )
+    def test_matches_per_e_counts(self, d, D, e_samples, integral):
+        grid, counts = per_e_sup(d, D, e_samples)
+        assert (len(grid) == math.floor(D * D) - math.ceil(D) + 1) == integral
+        best = counts.index(max(counts))
+        assert shell_sup_ratio(d, D, e_samples) == (counts[best], counts[best] / D ** (2 / d), grid[best])
+
+    @pytest.mark.parametrize("d,D,e_samples", [(3, 8.0, 100000), (3, 20.0, 50)])
+    def test_ties_go_to_smaller_e(self, d, D, e_samples):
+        # the maximum is reached at 8 integer E, and at 4 E of the sampled grid
+        grid, counts = per_e_sup(d, D, e_samples)
+        ties = [e for e, c in zip(grid, counts) if c == max(counts)]
+        assert len(ties) > 1
+        assert shell_sup_ratio(d, D, e_samples)[2] == ties[0]
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_many_blocks(self, monkeypatch, block):
+        expected = [shell_sup_ratio(d, D, 300) for d, D in ((2, 40.0), (3, 200.0))]
+        monkeypatch.setattr(lattice, "_SWEEP_BLOCK", block)
+        assert [shell_sup_ratio(d, D, 300) for d, D in ((2, 40.0), (3, 200.0))] == expected
+
+    @given(st.integers(2, 5), st.lists(st.integers(1, 10**6), min_size=2, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_matches_window_count(self, d, ends):
+        lo = np.array(ends[0::2][: len(ends) // 2], dtype=np.int64)
+        hi = lo + np.array(ends[1::2], dtype=np.int64) % 5000
+        top = int(hi.max())
+        reaching = itertools.takewhile(lambda b: (1 + b) ** d - 1 <= top, itertools.count(1))
+        last_js = [_last_j(d, b, top) for b in reaching]
+        assert sum(last_js) == _window_count(d, 1, top).count
+        got = _sweep_counts(d, lo, hi, last_js)
+        assert got.tolist() == [_window_count(d, int(a), int(b)).count for a, b in zip(lo, hi)]
+
+    def test_is_fast(self):
+        # 2,749 bisection counts took 0.67 s here; the sweep takes about 0.012 s
+        start = time.perf_counter()
+        assert shell_sup_ratio(3, 1000.0, 1024)[0] == 96
+        assert time.perf_counter() - start < 0.1
+
+    def test_guard_refuses_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match="2\\^28"):
+            shell_sup_ratio(2, 1e6, 2048)
+        assert time.perf_counter() - start < 1.0
+
+    def test_guard_counts_grid_points(self):
+        # two values of b reach the top, but windowing the 9 million integer
+        # E would take about 16 s; refused before the grid is built
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match="2\\^28"):
+            shell_sup_ratio(12, 3000.0, 10**7)
+        assert time.perf_counter() - start < 0.1
+
+    def test_guard_after_grid(self):
+        # passes the lower bound; the built grid's exact work is refused
+        with pytest.raises(GuardError, match="2\\^28"):
+            shell_sup_ratio(2, 3000.0, 2048)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            shell_sup_ratio(3, 10.0, 0)
+        with pytest.raises(ValueError):
+            shell_sup_ratio(3, 0.5, 10)
+        with pytest.raises(ValueError):
+            shell_sup_ratio(1, 10.0, 10)
+        with pytest.raises(ValueError, match="no integer E"):
+            shell_sup_ratio(3, 1.2, 10)  # [1.2, 1.44] holds no integer
+        with pytest.raises(GuardError, match="supported range"):
+            shell_sup_ratio(3, 4e9, 2048)  # E + D > 2^63 at E = D^2
+
+
+class TestStrictWindow:
+    @given(
+        st.one_of(st.integers(1, 2**60).map(float), st.floats(1.0, 2.0**60)),
+        st.one_of(st.integers(1, 2**60).map(float), st.floats(1.0, 2.0**60)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fractions(self, E, D):
+        lo = math.floor(Fraction(E) - Fraction(D)) + 1
+        hi = math.ceil(Fraction(E) + Fraction(D)) - 1
+        assert _strict_window(E, D) == (lo, hi)
+
+    def test_boundaries_excluded(self):
+        assert _strict_window(8.0, 1.0) == (8, 8)
+        assert _strict_window(7.5, 1.0) == (7, 8)
+        assert _strict_window(4.0, 1.5) == (3, 5)
 
 
 class TestPowerLawBound:
