@@ -34,12 +34,15 @@ import os
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .bounds import verification_suite
 from .errors import GuardError
 from .lattice import (
     GreenRuzsaSpec,
     ShellQuery,
+    _geometric,
     divisor_error,
     divisor_summatory,
     greenruzsa_generate,
@@ -51,10 +54,11 @@ from .lattice import (
     shell_sup_ratio,
     sparsity_count,
 )
-from .majorant import _even_degree, genericity_experiment, majorant_ratio, majorant_ratio_quadrature
+from .majorant import genericity_experiment, majorant_ratio, majorant_ratio_quadrature
 from .moments import (
     ExperimentSpec,
     TimeMap,
+    _even_degree,
     exact_even_moment,
     mc_even_moment,
     mc_general_moment,
@@ -284,16 +288,13 @@ def _shell_grid(D: float, cap: int) -> list[float]:
     hi = math.floor(D * D)
     if hi - lo + 1 <= cap:
         return [float(e) for e in range(lo, hi + 1)]
-    ratio = (hi / lo) ** (1.0 / (cap - 1))
-    out = {float(lo), float(hi)}
-    x = float(lo)
-    for _ in range(cap):
-        out.add(min(max(round(x), lo), hi) * 1.0)
-        x *= ratio
-    return sorted(out)
+    grid = np.clip(np.rint(_geometric(lo, hi, cap)), lo, hi)
+    return sorted({float(lo), float(hi), *grid.tolist()})
 
 
 def _cmd_shell(args) -> tuple[list[dict], int]:
+    if args.e_samples < 1:
+        raise ValueError("--e-samples must be at least 1")
     d_values = [float(tok) for tok in args.D.split(",")]
     rows = []
     if args.mode == "sup":

@@ -24,6 +24,11 @@ inclusive integer window [lo, hi], and differ in how many windows they answer:
   `searchsorted` calls per block, N + B * G steps for N differences, B
   values of b and G windows.  The bisection is its oracle.
 
+Every integer binary search in the module is `_first_above`, on x^d or on
+(x+b)^d - x^d: the brute counter, the bisection and the sweep's last j per b
+call it.  Every int64 list of differences (x+b)^d - x^d is `_differences`:
+the sweep's blocks and the sup grid's realized differences.
+
 Real-valued E, D are honored exactly: integer quantities are compared with
 the real bounds through exact rational thresholds, so boundary lattice points
 are never misclassified by float rounding.  All powers are arbitrary
@@ -90,41 +95,25 @@ def shell_count_brute(q: ShellQuery) -> CountResult:
     """Count shell pairs by scanning j and bisecting the k-range.
 
     j runs while d * j^{d-1} stays below E + D (no larger j can admit any k);
-    for each j the admissible k form a contiguous block located by integer
-    binary search on the strictly increasing map k -> k^d.
+    for each j the admissible k form a contiguous block located by two
+    `_first_above` searches on the strictly increasing map k -> k^d.
     """
     lo, hi = _strict_window(q.E, q.D)
     d = q.d
-    lo = max(lo, 1)  # the difference k^d - j^d is at least 1 anyway
+    below = max(lo, 1) - 1  # k^d - j^d > below; the difference is at least 1 anyway
     count = 0
     work = 0
     j = 1
     slope = d  # d * j^{d-1}, maintained incrementally for the loop guard
     while slope <= hi:
         jd = j**d
-        lo_target = jd + lo
-        hi_target = jd + hi
-        a = j + 1
-        b = j + hi // slope + 1
-        while a < b:  # smallest k with k^d >= lo_target
-            mid = (a + b) >> 1
-            work += 1
-            if mid**d >= lo_target:
-                b = mid
-            else:
-                a = mid + 1
-        if a**d >= lo_target:
-            k_lo = a
-            a = k_lo
-            b = j + hi // slope + 2
-            while a < b:  # smallest k with k^d > hi_target
-                mid = (a + b) >> 1
-                work += 1
-                if mid**d > hi_target:
-                    b = mid
-                else:
-                    a = mid + 1
-            count += a - k_lo
+        k_top = j + hi // slope + 1
+        k_lo, probes = _first_above(d, 0, jd + below, j + 1, k_top)
+        work += probes
+        if k_lo**d > jd + below:
+            k_hi, probes = _first_above(d, 0, jd + hi, k_lo, k_top + 1)
+            work += probes
+            count += k_hi - k_lo
         j += 1
         slope = d * j ** (d - 1)
     return CountResult(check_count(count, "shell count"), "brute", work)
@@ -134,38 +123,22 @@ def _window_count(d: int, lo: int, hi: int) -> CountResult:
     """Pairs j < k in N with lo <= k^d - j^d <= hi, by scanning b = k - j.
 
     Writing k = j + b turns the window into bounds on the strictly
-    increasing g(j) = (j+b)^d - j^d - b^d, and each b needs only two integer
-    binary searches; total work O(hi^{1/d} log hi).
+    increasing v_b(j) = (j+b)^d - j^d, and each b needs only two
+    `_first_above` searches; total work O(hi^{1/d} log hi).
     """
     count = 0
     work = 0
     b = 1
     while b**d <= hi:
-        bd = b**d
-        g_lo = max(lo - bd, 1)  # g(j) >= 1 automatically for j >= 1
-        g_hi = hi - bd
-        if g_hi >= g_lo:
-            ub = _floor_root(max(g_hi // (d * b), 1), d - 1) + 1
-            x = 1
-            y = ub
-            while x < y:  # smallest j with g(j) >= g_lo
-                mid = (x + y) >> 1
-                work += 1
-                if (mid + b) ** d - mid**d - bd >= g_lo:
-                    y = mid
-                else:
-                    x = mid + 1
-            if (x + b) ** d - x**d - bd >= g_lo:
-                j_lo = x
-                y = ub + 1
-                while x < y:  # smallest j with g(j) > g_hi
-                    mid = (x + y) >> 1
-                    work += 1
-                    if (mid + b) ** d - mid**d - bd > g_hi:
-                        y = mid
-                    else:
-                        x = mid + 1
-                count += x - j_lo
+        t = max(lo - 1, b**d)  # v_b(j) > t means v_b(j) >= lo, as v_b(j) > b^d for j >= 1
+        if hi > t:
+            ub = _floor_root(max((hi - b**d) // (d * b), 1), d - 1) + 1
+            j_lo, probes = _first_above(d, b, t, 1, ub)
+            work += probes
+            if (j_lo + b) ** d - j_lo**d > t:
+                j_hi, probes = _first_above(d, b, hi, j_lo, ub + 1)
+                work += probes
+                count += j_hi - j_lo
         b += 1
     return CountResult(check_count(count, "shell count"), "fast", work)
 
@@ -173,6 +146,24 @@ def _window_count(d: int, lo: int, hi: int) -> CountResult:
 def shell_count_fast(q: ShellQuery) -> CountResult:
     """Count shell pairs on the integer window of |v - E| < D, scanning k - j."""
     return _window_count(q.d, *_strict_window(q.E, q.D))
+
+
+def _first_above(d: int, b: int, t: int, lo: int, hi: int) -> tuple[int, int]:
+    """Smallest x in [lo, hi) with f_b(x) > t, or hi if there is none.
+
+    f_0(x) = x^d and f_b(x) = (x+b)^d - x^d for b >= 1; both increase
+    strictly on x >= 0.  Returns (x, probes), the probes being the `work`
+    the counters report.  One integer binary search serves every counter.
+    """
+    probes = 0
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        probes += 1
+        if ((mid + b) ** d - mid**d if b else mid**d) > t:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, probes
 
 
 def _floor_root(v: int, d: int) -> int:
@@ -215,8 +206,8 @@ def shell_sup_ratio(d: int, D: float, e_samples: int) -> tuple[int, float, float
     is about 37 ns on a 2-vCPU Xeon; work past 2^28 steps (about 10 s) raises
     GuardError, and so does a d, E, D that `ShellQuery` refuses at the
     largest grid E.  A lower bound on the work (the pairs j < k <= top^{1/d},
-    and the grid points known before the grid is built) is checked first,
-    so a refusal takes at most about 5 s.
+    and the grid points known before the grid is built) is checked first;
+    the slowest refusal measured, at d = 3 and D = 1.5e6, takes 0.65 s.
     """
     if e_samples < 1:
         raise ValueError("e_samples must be positive")
@@ -235,27 +226,20 @@ def shell_sup_ratio(d: int, D: float, e_samples: int) -> tuple[int, float, float
     # the j = 1 differences in [lo_e, hi_e] are distinct grid points
     known = hi_e - lo_e + 1 if integral else _floor_root(hi_e + 1, d) - _floor_root(lo_e, d)
     _check_sup_work(m * (m - 1) // 2 + (n_b + _GRID_POINT_STEPS) * known)
+    last_js = [_last_j(d, b, top) for b in range(1, n_b + 1)]
     if integral:
         grid = [float(e) for e in range(lo_e, hi_e + 1)]
     else:
-        es = {float(D), float(D) * float(D)}
-        ratio = (hi_e / lo_e) ** (1.0 / max(e_samples - 1, 1))
-        x = float(lo_e)
-        for _ in range(e_samples):
-            es.add(min(max(x, float(D)), float(D) * float(D)))
-            x *= ratio
+        ends = [float(D), float(D) * float(D)]
+        geometric = np.clip(_geometric(lo_e, hi_e, e_samples), *ends)
         j_cap = int(2 * D ** (1.0 / d)) + 1
-        for j in range(1, j_cap + 1):
-            k = j + 1
-            while True:
-                diff = k**d - j**d
-                if diff > hi_e:
-                    break
-                if diff >= lo_e:
-                    es.add(float(diff))
-                k += 1
-        grid = sorted(es)
-    last_js = [_last_j(d, b, top) for b in range(1, n_b + 1)]
+        diffs = np.concatenate(
+            [np.zeros(0, np.int64)]  # n_b may be 0
+            + [_differences(d, b, 1, min(j_cap, last) + 1) for b, last in enumerate(last_js, start=1)]
+        )
+        diffs = diffs[(diffs >= lo_e) & (diffs <= hi_e)]
+        grid = np.sort(np.concatenate((ends, geometric, diffs.astype(np.float64))))
+        grid = grid[np.diff(grid, prepend=0.0) > 0].tolist()  # np.unique would import numpy.ma
     _check_sup_work(sum(last_js) + (n_b + _GRID_POINT_STEPS) * len(grid))
     bounds = itertools.chain.from_iterable(_strict_window(e, D) for e in grid)
     lo, hi = np.fromiter(bounds, np.int64, 2 * len(grid)).reshape(-1, 2).T
@@ -275,38 +259,50 @@ def _check_sup_work(work: int) -> None:
 def _last_j(d: int, b: int, top: int) -> int:
     """Largest j >= 0 with (j+b)^d - j^d <= top, for b^d <= top.
 
-    (j+b)^d - j^d >= b^d + d b j^{d-1} bounds the integer binary search.
+    (j+b)^d - j^d >= b^d + d b j^{d-1} bounds the search.
     """
-    x = 0
-    y = _floor_root((top - b**d) // (d * b), d - 1)
-    while x < y:
-        mid = (x + y + 1) >> 1
-        if (mid + b) ** d - mid**d <= top:
-            x = mid
-        else:
-            y = mid - 1
-    return x
+    bound = _floor_root((top - b**d) // (d * b), d - 1)
+    return _first_above(d, b, top, 1, bound + 1)[0] - 1
+
+
+def _differences(d: int, b: int, start: int, stop: int) -> np.ndarray:
+    """v_b(j) = (j+b)^d - j^d for start <= j < stop, as int64, increasing.
+
+    v_b(j) is the binomial sum sum_{i<d} C(d,i) b^{d-i} j^i by Horner's rule:
+    every term and partial value is at most v_b(j), so nothing wraps while
+    v_b(stop - 1) < 2^63.
+    """
+    coeffs = [math.comb(d, i) * b ** (d - i) for i in range(d)]
+    j = np.arange(start, stop, dtype=np.int64)
+    v = np.full(len(j), coeffs[-1], dtype=np.int64)
+    for c in reversed(coeffs[:-1]):
+        v *= j
+        v += c
+    return v
+
+
+def _geometric(lo: int, hi: int, count: int) -> np.ndarray:
+    """x_i = lo * r^i for i < count, r = (hi/lo)^{1/max(count-1, 1)}.
+
+    Each x_i is the running product x_{i-1} * r, so the floats do not depend
+    on how the sequence is evaluated.
+    """
+    ratio = (hi / lo) ** (1.0 / max(count - 1, 1))
+    return np.cumprod(np.concatenate(([float(lo)], np.full(count - 1, ratio))))
 
 
 def _sweep_counts(d: int, lo: np.ndarray, hi: np.ndarray, last_js: Sequence[int]) -> np.ndarray:
     """Pairs j < k with lo[i] <= k^d - j^d <= hi[i], for every window i at once.
 
     last_js[b - 1] is the last j whose difference v_b(j) = (j+b)^d - j^d
-    stays within the largest hi.  v_b increases strictly in j, so each b is
-    enumerated once, in int64 blocks of at most _SWEEP_BLOCK entries, and
-    every window takes two searchsorted calls per block.  v_b(j) is the
-    binomial sum sum_{i<d} C(d,i) b^{d-i} j^i by Horner's rule: every term
-    and partial value is at most v_b(j) <= max(hi) < 2^63, so nothing wraps.
+    stays within the largest hi < 2^63.  v_b increases strictly in j, so each
+    b is enumerated once, in blocks of at most _SWEEP_BLOCK entries, and
+    every window takes two searchsorted calls per block.
     """
     counts = np.zeros(len(lo), dtype=np.int64)
     for b, last in enumerate(last_js, start=1):
-        coeffs = [math.comb(d, i) * b ** (d - i) for i in range(d)]
         for start in range(1, last + 1, _SWEEP_BLOCK):
-            j = np.arange(start, min(start + _SWEEP_BLOCK, last + 1), dtype=np.int64)
-            v = np.full(len(j), coeffs[-1], dtype=np.int64)
-            for c in reversed(coeffs[:-1]):
-                v *= j
-                v += c
+            v = _differences(d, b, start, min(start + _SWEEP_BLOCK, last + 1))
             counts += np.searchsorted(v, hi, "right") - np.searchsorted(v, lo, "left")
     return counts
 

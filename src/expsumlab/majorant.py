@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expsum import FrequencySpectrum, _grid_values, even_norm_coeff, lp_norm_quadrature, suggested_nodes
-from .moments import ExperimentSpec, TimeMap, _sample_values
+from .moments import ExperimentSpec, TimeMap, _even_degree, _sample_values
 from .processes import Pmf, SeedSpec
 
 _SWEEP_LIMIT = 80
@@ -77,11 +77,6 @@ def _golden_max(f, lo: float, hi: float, tol: float = _BRACKET_TOL) -> float:
             x1 = hi - invphi * (hi - lo)
             f1 = f(x1)
     return 0.5 * (lo + hi)
-
-
-def _even_degree(p: float) -> int:
-    """n for an even integer p = 2n, else 0."""
-    return int(p) // 2 if p == int(p) and int(p) % 2 == 0 else 0
 
 
 class _Grid:
@@ -262,13 +257,13 @@ def majorant_ratio(
     ``even_norm_coeff`` values.  The returned ratio is (best/base)^{1/p}, a
     lower bound on the true constant.
     """
-    if p < 2 or p != int(p) or int(p) % 2 != 0:
+    n = _even_degree(p)
+    if not n:
         raise ValueError("exact majorant optimization needs an even integer p >= 2")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     if not freqs:
         raise ValueError("frequency list must be nonempty")
-    n = int(p) // 2
     spectrum = FrequencySpectrum.unit(freqs)
     nodes = n * (max(spectrum.freqs) - min(spectrum.freqs)) + 1
     if _exact_is_cheaper(spectrum, n, nodes):
@@ -283,21 +278,20 @@ def majorant_ratio_quadrature(
     p: float,
     restarts: int = 1,
     seed: SeedSpec = SeedSpec(0),
-    nodes: int | None = None,
 ) -> MajorantResult:
     """Approximate majorant search for arbitrary p >= 1 (quadrature objective).
 
     The same ascent as ``majorant_ratio``, on the rectangle rule with
-    ``nodes`` points (``suggested_nodes`` by default); base and best moments
-    are ``lp_norm_quadrature`` values.  Nothing here is exact for non-even
-    p: the result is only as good as the node count.
+    ``suggested_nodes`` points; base and best moments are
+    ``lp_norm_quadrature`` values.  Nothing here is exact for non-even p:
+    the result is only as good as the node count.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     spectrum = FrequencySpectrum.unit(freqs)
-    nd = nodes if nodes is not None else suggested_nodes(spectrum, p)
+    nd = suggested_nodes(spectrum, p)
     final = functools.partial(lp_norm_quadrature, p=p, nodes=nd)
     return _search(spectrum, p, restarts, seed, _Grid(spectrum.freqs, p, nd), final)
 

@@ -48,7 +48,7 @@ from .processes import (
     poisson_pmf,
     sample_iid,
     sample_poisson_path,
-    sample_random_walk,
+    walk_positions,
 )
 
 _DP_SUPPORT_LIMIT = 50_000_000
@@ -160,8 +160,8 @@ def _sample_values(spec: ExperimentSpec, sample_index: int) -> tuple[int, ...]:
     n_max = int(times[-1])
     if n_max > _WALK_LENGTH_GUARD:
         raise GuardError(f"walk horizon {n_max} exceeds the desk-scale guard")
-    path = sample_random_walk(n_max, spec.seed, sample_index)
-    return tuple(path.values[int(t)] for t in times)
+    positions = walk_positions(n_max, spec.seed, sample_index)
+    return tuple(positions[np.array(times, dtype=np.int64)].tolist())
 
 
 def _summarize(values: list[float], spec: ExperimentSpec, descriptor: str) -> MomentEstimate:
@@ -175,11 +175,9 @@ def _summarize(values: list[float], spec: ExperimentSpec, descriptor: str) -> Mo
     return MomentEstimate(mean, se, n, spec.seed, spec.p, descriptor)
 
 
-def _even_order(p: float, caller: str) -> int:
-    """n for p = 2n, or ValueError naming the caller."""
-    if p < 2 or p != int(p) or int(p) % 2 != 0:
-        raise ValueError(f"{caller} needs an even integer p >= 2")
-    return int(p) // 2
+def _even_degree(p: float) -> int:
+    """n for an even integer p = 2n >= 2, else 0."""
+    return int(p) // 2 if p >= 2 and p == int(p) and int(p) % 2 == 0 else 0
 
 
 def mc_even_moment(spec: ExperimentSpec) -> MomentEstimate:
@@ -188,7 +186,9 @@ def mc_even_moment(spec: ExperimentSpec) -> MomentEstimate:
     Each sample realizes the process on the mapped times, forms the unit
     spectrum of the realized values, and evaluates the moment exactly.
     """
-    n = _even_order(spec.p, "mc_even_moment")
+    n = _even_degree(spec.p)
+    if not n:
+        raise ValueError("mc_even_moment needs an even integer p >= 2")
 
     def one(i: int) -> float:
         values = _sample_values(spec, i)
@@ -496,7 +496,9 @@ def exact_even_moment(spec: ExperimentSpec) -> MomentEstimate:
     rounding term.  The estimate has 0 samples and standard error 0, and
     spec.samples and spec.seed are not used.
     """
-    n = _even_order(spec.p, "exact_even_moment")
+    n = _even_degree(spec.p)
+    if not n:
+        raise ValueError("exact_even_moment needs an even integer p >= 2")
     if spec.process == "iid":
         mean = exact_even_moment_iid(spec.pmf, len(spec.index_set), n)
     elif spec.process == "walk":

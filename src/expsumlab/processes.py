@@ -116,10 +116,6 @@ class TimeGrid:
             raise ValueError("grid times must be strictly increasing")
 
     @classmethod
-    def from_times(cls, times: Iterable[float]) -> "TimeGrid":
-        return cls(tuple(float(t) for t in times))
-
-    @classmethod
     def indices(cls, count: int) -> "TimeGrid":
         return cls(tuple(float(i) for i in range(count)))
 
@@ -201,12 +197,19 @@ def sample_poisson_path(grid: TimeGrid, seed: SeedSpec, sample_index: int = 0) -
     return ProcessPath(grid, tuple(int(v) for v in values))
 
 
-def sample_random_walk(n_max: int, seed: SeedSpec, sample_index: int = 0) -> ProcessPath:
-    """Simple random walk R(0..n_max), R(0) = 0, i.i.d. fair +/-1 steps."""
+def walk_positions(n_max: int, seed: SeedSpec, sample_index: int = 0) -> np.ndarray:
+    """R(0..n_max) of the simple random walk as an int64 array, R(0) = 0.
+
+    Step i is 2u - 1 for the i-th draw u in {0, 1} of the sample's Philox
+    stream; every walk in the package is drawn here.
+    """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    gen = seed.generator(sample_index)
-    steps = gen.integers(0, 2, size=n_max, dtype=np.int64) * 2 - 1
-    values = np.concatenate(([0], np.cumsum(steps)))
-    grid = TimeGrid(tuple(float(i) for i in range(n_max + 1)))
-    return ProcessPath(grid, tuple(int(v) for v in values))
+    steps = seed.generator(sample_index).integers(0, 2, size=n_max, dtype=np.int64) * 2 - 1
+    return np.concatenate(([0], np.cumsum(steps)))
+
+
+def sample_random_walk(n_max: int, seed: SeedSpec, sample_index: int = 0) -> ProcessPath:
+    """Simple random walk R(0..n_max), R(0) = 0, i.i.d. fair +/-1 steps."""
+    values = walk_positions(n_max, seed, sample_index)
+    return ProcessPath(TimeGrid.indices(n_max + 1), tuple(values.tolist()))

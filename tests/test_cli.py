@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -16,7 +17,7 @@ import pytest
 
 import expsumlab
 from expsumlab.bounds import GridReport
-from expsumlab.cli import build_parser, run
+from expsumlab.cli import _shell_grid, build_parser, run
 from expsumlab.lattice import hyperbolic_count
 from expsumlab.processes import SeedSpec
 
@@ -29,6 +30,20 @@ def run_capture(argv, capsys):
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def loop_shell_grid(D, cap):
+    """The E grid of `shell --mode both|brute|fast` by a literal loop of x *= ratio."""
+    lo, hi = math.ceil(D), math.floor(D * D)
+    if hi - lo + 1 <= cap:
+        return [float(e) for e in range(lo, hi + 1)]
+    ratio = (hi / lo) ** (1.0 / max(cap - 1, 1))
+    out = {float(lo), float(hi)}
+    x = float(lo)
+    for _ in range(cap):
+        out.add(float(min(max(round(x), lo), hi)))
+        x *= ratio
+    return sorted(out)
 
 
 class TestBasicCommands:
@@ -313,6 +328,26 @@ class TestExitCodes:
         assert run(["shell", "--d", "3", "--D", "1.2", "--mode", "sup"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: no integer E") and "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["both", "brute", "fast", "sup"])
+    def test_shell_without_e_samples_exits_one(self, capsys, mode):
+        assert run(["shell", "--d", "3", "--D", "100", "--mode", mode, "--e-samples", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("D", [1.0, 2.5, 7.0, 10.0, 37.3, 100.0, 1234.5, 1e5, 1e7])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 50, 2048])
+    def test_shell_grid_matches_loop(self, D, cap):
+        # at D = 1e7 and cap = 2048 the last x_i rounds past D^2 and is clamped
+        assert _shell_grid(D, cap) == loop_shell_grid(D, cap)
+
+    def test_shell_one_e_sample_gives_grid_ends(self, capsys):
+        # the geometric sequence is its first point; the grid keeps both ends
+        argv = ["shell", "--d", "3", "--D", "100", "--mode", "fast", "--e-samples", "1"]
+        code, out = run_capture(argv, capsys)
+        assert code == 0
+        assert [row["E"] for row in parse_csv(out)] == ["100", "10000"]
 
     def test_domain_error_maps_to_one(self, capsys):
         assert run(["shell", "--d", "1", "--D", "4", "--E", "5"]) == 1

@@ -15,6 +15,7 @@ from expsumlab.lattice import (
     EULER_GAMMA,
     GreenRuzsaSpec,
     ShellQuery,
+    _first_above,
     _last_j,
     _quotient_sum,
     _strict_window,
@@ -223,6 +224,36 @@ class TestShellCounts:
             ShellQuery(2, 0.5, 1.0)
 
 
+class TestFirstAbove:
+    @staticmethod
+    def f(d, b, x):
+        return (x + b) ** d - (x**d if b else 0)
+
+    @given(
+        st.integers(2, 7),
+        st.integers(0, 6),
+        st.integers(0, 80),
+        st.integers(0, 80),
+        st.integers(0, 170),
+        st.integers(-2, 2),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_linear_scan(self, d, b, lo, width, pivot, delta):
+        # t near f(pivot): the answer falls before, inside or past [lo, hi)
+        hi = lo + width
+        t = self.f(d, b, pivot) + delta
+        expected = next((x for x in range(lo, hi) if self.f(d, b, x) > t), hi)
+        x, probes = _first_above(d, b, t, lo, hi)
+        assert x == expected
+        assert width.bit_length() - 1 <= probes <= width.bit_length()
+
+    @pytest.mark.parametrize("b", [0, 1, 4])
+    def test_empty_and_full_ranges(self, b):
+        assert _first_above(3, b, 10, 7, 7) == (7, 0)
+        assert _first_above(3, b, -1, 5, 21) == (5, 5)  # every x is above t
+        assert _first_above(3, b, 10**9, 5, 21) == (21, 4)  # none is
+
+
 class TestShellSupRatio:
     def test_degenerate_grid(self):
         count, ratio, argmax = shell_sup_ratio(3, 1.0, 5)
@@ -254,13 +285,26 @@ class TestShellSupRatio:
             (4, 100.0, 512, False),
             (5, 6.0, 100, True),
             (5, 50.0, 256, False),
+            # realized differences outnumber the geometric points many times
+            (4, 300.0, 8, False),
+            (3, 400.0, 16, False),
+            # realized differences at both ends: 3^3 - 2^3 = ceil(D), 7^3 - 1^3 = floor(D^2)
+            (3, 18.5, 8, False),
         ],
     )
-    def test_matches_per_e_counts(self, d, D, e_samples, integral):
+    def test_matches_per_e_counts(self, monkeypatch, d, D, e_samples, integral):
         grid, counts = per_e_sup(d, D, e_samples)
         assert (len(grid) == math.floor(D * D) - math.ceil(D) + 1) == integral
+        windows = []
+
+        def recorded(d, lo, hi, last_js):
+            windows.extend(zip(lo.tolist(), hi.tolist()))
+            return _sweep_counts(d, lo, hi, last_js)
+
+        monkeypatch.setattr(lattice, "_sweep_counts", recorded)
         best = counts.index(max(counts))
         assert shell_sup_ratio(d, D, e_samples) == (counts[best], counts[best] / D ** (2 / d), grid[best])
+        assert windows == [_strict_window(e, D) for e in grid]  # the same grid, point by point
 
     @pytest.mark.parametrize("d,D,e_samples", [(3, 8.0, 100000), (3, 20.0, 50)])
     def test_ties_go_to_smaller_e(self, d, D, e_samples):
@@ -298,6 +342,14 @@ class TestShellSupRatio:
         start = time.perf_counter()
         with pytest.raises(GuardError, match="2\\^28"):
             shell_sup_ratio(2, 1e6, 2048)
+        assert time.perf_counter() - start < 1.0
+
+    def test_guard_refuses_realized_differences_at_once(self):
+        # passes the lower bound; its 3.3 million realized differences are
+        # built in numpy and then refused (4.6 s as a Python loop and a set)
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match="2\\^28"):
+            shell_sup_ratio(3, 1.5e6, 2048)
         assert time.perf_counter() - start < 1.0
 
     def test_guard_counts_grid_points(self):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -33,7 +34,9 @@ from expsumlab import (
     suggested_nodes,
 )
 from expsumlab.errors import GuardError
-from expsumlab.moments import _sample_values, interval_coefficients, truncated_poisson_pmf
+from expsumlab.majorant import majorant_ratio
+from expsumlab.moments import _even_degree, _sample_values, interval_coefficients, truncated_poisson_pmf
+from expsumlab.processes import sample_random_walk
 
 SEED = SeedSpec(2024, 3)
 
@@ -400,6 +403,43 @@ class TestMonteCarlo:
         spec = ExperimentSpec("walk", (1, 2), TimeMap("arith", r=0.5), 2.0, 4, SEED)
         with pytest.raises(ValueError):
             mc_even_moment(spec)
+
+    @pytest.mark.parametrize(
+        "time_map", [TimeMap("identity"), TimeMap("power", d=2), TimeMap("power", d=3), TimeMap("arith", r=1.0)]
+    )
+    def test_walk_values_match_sample_random_walk(self, time_map):
+        for seed in (SeedSpec(0), SEED, SeedSpec(2**64 - 1, 77)):
+            spec = ExperimentSpec("walk", (1, 2, 5, 6, 11, 17), time_map, 4.0, 3, seed)
+            times = spec.times()
+            for i in range(3):
+                path = sample_random_walk(int(times[-1]), seed, i).values
+                assert _sample_values(spec, i) == tuple(path[int(t)] for t in times)
+
+    def test_walk_sample_is_fast(self):
+        # 128^3 = 2,097,152 steps; a tuple path of them took 1.1 s
+        spec = ExperimentSpec("walk", tuple(range(1, 129)), TimeMap("power", d=3), 4.0, 1, SEED)
+        start = time.perf_counter()
+        values = _sample_values(spec, 0)
+        assert time.perf_counter() - start < 0.2
+        assert len(values) == 128 and all(type(v) is int for v in values)
+
+
+class TestEvenDegree:
+    @pytest.mark.parametrize(
+        "p,n", [(2, 1), (4.0, 2), (6.0, 3), (3.0, 0), (2.5, 0), (1.0, 0), (0.0, 0), (-2.0, 0), (-4, 0)]
+    )
+    def test_values(self, p, n):
+        assert _even_degree(p) == n
+
+    def test_messages(self):
+        spec = ExperimentSpec("poisson", (1, 2), TimeMap("identity"), 3.0, 2, SEED)
+        with pytest.raises(ValueError, match="^mc_even_moment needs an even integer p >= 2$"):
+            mc_even_moment(spec)
+        with pytest.raises(ValueError, match="^exact_even_moment needs an even integer p >= 2$"):
+            exact_even_moment(spec)
+        for p in (3, 0, -2):
+            with pytest.raises(ValueError, match="^exact majorant optimization needs an even integer p >= 2$"):
+                majorant_ratio([0, 1], p)
 
 
 class TestGrowthUtilities:
