@@ -14,6 +14,12 @@ increments, and the transfer of |x-y| windows across the sqrt(t log t) scale.
 ``verification_suite`` runs all of them on grids, together with the exact
 oracles of the lattice counters, and is the one place the ``verify``
 subcommand gets its checks from.
+
+The grids are array passes over one core per bound, which the scalar checks
+also call with one point: the concentration tails per m, one mode-pmf vector
+P[N(n) = n] = n^n e^{-n}/n! shared by the pmf_sup_over_t and Robbins grids,
+the pmf_sup_over_a values and their mode scans, and the window-transfer
+implications on the drawn triples.  ``_holds`` is the one verdict rule.
 """
 
 from __future__ import annotations
@@ -45,9 +51,34 @@ class BoundCheck:
     slack: float
 
 
+def _holds(exact, bound):
+    """exact <= bound up to 1e-12 of max(1, bound); elementwise on arrays."""
+    return exact <= bound + 1e-12 * np.maximum(1.0, bound)
+
+
 def _check(exact: float, bound: float) -> BoundCheck:
-    holds = exact <= bound + 1e-12 * max(1.0, bound)
-    return BoundCheck(exact, bound, holds, bound - exact)
+    return BoundCheck(exact, bound, bool(_holds(exact, bound)), bound - exact)
+
+
+def _checks(exact: np.ndarray, bound: np.ndarray) -> list[BoundCheck]:
+    holds = _holds(exact, bound)
+    return [
+        BoundCheck(e, b, h, b - e)
+        for e, b, h in zip(exact.tolist(), bound.tolist(), holds.tolist())
+    ]
+
+
+def _concentration_tails(m: int, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P[|N(m) - m| > lam*sqrt(m)] and its bound 2 e^{-lam^2/4}, per lam."""
+    root = math.sqrt(m)
+    pmf = poisson_pmf(float(m), np.arange(2 * m + 65))
+    lower = np.cumsum(pmf)  # lower[a] = P[N <= a]
+    upper = np.cumsum(pmf[::-1])[::-1]  # upper[a] = P[N >= a]
+    dev = lams * root
+    below = np.ceil(m - dev).astype(np.int64) - 1  # largest a < m - dev
+    above = np.floor(m + dev).astype(np.int64) + 1  # smallest a > m + dev
+    exact = upper[above] + np.where(below >= 0, lower[np.maximum(below, 0)], 0.0)
+    return exact, 2.0 * np.exp(-lams * lams / 4.0)
 
 
 def poisson_concentration_checks(m: int, lams: Sequence[float]) -> list[BoundCheck]:
@@ -64,16 +95,7 @@ def poisson_concentration_checks(m: int, lams: Sequence[float]) -> list[BoundChe
     root = math.sqrt(m)
     if not all(0.0 < lam <= root for lam in lams):
         raise ValueError("lam must lie in (0, sqrt(m)]")
-    pmf = poisson_pmf(float(m), np.arange(2 * int(m) + 65))
-    lower = np.cumsum(pmf)  # lower[a] = P[N <= a]
-    upper = np.cumsum(pmf[::-1])[::-1]  # upper[a] = P[N >= a]
-    checks = []
-    for lam in lams:
-        dev = lam * root
-        a0 = math.ceil(m - dev) - 1  # largest a < m - dev
-        exact = upper[math.floor(m + dev) + 1] + (lower[a0] if a0 >= 0 else 0.0)
-        checks.append(_check(float(exact), 2.0 * math.exp(-lam * lam / 4.0)))
-    return checks
+    return _checks(*_concentration_tails(int(m), np.asarray(lams, dtype=np.float64)))
 
 
 def poisson_concentration_check(m: int, lam: float) -> BoundCheck:
@@ -81,49 +103,90 @@ def poisson_concentration_check(m: int, lam: float) -> BoundCheck:
     return poisson_concentration_checks(m, [lam])[0]
 
 
+def _mode_pmf(n: np.ndarray) -> np.ndarray:
+    """P[N(n) = n] = n^n e^{-n} / n! for each positive integer n (as floats)."""
+    return poisson_pmf(n, n)
+
+
+def _sup_over_t_bound(a: np.ndarray) -> np.ndarray:
+    return 1.0 / np.sqrt(2.0 * math.pi * a)
+
+
+def _robbins_bounds(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(2 pi n)^{-1/2} e^{-1/(12n)} and (2 pi n)^{-1/2} e^{-1/(12n+1)}, per n."""
+    base = -0.5 * np.log(2.0 * math.pi * n)
+    return np.exp(base - 1.0 / (12.0 * n)), np.exp(base - 1.0 / (12.0 * n + 1.0))
+
+
+def _positive_integer(n: int, name: str) -> np.ndarray:
+    if n < 1 or n != int(n):
+        raise ValueError(f"{name} must be a positive integer")
+    return np.array([n], dtype=np.float64)
+
+
 def pmf_sup_over_t(a: int) -> BoundCheck:
     """sup_t P[N(t) = a] = a^a e^{-a} / a! against 1/sqrt(2 pi a).
 
     The supremum over the mean sits at t = a.
     """
-    if a < 1 or a != int(a):
-        raise ValueError("a must be a positive integer")
-    exact = poisson_pmf(float(a), a)
-    return _check(exact, 1.0 / math.sqrt(2.0 * math.pi * a))
+    points = _positive_integer(a, "a")
+    return _checks(_mode_pmf(points), _sup_over_t_bound(points))[0]
+
+
+def _sup_over_a(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per t >= 0: the mode k = floor(t), P[N(t) = k] and min{1, 1/sqrt(2 pi k)}.
+
+    Raises if the scan finds a larger pmf value than the one at k.
+    """
+    k = np.floor(t)
+    _check_mode(t, k)
+    bound = np.minimum(1.0, 1.0 / np.sqrt(2.0 * math.pi * np.maximum(k, 1.0)))
+    return k, poisson_pmf(t, k), np.where(k == 0, 1.0, bound)
 
 
 def pmf_sup_over_a(t: float) -> tuple[int, float, float]:
     """(argmax, value, bound) of a -> P[N(t) = a]; the mode floor(t) is scanned."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    k = math.floor(t)
-    value = poisson_pmf(t, k)
-    bound = 1.0 if k == 0 else min(1.0, 1.0 / math.sqrt(2.0 * math.pi * k))
-    _check_mode(t, k)
-    return k, value, bound
+    k = math.floor(t)  # inf and NaN raise here
+    _, value, bound = _sup_over_a(np.array([t], dtype=np.float64))
+    return k, float(value[0]), float(bound[0])
 
 
-def _check_mode(t: float, k: int) -> None:
+def _check_mode(t, k) -> None:
     """Raise if some a in [0, t + 10 sqrt(t) + 10] has P[N(t)=a] > P[N(t)=k].
 
-    log p(a)/p(k) is a running sum of the steps log t - log j outward from k
-    (at integer t the pmf ties at t-1 and t).  A step errs by under 3 ulps of
-    L = |log t| + log a_max; if k is the mode the sum at a then errs by under
-    |a - k| eps (3L + |log p(a)/p(k)|), so it stays below ``noise``.
+    t and k are numbers or equal-length arrays, one scan per entry; every
+    scan is a row of the same array pass.  log p(a)/p(k) is a running sum of
+    the steps log t - log j outward from k (at integer t the pmf ties at t-1
+    and t).  A step errs by under 3 ulps of L = |log t| + log a_max; if k is
+    the mode the sum at a then errs by under |a - k| eps (3L + |log
+    p(a)/p(k)|), so it stays below ``noise``.
     """
-    if t == 0:
-        return  # point mass at 0
-    a_max = int(t + 10.0 * math.sqrt(t) + 10.0)
-    log_t = math.log(t)
-    best = np.cumsum(log_t - np.log(np.arange(k + 1, a_max + 1, dtype=np.float64))).max()  # a > k
-    total = 0.0
-    for hi in range(k, 0, -_SCAN_BLOCK):  # a < k, in cache-sized blocks
-        down = np.log(np.arange(hi, max(hi - _SCAN_BLOCK, 0), -1, dtype=np.float64)) - log_t
-        down[0] += total
-        total = np.cumsum(down, out=down)[-1]
-        best = max(best, down.max())
-    noise = 4.0 * sys.float_info.epsilon * a_max * (1.0 + abs(log_t) + math.log(a_max))
-    if best > noise:
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    k = np.atleast_1d(np.asarray(k, dtype=np.float64))
+    scanned = t > 0  # t = 0 is the point mass at 0
+    t, k = t[scanned], k[scanned]
+    if not t.size:
+        return
+    a_max = np.floor(t + 10.0 * np.sqrt(t) + 10.0)
+    log_t = np.log(t)[:, None]
+    k_col, a_col = k[:, None], a_max[:, None]
+    j = np.arange(k.min() + 1.0, a_max.max() + 1.0)  # a > k: each row sums from its k + 1
+    steps = np.where((j > k_col) & (j <= a_col), log_t - np.log(j), 0.0)
+    best = np.cumsum(steps, axis=1).max(axis=1)
+    total = np.zeros(len(t))
+    for hi in range(int(k.max()), 0, -_SCAN_BLOCK):  # a < k, in cache-sized blocks
+        j = np.arange(hi, max(hi - _SCAN_BLOCK, 0), -1, dtype=np.float64)
+        steps = np.log(j, out=j) - log_t
+        if hi > k.min():  # a row whose k is below hi starts at column hi - k
+            steps[np.arange(steps.shape[1]) < hi - k_col] = 0.0
+        steps[:, 0] += total
+        steps = np.cumsum(steps, axis=1)  # in place (out=) is slower on 2-D
+        total = steps[:, -1].copy()
+        best = np.maximum(best, steps.max(axis=1))
+    noise = 4.0 * sys.float_info.epsilon * a_max * (1.0 + np.abs(log_t[:, 0]) + np.log(a_max))
+    if np.any(best > noise):
         raise RuntimeError("pmf mode scan found a larger value than floor(t)")
 
 
@@ -131,15 +194,12 @@ def robbins_check(n: int) -> tuple[BoundCheck, BoundCheck]:
     """Both sides of Robbins' refinement of Stirling's formula.
 
     (2 pi n)^{-1/2} e^{-1/(12n)} <= n^n/(n! e^n) <= (2 pi n)^{-1/2} e^{-1/(12n+1)},
-    evaluated in log space.
+    evaluated in log space; the middle term is P[N(n) = n].
     """
-    if n < 1 or n != int(n):
-        raise ValueError("n must be a positive integer")
-    log_ratio = n * math.log(n) - n - math.lgamma(n + 1)
-    base = -0.5 * math.log(2.0 * math.pi * n)
-    lower = _check(math.exp(base - 1.0 / (12.0 * n)), math.exp(log_ratio))
-    upper = _check(math.exp(log_ratio), math.exp(base - 1.0 / (12.0 * n + 1.0)))
-    return lower, upper
+    points = _positive_integer(n, "n")
+    ratio = _mode_pmf(points)
+    lower, upper = _robbins_bounds(points)
+    return _checks(lower, ratio)[0], _checks(ratio, upper)[0]
 
 
 def _combo_exact_probability(means: Sequence[float], coeffs: Sequence[int], a: int) -> float:
@@ -204,6 +264,16 @@ def interval_sum_bound_check(intervals: Sequence[tuple[float, float]], a: int) -
     return _check(exact, bound)
 
 
+def _transfer_holds(x: np.ndarray, y: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both window-transfer implications per triple (x, y, C), x, y >= 1."""
+    gap = np.abs(x - y)
+    fx = np.sqrt(x * np.log(x))
+    fy = np.sqrt(y * np.log(y))
+    impl_a = ~((x > _E50) & (gap <= C * fx)) | (gap <= 2.0 * C * fy)
+    impl_b = ~((y > _E50) & (gap >= 2.0 * C * fx)) | (gap >= C * fy)
+    return impl_a, impl_b
+
+
 def sqrt_log_transfer_check(x: float, y: float, C: float) -> tuple[bool, bool]:
     """Verify both window-transfer implications on one triple.
 
@@ -215,14 +285,34 @@ def sqrt_log_transfer_check(x: float, y: float, C: float) -> tuple[bool, bool]:
         raise ValueError("x and y must be at least 1")
     if not (1.0 <= C <= 10.0):
         raise ValueError("C must lie in [1, 10]")
-    gap = abs(x - y)
-    fx = math.sqrt(x * math.log(x)) if x > 1 else 0.0
-    fy = math.sqrt(y * math.log(y)) if y > 1 else 0.0
-    ant_a = x > _E50 and gap <= C * fx
-    impl_a = (not ant_a) or gap <= 2.0 * C * fy
-    ant_b = y > _E50 and gap >= 2.0 * C * fx
-    impl_b = (not ant_b) or gap >= C * fy
-    return impl_a, impl_b
+    impl_a, impl_b = _transfer_holds(*(np.array([v], dtype=np.float64) for v in (x, y, C)))
+    return bool(impl_a[0]), bool(impl_b[0])
+
+
+def _transfer_triples(gen: np.random.Generator, trials: int) -> tuple[np.ndarray, ...]:
+    """The suite's (x, y, C) draws, as three arrays.
+
+    x = e^U with U uniform on [50, 80] and C uniform on [1, 10]; y is drawn
+    the same way as x one time in three, and otherwise sits at a random
+    multiple in [0, 3] of C sqrt(x log x) on either side of x.  A uniform on
+    [lo, hi] is lo + (hi - lo) * gen.random(), which is gen.uniform(lo, hi)
+    bit for bit.
+    """
+    random, integers = gen.random, gen.integers
+    xs, ys, cs = [], [], []
+    for _ in range(trials):
+        x = math.exp(50.0 + 30.0 * random())
+        c = 1.0 + 9.0 * random()
+        if integers(0, 3) == 0:
+            y = math.exp(50.0 + 30.0 * random())
+        else:
+            u = 3.0 * random()
+            sign = 1.0 if random() < 0.5 else -1.0
+            y = max(1.0, x + sign * u * c * math.sqrt(x * math.log(x)))
+        xs.append(x)
+        ys.append(y)
+        cs.append(c)
+    return np.array(xs), np.array(ys), np.array(cs)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +333,25 @@ def _report(name: str, failures: list[str], checked: int) -> GridReport:
     return GridReport(name, ok, checked, detail)
 
 
+def _grid_report(name: str, holds: np.ndarray, describe) -> GridReport:
+    """Report of a grid checked in one array pass; ``describe`` names a point."""
+    bad = np.flatnonzero(~holds)
+    return _report(name, [describe(int(bad[0]))] if bad.size else [], len(holds))
+
+
+def divisor_sieve(top: int) -> np.ndarray:
+    """D(0..top), D(x) = sum_{n <= x} d(n), by a sieve over divisor pairs.
+
+    Each n = a b with a < b gains 2 and each square a^2 gains 1, so isqrt(top)
+    slice updates, one per a <= sqrt(top), give d(n); D is their running sum.
+    """
+    counts = np.zeros(top + 1, dtype=np.int64)
+    for a in range(1, math.isqrt(top) + 1):
+        counts[a * a :: a] += 2
+        counts[a * a] -= 1
+    return np.cumsum(counts)
+
+
 def verification_suite(quick: bool = False, seed: SeedSpec | None = None) -> list[GridReport]:
     """Run every stated inequality grid and oracle grid; one report per grid.
 
@@ -257,55 +366,44 @@ def verification_suite(quick: bool = False, seed: SeedSpec | None = None) -> lis
     reports: list[GridReport] = []
 
     m_top = 40 if quick else 200
-    failures, checked = [], 0
+    means, lams, holds = [], [], []
     for m in range(1, m_top + 1):
         root = math.sqrt(m)
-        lams = [i / 10.0 for i in range(1, int(10 * root) + 1) if i / 10.0 <= root]
-        checks = poisson_concentration_checks(m, lams)
-        checked += len(checks)
-        failures += [f"concentration m={m} lam={lam}" for lam, c in zip(lams, checks) if not c.holds]
-    reports.append(_report("poisson_concentration", failures, checked))
-
-    a_top = 500 if quick else 10_000
-    failures = [f"pmf_sup_over_t a={a}" for a in range(1, a_top + 1) if not pmf_sup_over_t(a).holds]
-    reports.append(_report("pmf_sup_over_t", failures, a_top))
+        grid = np.arange(1, int(10 * root) + 1) / 10.0
+        grid = grid[grid <= root]
+        means += [m] * len(grid)
+        lams += grid.tolist()
+        holds.append(_holds(*_concentration_tails(m, grid)))
+    holds = np.concatenate(holds)
+    reports.append(
+        _grid_report("poisson_concentration", holds, lambda i: f"concentration m={means[i]} lam={lams[i]}")
+    )
 
     n_top = 500 if quick else 10_000
-    failures = []
-    for n in range(1, n_top + 1):
-        lower, upper = robbins_check(n)
-        if not (lower.holds and upper.holds):
-            failures.append(f"robbins n={n}")
-    reports.append(_report("robbins", failures, n_top))
+    points = np.arange(1.0, n_top + 1.0)
+    ratio = _mode_pmf(points)  # a^a e^{-a} / a!, also the middle term of Robbins' bounds
+    holds = _holds(ratio, _sup_over_t_bound(points))
+    reports.append(_grid_report("pmf_sup_over_t", holds, lambda i: f"pmf_sup_over_t a={i + 1}"))
+    lower, upper = _robbins_bounds(points)
+    holds = _holds(lower, ratio) & _holds(ratio, upper)
+    reports.append(_grid_report("robbins", holds, lambda i: f"robbins n={i + 1}"))
 
     t_top = 100 if quick else 1000
-    failures, checked = [], 0
-    for k in range(1, t_top + 1):
-        t = k / 10.0
-        argmax, value, bound = pmf_sup_over_a(t)
-        checked += 1
-        if value > bound + 1e-12:
-            failures.append(f"pmf_sup_over_a t={t}")
-    reports.append(_report("pmf_sup_over_a", failures, checked))
+    ts = (np.arange(1, t_top + 1) / 10.0).tolist()
+    _, value, bound = _sup_over_a(np.array(ts))
+    holds = _holds(value, bound)
+    reports.append(_grid_report("pmf_sup_over_a", holds, lambda i: f"pmf_sup_over_a t={ts[i]}"))
 
-    gen = seed.generator(0)
     trials = 1000 if quick else 10_000
-    failures = []
-    for i in range(trials):
-        x = math.exp(gen.uniform(50.0, 80.0))
-        c = gen.uniform(1.0, 10.0)
-        mode = gen.integers(0, 3)
-        if mode == 0:
-            y = math.exp(gen.uniform(50.0, 80.0))
-        else:
-            # adversarial: y at a random multiple of the window width
-            u = gen.uniform(0.0, 3.0)
-            sign = 1.0 if gen.random() < 0.5 else -1.0
-            y = max(1.0, x + sign * u * c * math.sqrt(x * math.log(x)))
-        ia, ib = sqrt_log_transfer_check(x, y, c)
-        if not (ia and ib):
-            failures.append(f"sqrt_log_transfer x={x:.6g} y={y:.6g} C={c:.3f}")
-    reports.append(_report("sqrt_log_transfer", failures, trials))
+    x, y, c = _transfer_triples(seed.generator(0), trials)
+    impl_a, impl_b = _transfer_holds(x, y, c)
+    reports.append(
+        _grid_report(
+            "sqrt_log_transfer",
+            impl_a & impl_b,
+            lambda i: f"sqrt_log_transfer x={x[i]:.6g} y={y[i]:.6g} C={c[i]:.3f}",
+        )
+    )
 
     gen = seed.generator(1)
     trials = 30 if quick else 100
@@ -330,10 +428,10 @@ def verification_suite(quick: bool = False, seed: SeedSpec | None = None) -> lis
             k = j + float(gen.uniform(0.1, 10.0))
             intervals.append((j, k))
         a = int(gen.integers(0, 9))
-        if not interval_sum_bound_check(intervals, a).holds:
+        chk = interval_sum_bound_check(intervals, a)
+        if not chk.holds:
             failures.append(f"interval_sum intervals={intervals} a={a}")
         if a == 0:
-            chk = interval_sum_bound_check(intervals, 0)
             other = coincidence_probability_poisson(
                 SignedTimeMultiset(
                     tuple(k for _, k in intervals), tuple(j for j, _ in intervals)
@@ -356,12 +454,9 @@ def verification_suite(quick: bool = False, seed: SeedSpec | None = None) -> lis
     reports.append(_report("shell_oracle", failures, checked))
 
     top = 2000 if quick else 20_000
-    counts = np.zeros(top + 1, dtype=np.int64)
-    for a in range(1, top + 1):
-        counts[a::a] += 1
-    sums = np.cumsum(counts)
+    sums = divisor_sieve(top).tolist()
     failures = [
-        f"divisor x={x}" for x in range(1, top + 1) if divisor_summatory(float(x)) != int(sums[x])
+        f"divisor x={x}" for x in range(1, top + 1) if divisor_summatory(float(x)) != sums[x]
     ]
     reports.append(_report("divisor_oracle", failures, top))
 

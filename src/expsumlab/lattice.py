@@ -336,7 +336,7 @@ def hyperbolic_count(d: int, x: float) -> int:
         raise ValueError("d must be an integer >= 2")
     if x < 1:
         raise ValueError("x must be at least 1")
-    fx = math.floor(Fraction(x))
+    fx = math.floor(x)
     positive = _window_count(d, 1, fx).count
     return check_count(4 * positive + 2 * _floor_root(fx, d), "hyperbolic count")
 
@@ -345,34 +345,33 @@ def hyperbolic_count(d: int, x: float) -> int:
 # divisor summatory function
 # ---------------------------------------------------------------------------
 
-_DIVISOR_BLOCK = 1 << 20
+_DIVISOR_BLOCK = 1 << 16  # divisors per quotient block; a block stays in cache
 
 
 def divisor_summatory(x: float) -> int:
     """D(x) = sum_{n <= x} d(n) by the hyperbola identity, O(sqrt x) time.
 
     D(x) = 2 * sum_{a <= sqrt x} floor(x/a) - floor(sqrt x)^2, summed in blocks
-    of 2^20 divisors so memory stays flat.  x >= 2^62 raises GuardError: the
+    of 2^16 divisors so memory stays flat.  x >= 2^62 raises GuardError: the
     sum would run over 2^31 divisors.
     """
     if x < 1:
         raise ValueError("x must be at least 1")
-    n = math.floor(Fraction(x))
+    n = math.floor(x)
     if n >= 2**62:
         raise GuardError("divisor summatory needs x < 2^62 (over 2^31 divisors past it)")
     s = math.isqrt(n)
-    total = sum(
-        _quotient_sum(n, lo, min(lo + _DIVISOR_BLOCK, s + 1))
-        for lo in range(1, s + 1, _DIVISOR_BLOCK)
-    )
+    total = 0
+    for lo in range(1, s + 1, _DIVISOR_BLOCK):
+        total += _quotient_sum(n, lo, min(lo + _DIVISOR_BLOCK, s + 1))
     return check_count(2 * total - s * s, "divisor summatory")
 
 
 def _quotient_sum(n: int, lo: int, hi: int) -> int:
-    """sum_{lo <= a < hi} n // a for n < 2^62 and hi - lo <= 2^20, exactly.
+    """sum_{lo <= a < hi} n // a for n < 2^62 and hi - lo <= 2^16, exactly.
 
     One int64 sum where (hi - lo) * (n // lo) < 2^63 bounds it; otherwise
-    the quotients split into 31-bit limbs, whose sums stay below 2^51.
+    the quotients split into 31-bit limbs, whose sums stay below 2^47.
     """
     q = n // np.arange(lo, hi, dtype=np.int64)
     if (hi - lo) * (n // lo) < 2**63:

@@ -55,7 +55,7 @@ _DP_SUPPORT_LIMIT = 50_000_000
 _TRANSFER_WORK_LIMIT = 1 << 30  # nodes x layers x (n+1)^2: about 20 s of the exact engine
 _Y_BLOCK = 1 << 13  # y nodes per block; a block's states stay in cache
 _EXACT_TOL = 1e-15  # Poisson aliasing budget per tuple of exact_even_moment
-_WALK_LENGTH_GUARD = 100_000_000
+_WALK_LENGTH_GUARD = 100_000_000  # steps; walk_positions peaks at 16 bytes a step, about 1.6 GB
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,10 @@ def _sample_values(spec: ExperimentSpec, sample_index: int) -> tuple[int, ...]:
         raise ValueError("random walk is only defined at integer times")
     n_max = int(times[-1])
     if n_max > _WALK_LENGTH_GUARD:
-        raise GuardError(f"walk horizon {n_max} exceeds the desk-scale guard")
+        raise GuardError(
+            f"walk horizon {n_max} exceeds the desk-scale guard of 10^8 steps"
+            " (about 1.6 GB at 16 bytes a step)"
+        )
     positions = walk_positions(n_max, spec.seed, sample_index)
     return tuple(positions[np.array(times, dtype=np.int64)].tolist())
 

@@ -135,21 +135,28 @@ class ProcessPath:
             raise ValueError("one value per grid point required")
 
 
-def poisson_pmf(mean: float, a: int | np.ndarray) -> float | np.ndarray:
+def poisson_pmf(mean: float | np.ndarray, a: int | np.ndarray) -> float | np.ndarray:
     """P[N = a] for a Poisson variable of the given mean.
 
     ``a`` is an int, or an ndarray of nonnegative ints for the pmf at each
-    entry.  Evaluated in log space so huge means neither overflow nor lose
-    the tiny tail values; underflow saturates to 0.  mean = 0 is the point
-    mass at 0.
+    entry; ``mean`` may also be an ndarray, broadcast against ``a``.
+    Evaluated in log space so huge means neither overflow nor lose the tiny
+    tail values; underflow saturates to 0.  mean = 0 is the point mass at 0.
     """
+    if isinstance(a, np.ndarray) or isinstance(mean, np.ndarray):
+        if np.any(np.asarray(mean) < 0):
+            raise ValueError("mean must be nonnegative")
+        a = np.asarray(a)
+        logfact = np.array([math.lgamma(x + 1.0) for x in a.ravel().tolist()]).reshape(a.shape)
+        if not isinstance(mean, np.ndarray):
+            if mean == 0.0:
+                return np.where(a == 0, 1.0, 0.0)
+            return np.exp(-mean + a * math.log(mean) - logfact)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_p = -mean + a * np.log(mean) - logfact
+        return np.where(mean == 0.0, np.where(a == 0, 1.0, 0.0), np.exp(log_p))
     if mean < 0:
         raise ValueError("mean must be nonnegative")
-    if isinstance(a, np.ndarray):
-        if mean == 0.0:
-            return np.where(a == 0, 1.0, 0.0)
-        logfact = np.array([math.lgamma(x + 1.0) for x in a.tolist()])
-        return np.exp(-mean + a * math.log(mean) - logfact)
     if a < 0:
         return 0.0
     if mean == 0.0:
@@ -201,12 +208,19 @@ def walk_positions(n_max: int, seed: SeedSpec, sample_index: int = 0) -> np.ndar
     """R(0..n_max) of the simple random walk as an int64 array, R(0) = 0.
 
     Step i is 2u - 1 for the i-th draw u in {0, 1} of the sample's Philox
-    stream; every walk in the package is drawn here.
+    stream; every walk in the package is drawn here.  The steps are formed
+    in the draw array and summed straight into the result, so a walk peaks
+    at 16 bytes a step.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    steps = seed.generator(sample_index).integers(0, 2, size=n_max, dtype=np.int64) * 2 - 1
-    return np.concatenate(([0], np.cumsum(steps)))
+    steps = seed.generator(sample_index).integers(0, 2, size=n_max, dtype=np.int64)
+    steps <<= 1
+    steps -= 1
+    positions = np.empty(n_max + 1, dtype=np.int64)
+    positions[0] = 0
+    np.cumsum(steps, out=positions[1:])
+    return positions
 
 
 def sample_random_walk(n_max: int, seed: SeedSpec, sample_index: int = 0) -> ProcessPath:

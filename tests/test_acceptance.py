@@ -24,7 +24,7 @@ from expsumlab import (
     mc_even_moment,
     slope_fit,
 )
-from expsumlab.bounds import verification_suite
+from expsumlab.bounds import divisor_sieve, verification_suite
 from expsumlab.lattice import (
     GreenRuzsaSpec,
     ShellQuery,
@@ -163,10 +163,7 @@ def test_c08_inequality_grids_all_hold():
 def test_c09_divisor_oracle_and_error_scan():
     top_eq = 100_000
     top_scan = 1_000_000
-    counts = np.zeros(top_scan + 1, dtype=np.int64)
-    for a in range(1, top_scan + 1):
-        counts[a::a] += 1
-    sums = np.cumsum(counts)
+    sums = divisor_sieve(top_scan)
     mismatch = sum(
         1 for x in range(1, top_eq + 1) if divisor_summatory(float(x)) != int(sums[x])
     )

@@ -1,16 +1,26 @@
 """Inequality oracles: exact quantities vs analytic bounds."""
 
 import math
+import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expsumlab import SeedSpec, SignedTimeMultiset, coincidence_probability_poisson, poisson_pmf
+from expsumlab import bounds
 from expsumlab.bounds import (
     _check_mode,
+    _mode_pmf,
+    _robbins_bounds,
+    _sup_over_a,
+    _sup_over_t_bound,
+    _transfer_holds,
+    _transfer_triples,
     combo_pmf_bound_check,
+    divisor_sieve,
     interval_sum_bound_check,
     pmf_sup_over_a,
     pmf_sup_over_t,
@@ -138,6 +148,12 @@ class TestPmfSup:
 
     def test_over_a_zero(self):
         assert pmf_sup_over_a(0.0) == (0, 1.0, 1.0)
+
+    def test_over_a_non_finite(self):
+        with pytest.raises(OverflowError):
+            pmf_sup_over_a(math.inf)
+        with pytest.raises(ValueError):
+            pmf_sup_over_a(math.nan)
 
     @pytest.mark.parametrize("t", [45357.0, 1e5, 6294988.990221888])
     def test_over_a_large_t_within_float_noise(self, t):
@@ -311,3 +327,259 @@ class TestVerificationSuite:
             "shell_oracle": 680,
             "divisor_oracle": 2000,
         }
+
+    def test_full_suite_pinned(self):
+        reports = verification_suite()
+        assert [(r.name, r.ok, r.checked, r.detail) for r in reports] == [
+            ("poisson_concentration", True, 18829, "ok"),
+            ("pmf_sup_over_t", True, 10000, "ok"),
+            ("robbins", True, 10000, "ok"),
+            ("pmf_sup_over_a", True, 1000, "ok"),
+            ("sqrt_log_transfer", True, 10000, "ok"),
+            ("combo_pmf_bound", True, 100, "ok"),
+            ("interval_sum_bound", True, 100, "ok"),
+            ("shell_oracle", True, 1360, "ok"),
+            ("divisor_oracle", True, 20000, "ok"),
+        ]
+
+
+# Grid sizes and first failure texts of the suite at its default seed 20240,
+# in the format of the per-point loops the grids replaced.
+FULL_GRID = np.arange(1.0, 10_001.0)
+FIRST_FAILURES = {
+    "poisson_concentration": "concentration m=1 lam=0.1",
+    "pmf_sup_over_t": "pmf_sup_over_t a=1",
+    "robbins": "robbins n=1",
+    "pmf_sup_over_a": "pmf_sup_over_a t=0.1",
+    "combo_pmf_bound": "combo means=[2.546235781877093, 1.5829188694498704] coeffs=[1, 3] a=7",
+    "interval_sum_bound": (
+        "interval_sum intervals=[(0.7608953040542132, 8.920759953203088), "
+        "(6.02551691576234, 14.040881476920813)] a=4"
+    ),
+}
+
+
+def reference_triples(seed: SeedSpec, trials: int) -> list[tuple[float, float, float]]:
+    """The sqrt_log_transfer draws as a loop over gen.uniform."""
+    gen = seed.generator(0)
+    triples = []
+    for _ in range(trials):
+        x = math.exp(gen.uniform(50.0, 80.0))
+        c = gen.uniform(1.0, 10.0)
+        if gen.integers(0, 3) == 0:
+            y = math.exp(gen.uniform(50.0, 80.0))
+        else:
+            u = gen.uniform(0.0, 3.0)
+            sign = 1.0 if gen.random() < 0.5 else -1.0
+            y = max(1.0, x + sign * u * c * math.sqrt(x * math.log(x)))
+        triples.append((x, y, c))
+    return triples
+
+
+class TestGridsMatchScalarChecks:
+    SAMPLED = [1, 2, 3, 17, 170, 171, 999, 1000, 4096, 7777, 9999, 10_000]
+
+    def test_pmf_sup_over_t(self):
+        exact = _mode_pmf(FULL_GRID)
+        bound = _sup_over_t_bound(FULL_GRID)
+        for a in self.SAMPLED:
+            chk = pmf_sup_over_t(a)
+            assert chk.exact.hex() == exact[a - 1].hex()
+            assert chk.bound.hex() == bound[a - 1].hex()
+
+    def test_robbins(self):
+        ratio = _mode_pmf(FULL_GRID)
+        lower, upper = _robbins_bounds(FULL_GRID)
+        for n in self.SAMPLED:
+            low, high = robbins_check(n)
+            assert low.bound.hex() == high.exact.hex() == ratio[n - 1].hex()
+            assert low.exact.hex() == lower[n - 1].hex()
+            assert high.bound.hex() == upper[n - 1].hex()
+
+    def test_pmf_sup_over_a(self):
+        ts = np.arange(1, 1001) / 10.0
+        ks, values, bounds_ = _sup_over_a(ts)
+        for i in (0, 1, 8, 9, 10, 59, 499, 998, 999):
+            k, value, bound = pmf_sup_over_a(float(ts[i]))
+            assert k == int(ks[i])
+            assert value.hex() == values[i].hex()
+            assert bound.hex() == bounds_[i].hex()
+
+    def test_mode_scan_rows_match_single_scans(self):
+        # one row shifted off the mode makes the whole pass raise
+        ts = np.arange(1, 1001) / 10.0
+        ks = np.floor(ts)
+        _check_mode(ts, ks)
+        for i, shift in [(0, 1), (46, -1), (46, 2), (999, -3), (999, 3)]:
+            shifted = ks.copy()
+            shifted[i] += shift
+            with pytest.raises(RuntimeError, match="larger value"):
+                _check_mode(ts, shifted)
+            with pytest.raises(RuntimeError, match="larger value"):
+                _check_mode(float(ts[i]), float(shifted[i]))
+
+    @pytest.mark.parametrize("seed", [20240, 501])
+    def test_sqrt_log_transfer(self, seed):
+        x, y, c = _transfer_triples(SeedSpec(seed).generator(0), 10_000)
+        impl_a, impl_b = _transfer_holds(x, y, c)
+        for i in range(0, 10_000, 97):
+            assert sqrt_log_transfer_check(float(x[i]), float(y[i]), float(c[i])) == (
+                bool(impl_a[i]),
+                bool(impl_b[i]),
+            )
+        # vacuous and falsified triples through the same pass
+        xs = np.array([10.0, math.exp(60.0), math.exp(60.0)])
+        ys = np.array([1e6, math.exp(60.0) * 3.0, 1.0])
+        cs = np.array([2.0, 1.0, 1.0])
+        impl_a, impl_b = _transfer_holds(xs, ys, cs)
+        for i in range(3):
+            assert sqrt_log_transfer_check(xs[i], ys[i], cs[i]) == (bool(impl_a[i]), bool(impl_b[i]))
+
+    @pytest.mark.parametrize("seed", [20240, 501])
+    def test_triples_equal_uniform_draws(self, seed):
+        x, y, c = _transfer_triples(SeedSpec(seed).generator(0), 10_000)
+        got = list(zip(x.tolist(), y.tolist(), c.tolist()))
+        assert got == reference_triples(SeedSpec(seed), 10_000)
+
+
+class TestGridsMatchLoopFormulas:
+    """The grids against the per-point math-module formulas they replaced.
+
+    numpy's exp and log may differ from the math module's in the last bit, so
+    each comparison allows a few ulps of every log-space term summed.
+    """
+
+    EPS = sys.float_info.epsilon
+
+    def test_mode_pmf_and_robbins_bounds(self):
+        ratio = _mode_pmf(FULL_GRID)
+        lower, upper = _robbins_bounds(FULL_GRID)
+        for n in range(1, 10_001):
+            log_ratio = n * math.log(n) - n - math.lgamma(n + 1)
+            terms = n * math.log(n) + n + math.lgamma(n + 1)
+            assert ratio[n - 1] == pytest.approx(math.exp(log_ratio), rel=8 * self.EPS * terms)
+            base = -0.5 * math.log(2.0 * math.pi * n)
+            assert lower[n - 1] == pytest.approx(math.exp(base - 1.0 / (12.0 * n)), rel=8 * self.EPS)
+            assert upper[n - 1] == pytest.approx(math.exp(base - 1.0 / (12.0 * n + 1.0)), rel=8 * self.EPS)
+
+    def test_pmf_sup_over_a_values(self):
+        ts = np.arange(1, 1001) / 10.0
+        ks, values, bounds_ = _sup_over_a(ts)
+        for t, k, value, bound in zip(ts.tolist(), ks.tolist(), values.tolist(), bounds_.tolist()):
+            k = int(k)
+            terms = t + k * abs(math.log(t)) + math.lgamma(k + 1)
+            assert value == pytest.approx(poisson_pmf(t, k), rel=8 * self.EPS * (1.0 + terms))
+            assert bound == (1.0 if k == 0 else min(1.0, 1.0 / math.sqrt(2.0 * math.pi * k)))
+
+    @pytest.mark.parametrize("m", [1, 37, 200])
+    def test_concentration_bound(self, m):
+        lams = suite_lams(m)
+        for lam, chk in zip(lams, poisson_concentration_checks(m, lams)):
+            assert chk.bound == pytest.approx(2.0 * math.exp(-lam * lam / 4.0), rel=4 * self.EPS)
+
+
+class TestInjectedFailures:
+    """A failing point is reported as the loops over the grids reported it."""
+
+    def test_every_holds_grid_reports_its_first_point(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_holds", lambda exact, bound: np.zeros(np.shape(exact), bool))
+        for quick in (False, True):
+            details = {r.name: r.detail for r in verification_suite(quick=quick) if not r.ok}
+            assert details == FIRST_FAILURES
+
+    def test_failures_past_the_first_point(self, monkeypatch):
+        tails, sup_t, robbins, sup_a, transfer = (
+            bounds._concentration_tails,
+            bounds._sup_over_t_bound,
+            bounds._robbins_bounds,
+            bounds._sup_over_a,
+            bounds._transfer_holds,
+        )
+
+        def concentration(m, lams):
+            exact, bound = tails(m, lams)
+            if m == 37:
+                exact[3] = 2.0
+            return exact, bound
+
+        def poke(values, index, value):
+            values = values.copy()
+            values[index] = value
+            return values
+
+        def robbins_(n):
+            lower, upper = robbins(n)
+            return lower, poke(upper, 4999, 0.0)
+
+        def sup_a_(t):
+            k, value, bound = sup_a(t)
+            return k, poke(value, 424, 2.0), bound
+
+        def transfer_(x, y, c):
+            impl_a, impl_b = transfer(x, y, c)
+            return impl_a, poke(impl_b, 4321, False)
+
+        monkeypatch.setattr(bounds, "_concentration_tails", concentration)
+        monkeypatch.setattr(bounds, "_sup_over_t_bound", lambda a: poke(sup_t(a), 776, 0.0))
+        monkeypatch.setattr(bounds, "_robbins_bounds", robbins_)
+        monkeypatch.setattr(bounds, "_sup_over_a", sup_a_)
+        monkeypatch.setattr(bounds, "_transfer_holds", transfer_)
+        details = [r.detail for r in verification_suite()[:5]]
+        assert details == [
+            "concentration m=37 lam=0.4",
+            "pmf_sup_over_t a=777",
+            "robbins n=5000",
+            "pmf_sup_over_a t=42.5",
+            "sqrt_log_transfer x=1.72111e+28 y=1.72111e+28 C=6.268",
+        ]
+
+    def test_transfer_reports_the_first_triple(self, monkeypatch):
+        monkeypatch.setattr(
+            bounds, "_transfer_holds", lambda x, y, c: (np.ones(len(x), bool), np.zeros(len(x), bool))
+        )
+        for quick in (False, True):
+            report = verification_suite(quick=quick)[4]
+            assert report.detail == "sqrt_log_transfer x=2.83155e+34 y=2.83155e+34 C=1.004"
+
+    @pytest.mark.parametrize(
+        "seed, detail",
+        [
+            (
+                20240,
+                "interval_vs_coincidence intervals=[(7.148021939261918, 11.708641716472588), "
+                "(5.11921856220861, 13.473148354420708), (9.274255480023232, 17.684635646185274)]",
+            ),
+            (
+                501,
+                "interval_vs_coincidence intervals=[(4.3721472940475214, 4.505788062469775), "
+                "(7.301583585490839, 8.380392646000566)]",
+            ),
+        ],
+    )
+    def test_interval_cross_check(self, monkeypatch, seed, detail):
+        monkeypatch.setattr(bounds, "coincidence_probability_poisson", lambda *args: 1.0)
+        report = verification_suite(seed=SeedSpec(seed))[6]
+        assert (report.ok, report.detail) == (False, detail)
+
+    def test_divisor_oracle(self, monkeypatch):
+        calls = []
+        real = bounds.divisor_summatory
+
+        def divisor(x):
+            calls.append(x)
+            return real(x) + (x == 1234.0)
+
+        monkeypatch.setattr(bounds, "divisor_summatory", divisor)
+        report = verification_suite(quick=True)[8]
+        assert (report.ok, report.checked, report.detail) == (False, 2000, "divisor x=1234")
+        assert calls == [float(x) for x in range(1, 2001)]  # one real call per x
+
+
+class TestDivisorSieve:
+    def test_pair_sieve_equals_plain_sieve(self):
+        top = 20_000
+        counts = np.zeros(top + 1, dtype=np.int64)
+        for a in range(1, top + 1):
+            counts[a::a] += 1
+        for n in (1, 2, 3, 4, 99, 100, 101, 143, 144, 145, top):
+            assert np.array_equal(divisor_sieve(n), np.cumsum(counts[: n + 1]))

@@ -15,6 +15,7 @@ from expsumlab.lattice import (
     EULER_GAMMA,
     GreenRuzsaSpec,
     ShellQuery,
+    _DIVISOR_BLOCK,
     _first_above,
     _last_j,
     _quotient_sum,
@@ -118,19 +119,36 @@ class TestDivisor:
     def test_non_integer_argument(self):
         assert divisor_summatory(10.7) == divisor_summatory(10.0)
 
-    @pytest.mark.parametrize("s", [2**20 - 1, 2**20, 2**20 + 1])
+    @pytest.mark.parametrize("s", [_DIVISOR_BLOCK - 1, _DIVISOR_BLOCK, _DIVISOR_BLOCK + 1])
     def test_block_edges_match_quotient_blocks(self, s):
-        # isqrt(x) on either side of the 2^20-divisor block length
+        # isqrt(x) on either side of the divisor block length
         for n in (s * s, s * s + s, (s + 1) ** 2 - 1):
             assert divisor_summatory(float(n)) == quotient_block_divisor_sum(n)
 
     def test_block_past_int64_is_exact(self):
-        # this block sums to about 14.4 * 2^61, past int64; the block-bound
-        # check must keep it off the wrapping int64 sum
+        # a full first block sums to about 11.7 * 2^61, past int64; the
+        # block-bound check must keep it off the wrapping int64 sum
         n = 2**61
-        got = _quotient_sum(n, 1, 2**20 + 1)
+        got = _quotient_sum(n, 1, _DIVISOR_BLOCK + 1)
         assert got > 2**63
-        assert got == sum(n // a for a in range(1, 2**20 + 1))
+        assert got == sum(n // a for a in range(1, _DIVISOR_BLOCK + 1))
+
+    def test_block_is_two_to_the_sixteen(self):
+        # 2^16 quotients stay in cache; x = 10^14 then sums without limbs
+        assert _DIVISOR_BLOCK == 2**16
+        assert _DIVISOR_BLOCK * 10**14 < 2**63
+
+    @pytest.mark.parametrize("x", [10, 10.5, 10**6 + 0.999, 10**12, 10**12 + 1, float(10**12 + 1)])
+    def test_int_and_float_arguments_are_floored_exactly(self, x):
+        assert divisor_summatory(x) == quotient_block_divisor_sum(math.floor(Fraction(x)))
+
+    def test_non_finite_argument_raises(self):
+        with pytest.raises(ValueError):
+            divisor_summatory(math.nan)
+        with pytest.raises(OverflowError):
+            divisor_summatory(math.inf)
+        with pytest.raises(OverflowError):
+            hyperbolic_count(3, math.inf)
 
     def test_guard_past_2_62(self):
         with pytest.raises(GuardError, match="2\\^62"):

@@ -35,7 +35,13 @@ from expsumlab import (
 )
 from expsumlab.errors import GuardError
 from expsumlab.majorant import majorant_ratio
-from expsumlab.moments import _even_degree, _sample_values, interval_coefficients, truncated_poisson_pmf
+from expsumlab.moments import (
+    _WALK_LENGTH_GUARD,
+    _even_degree,
+    _sample_values,
+    interval_coefficients,
+    truncated_poisson_pmf,
+)
 from expsumlab.processes import sample_random_walk
 
 SEED = SeedSpec(2024, 3)
@@ -422,6 +428,13 @@ class TestMonteCarlo:
         values = _sample_values(spec, 0)
         assert time.perf_counter() - start < 0.2
         assert len(values) == 128 and all(type(v) is int for v in values)
+
+    def test_walk_guard_states_its_byte_budget(self):
+        # 10^8 steps at 16 bytes a step; the refusal comes before any draw
+        assert _WALK_LENGTH_GUARD == 100_000_000
+        spec = ExperimentSpec("walk", (1, 100_000_001), TimeMap("identity"), 2.0, 1, SEED)
+        with pytest.raises(GuardError, match="10\\^8 steps \\(about 1.6 GB at 16 bytes a step\\)"):
+            _sample_values(spec, 0)
 
 
 class TestEvenDegree:

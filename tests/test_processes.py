@@ -17,6 +17,7 @@ from expsumlab import (
     sample_poisson_path,
     sample_random_walk,
 )
+from expsumlab.processes import walk_positions
 
 SEED = SeedSpec(1234, 7)
 
@@ -45,6 +46,18 @@ class TestPoissonPmf:
         expected = [math.exp(-4.7) * 4.7**k / math.factorial(k) for k in range(6)]
         np.testing.assert_allclose(poisson_pmf(4.7, a), expected, rtol=1e-13)
         assert poisson_pmf(0.0, a).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+    def test_mean_array_broadcasts(self):
+        means = np.array([0.0, 0.5, 4.7, 30.0])
+        a = np.arange(6)[:, None]
+        got = poisson_pmf(means, a)
+        assert got.shape == (6, 4)
+        for i in range(6):
+            for j, mean in enumerate(means.tolist()):
+                assert got[i, j] == pytest.approx(poisson_pmf(mean, i), rel=1e-13, abs=1e-300)
+        assert got[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        with pytest.raises(ValueError):
+            poisson_pmf(np.array([1.0, -0.5]), 2)
 
     @given(st.floats(0.01, 50), st.integers(0, 120))
     @settings(max_examples=50, deadline=None)
@@ -168,6 +181,18 @@ class TestRandomWalk:
     def test_rejects_zero_length(self):
         with pytest.raises(ValueError):
             sample_random_walk(0, SEED)
+
+    @pytest.mark.parametrize("seed", [SEED, SeedSpec(0), SeedSpec(501, 3), SeedSpec(2**64 - 1)])
+    @pytest.mark.parametrize("n_max", [1, 2, 257, 100_003])
+    def test_positions_match_concatenated_steps(self, seed, n_max):
+        # the walk is summed in place; the steps * 2 - 1 / concatenate form
+        # it replaced is the reference, bit for bit
+        for index in (0, 5):
+            draws = seed.generator(index).integers(0, 2, size=n_max, dtype=np.int64)
+            reference = np.concatenate(([0], np.cumsum(draws * 2 - 1)))
+            got = walk_positions(n_max, seed, index)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, reference)
 
 
 class TestSeedSpec:
