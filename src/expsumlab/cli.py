@@ -14,9 +14,11 @@ Seed precedence: ``--seed`` > the EXPSUM_SEED environment variable > a
 key=value config file passed with ``--config``, whose only keys are ``seed``
 and ``samples``.  Without any of them the seed is 0, except for ``verify``,
 whose default is 20240.  ``--samples`` (``moment`` and ``majorant``) falls
-back to the config file, then to 200.  ``moment --mode exact`` samples
-nothing: it computes each mean exactly, and ``--samples`` or ``--nodes``
-with it exits 1.
+back to the config file, then to 200.  A flag that the chosen mode would
+ignore exits 1: ``--samples`` or ``--nodes`` with ``moment --mode exact``
+(which computes each mean exactly), ``--nodes`` wherever no quadrature
+runs, ``--pmf`` unless the process is iid, and ``majorant --freqs`` with
+``--genericity`` or ``--samples`` without it.
 
 Exit codes: 0 success, 1 usage error, 2 numeric guard or overflow,
 3 verification suite failure.
@@ -229,6 +231,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_ignored_flags(args) -> None:
+    """Raise ValueError for a flag given on the command line that the mode would not read."""
+    if args.subcommand == "moment":
+        if args.mode == "exact" and (args.samples is not None or args.nodes is not None):
+            raise ValueError("--mode exact samples nothing: drop --samples and --nodes")
+        quadrature = args.mode == "quadrature" or (args.mode == "auto" and not _even_degree(args.p))
+        if args.nodes is not None and not quadrature:
+            raise ValueError(f"--nodes is unused: --mode {args.mode} at p={args.p:g} runs no quadrature")
+        if args.pmf is not None and args.process != "iid":
+            raise ValueError(f"--pmf is unused: --process {args.process} draws no i.i.d. values")
+    elif args.subcommand == "majorant":
+        if args.genericity and args.freqs is not None:
+            raise ValueError("--freqs is unused with --genericity, which draws its own sets")
+        if not args.genericity and args.samples is not None:
+            raise ValueError("--samples is unused without --genericity")
+
+
 def _resolve_settings(args) -> None:
     config = _config_values(args.config)
     if args.seed is None:
@@ -247,8 +266,6 @@ def _cmd_moment(args) -> tuple[list[dict], int]:
     time_map = _parse_map(args.time_map)
     pmf = _parse_pmf(args.pmf)
     exact = args.mode == "exact"
-    if exact and (args.samples is not None or args.nodes is not None):
-        raise ValueError("--mode exact samples nothing: drop --samples and --nodes")
     rows = []
     for size in _parse_int_list(args.sizes):
         spec = ExperimentSpec(
@@ -482,6 +499,7 @@ def run(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 1
     args.raw_argv = list(argv)
     try:
+        _reject_ignored_flags(args)
         _resolve_settings(args)
         rows, code = _DISPATCH[args.subcommand](args)
     except (GuardError, OverflowError) as exc:

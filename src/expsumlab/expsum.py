@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import GuardError, check_count
+from .errors import COUNT_BITS, GuardError, check_count, check_power
 
 _INT64_SAFE = 1 << 62
 _NODE_LIMIT = 1 << 24  # 256 MiB per complex128 grid; an ascent holds about ten
@@ -184,7 +184,8 @@ def representation_table(spectrum: FrequencySpectrum, n: int) -> RepresentationT
     """R(m) = number of ordered n-tuples of term indices with frequency sum m.
 
     Needs a unit spectrum; computed by n-1 exact integer convolutions of the
-    multiplicity profile.  Total mass is exactly (number of terms)^n.
+    multiplicity profile.  Total mass is exactly (number of terms)^n, and a
+    mass of 2^128 or more raises OverflowError before any convolution.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -192,6 +193,7 @@ def representation_table(spectrum: FrequencySpectrum, n: int) -> RepresentationT
         raise ValueError("empty spectrum")
     if not spectrum.is_unit:
         raise ValueError("representation_table requires unit coefficients")
+    check_power(spectrum.size, n, COUNT_BITS)
     profile = spectrum.multiplicities()
     table = dict(profile)
     for _ in range(n - 1):
@@ -206,8 +208,10 @@ def even_moment(spectrum: FrequencySpectrum, n: int) -> int:
     """Exact ``|| sum_j e(f_j y) ||_{2n}^{2n}`` for a unit spectrum.
 
     Equals the number of ordered 2n-tuples (n-tuple vs n-tuple) whose
-    frequency sums agree, i.e. sum_m R(m)^2.
+    frequency sums agree, i.e. sum_m R(m)^2.  If there are 2^128 or more
+    2n-tuples, OverflowError is raised before any convolution.
     """
+    check_power(spectrum.size, 2 * n, COUNT_BITS)
     table = representation_table(spectrum, n)
     total = sum(c * c for c in table.counts.values())
     return check_count(total, "even moment")
@@ -265,17 +269,21 @@ def lp_norm_quadrature(spectrum: FrequencySpectrum, p: float, nodes: int) -> flo
     S is evaluated at all nodes at once on an FFT grid (``_grid_values``).
     For even integer p = 2n and nodes > n*(max f - min f) the rule
     integrates |S|^{2n}, a trigonometric polynomial of that degree, exactly.
-    A node count past 2^24 raises GuardError before any work.
+    A node count past 2^24, or a p that ``check_power`` refuses for this many
+    terms, raises before any work; a mean past the float64 range raises
+    OverflowError.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    check_power(spectrum.size, p)
     if nodes < 1:
         raise ValueError("nodes must be a positive integer")
     if not spectrum.terms:
         raise ValueError("empty spectrum")
     moduli = np.abs(_grid_values(spectrum.terms, nodes))
     moduli **= p
-    return float(np.mean(moduli))
+    mean = float(np.mean(moduli))
+    if math.isinf(mean):
+        raise OverflowError(f"the p={p:g} quadrature mean exceeds the float64 range")
+    return mean
 
 
 def sup_norm_upper(spectrum: FrequencySpectrum) -> float:

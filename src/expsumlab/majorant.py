@@ -11,11 +11,11 @@ phase changes S by a rank-one term: with R = S - e^{i theta_j} e(f_j y), the
 objective along coordinate j is g(theta) = mean_k |R_k + e^{i theta} e(f_j y_k)|^p,
 so M trial phases cost one M x K array.  For even p = 2n, g is a
 trigonometric polynomial of degree n: 2n+1 samples give it exactly through
-one FFT, and it is maximized on a dense grid and then by Newton steps.  On
-K = n*span + 1 nodes the rectangle rule integrates |S|^{2n} exactly.  For
-other p the objective is the rectangle rule itself; g is sampled at 33
-phases and polished by golden section.  A move is kept only if it raises
-the objective.
+one FFT, and it is maximized on a dense grid.  On K = n*span + 1 nodes the
+rectangle rule integrates |S|^{2n} exactly.  For other p the objective is
+the rectangle rule itself, sampled at 33 phases.  Either start is polished by
+the same Newton steps (``_newton``) on g's closed-form first and second
+derivatives.  A move is kept only if it raises the objective.
 
 When the span is so large that 2n+1 samples of K node values cost more than
 2n+1 exact evaluations of ``even_norm_coeff``, the even-p search takes its
@@ -33,12 +33,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import check_power
 from .expsum import FrequencySpectrum, _grid_values, even_norm_coeff, lp_norm_quadrature, suggested_nodes
 from .moments import ExperimentSpec, TimeMap, _even_degree, _sample_values
 from .processes import Pmf, SeedSpec
 
 _SWEEP_LIMIT = 80
-_BRACKET_TOL = 1e-12
 _COARSE = 33  # trial phases per coordinate at non-even p
 _NEWTON_STEPS = 8
 _BLOCK = 1 << 22  # slice entries evaluated at once
@@ -60,23 +60,6 @@ class GenericityPoint:
     std_error: float
     samples: int
     threshold: float
-
-
-def _golden_max(f, lo: float, hi: float, tol: float = _BRACKET_TOL) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-    return 0.5 * (lo + hi)
 
 
 class _Grid:
@@ -102,15 +85,26 @@ class _Grid:
         level = rest.real**2 + rest.imag**2 + 1.0
         cross = 2.0 * np.conj(rest) * u
         rows = max(1, _BLOCK // self.nodes)
+        q = self.p / 2
 
         def g(thetas: np.ndarray) -> np.ndarray:
             out = np.empty(len(thetas))
             for lo in range(0, len(thetas), rows):
                 t = thetas[lo : lo + rows, None]
                 sq = level + np.cos(t) * cross.real - np.sin(t) * cross.imag
-                out[lo : lo + rows] = (np.maximum(sq, 0.0) ** (self.p / 2)).sum(axis=1)
+                out[lo : lo + rows] = (np.maximum(sq, 0.0) ** q).sum(axis=1)
             return out / self.nodes
 
+        def slope(theta: float) -> tuple[float, float]:
+            # h = level + Re z, h' = -Im z, h'' = -Re z; nodes where h = 0 add nothing
+            z = np.exp(1j * theta) * cross
+            h = level + z.real
+            live = h > 0.0
+            w = q * h[live] ** (q - 1.0)  # d(h^q)/dh
+            curve = (q - 1.0) * w * z.imag[live] ** 2 / h[live] - w * z.real[live]
+            return -float(np.dot(w, z.imag[live])) / self.nodes, float(curve.sum()) / self.nodes
+
+        g.slope = slope  # read by _coarse_argmax
         return g
 
     def move(self, phases: np.ndarray, j: int, theta: float) -> None:
@@ -159,12 +153,31 @@ def _exact_is_cheaper(spectrum: FrequencySpectrum, n: int, nodes: int) -> bool:
     return cost < nodes
 
 
+def _newton(start: float, width: float, slope: Callable, value: Callable) -> float:
+    """Polish ``start`` by Newton steps on slope(theta) = (g', g'').
+
+    Steps stop where g'' >= 0 or below 1e-15; the end is kept only within
+    ``width`` of ``start`` and if ``value``, increasing in g, does not fall.
+    """
+    theta = start
+    for _ in range(_NEWTON_STEPS):
+        d1, d2 = slope(theta)
+        if d2 >= 0.0:
+            break
+        step = d1 / d2
+        theta -= step
+        if abs(step) < 1e-15:
+            break
+    if abs(theta - start) > width or value(theta) < value(start):
+        theta = start
+    return theta % (2.0 * math.pi)
+
+
 def _even_argmax(g: Callable[[np.ndarray], np.ndarray], n: int) -> float:
     """Maximizer of g, a trigonometric polynomial of degree n, from 2n+1 samples.
 
     The samples' FFT gives g exactly; its maximum on 64(n+1) phases (the same
-    FFT, zero-padded) is refined by Newton steps, kept only if they stay
-    within one grid step of it and do not lower g.
+    FFT, zero-padded) starts ``_newton``, within one grid step of it.
     """
     m = np.arange(1, n + 1)
     fourier = np.fft.rfft(g(2.0 * math.pi * np.arange(2 * n + 1) / (2 * n + 1)))
@@ -173,30 +186,20 @@ def _even_argmax(g: Callable[[np.ndarray], np.ndarray], n: int) -> float:
     def wave(theta: float) -> np.ndarray:
         return c * np.exp(1j * m * theta)
 
+    def slope(theta: float) -> tuple[float, float]:
+        z = wave(theta)
+        return -2.0 * np.dot(m, z.imag), -2.0 * np.dot(m * m, z.real)
+
     width = 2.0 * math.pi / (64 * n + 64)
     start = width * int(np.argmax(np.fft.irfft(fourier, 64 * n + 64)))
-    theta = start
-    for _ in range(_NEWTON_STEPS):
-        z = wave(theta)
-        curve = np.dot(m * m, z.real)  # -g''/2
-        if curve <= 0.0:
-            break
-        step = np.dot(m, z.imag) / curve  # g'/g''
-        theta -= step
-        if abs(step) < 1e-15:
-            break
-    if abs(theta - start) > width or wave(theta).real.sum() < wave(start).real.sum():
-        theta = start
-    return theta % (2.0 * math.pi)
+    return _newton(start, width, slope, lambda theta: wave(theta).real.sum())
 
 
 def _coarse_argmax(g: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Best of 33 equally spaced phases, polished by golden section."""
+    """Best of 33 equally spaced phases, polished by ``_newton`` on g.slope."""
     coarse = np.linspace(0.0, 2.0 * math.pi, _COARSE, endpoint=False)
-    i_star = int(np.argmax(g(coarse)))
-    width = coarse[1]
-    theta = _golden_max(lambda t: g(np.array([t]))[0], coarse[i_star] - width, coarse[i_star] + width)
-    return theta % (2.0 * math.pi)
+    start = coarse[int(np.argmax(g(coarse)))]
+    return _newton(start, coarse[1], g.slope, lambda theta: g(np.array([theta]))[0])
 
 
 def _ascend(objective: _Grid | _Exact, phases: np.ndarray, p: float, base: float) -> np.ndarray:
@@ -227,6 +230,8 @@ def _search(
     final: Callable[[FrequencySpectrum], float],
 ) -> MajorantResult:
     """Multi-start ascent, scored by ``final``: all-ones phases first, then random ones."""
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     base = final(spectrum)
     best_val = -math.inf
     best_phases: np.ndarray | None = None
@@ -260,10 +265,9 @@ def majorant_ratio(
     n = _even_degree(p)
     if not n:
         raise ValueError("exact majorant optimization needs an even integer p >= 2")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
     if not freqs:
         raise ValueError("frequency list must be nonempty")
+    check_power(len(freqs), p)
     spectrum = FrequencySpectrum.unit(freqs)
     nodes = n * (max(spectrum.freqs) - min(spectrum.freqs)) + 1
     if _exact_is_cheaper(spectrum, n, nodes):
@@ -286,10 +290,7 @@ def majorant_ratio_quadrature(
     ``lp_norm_quadrature`` values.  Nothing here is exact for non-even p:
     the result is only as good as the node count.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    check_power(len(freqs), p)
     spectrum = FrequencySpectrum.unit(freqs)
     nd = suggested_nodes(spectrum, p)
     final = functools.partial(lp_norm_quadrature, p=p, nodes=nd)
@@ -318,14 +319,13 @@ def genericity_experiment(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if samples < 1:
-        raise ValueError("samples must be positive")
     # Sample streams are (stream_index << 16) ^ size and optimizer streams set
     # bit 40 on top; both stay distinct only below these bounds.
     if seed.stream_index >= 1 << 24:
         raise ValueError("seed stream_index must be below 2^24")
     if any(size >= 1 << 16 for size in sizes):
         raise ValueError("sizes must be below 2^16")
+    check_power(max(sizes, default=1), p)
     search = majorant_ratio if _even_degree(p) else majorant_ratio_quadrature
     points: list[GenericityPoint] = []
     for size in sizes:

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GuardError
+from .errors import COUNT_BITS, GuardError, check_power
 from .expsum import _NODE_LIMIT, FrequencySpectrum, even_moment, lp_norm_quadrature, suggested_nodes
 from .processes import (
     Pmf,
@@ -122,8 +122,7 @@ class ExperimentSpec:
         a = self.index_set
         if a[0] < 1 or any(a[i] >= a[i + 1] for i in range(len(a) - 1)):
             raise ValueError("index set must be strictly increasing positive integers")
-        if self.p < 1:
-            raise ValueError("p must be at least 1")
+        check_power(len(a), self.p)
         if self.samples < 1:
             raise ValueError("samples must be positive")
         if self.process == "iid" and self.pmf is None:
@@ -180,18 +179,20 @@ def _summarize(values: list[float], spec: ExperimentSpec, descriptor: str) -> Mo
 
 def _even_degree(p: float) -> int:
     """n for an even integer p = 2n >= 2, else 0."""
-    return int(p) // 2 if p >= 2 and p == int(p) and int(p) % 2 == 0 else 0
+    return int(p) // 2 if p >= 2 and float(p).is_integer() and int(p) % 2 == 0 else 0
 
 
 def mc_even_moment(spec: ExperimentSpec) -> MomentEstimate:
     """Unbiased Monte Carlo estimate of the even moment E||.||_{2n}^{2n}.
 
     Each sample realizes the process on the mapped times, forms the unit
-    spectrum of the realized values, and evaluates the moment exactly.
+    spectrum of the realized values, and evaluates the moment exactly.  With
+    2^128 or more 2n-tuples, OverflowError is raised before any sampling.
     """
     n = _even_degree(spec.p)
     if not n:
         raise ValueError("mc_even_moment needs an even integer p >= 2")
+    check_power(len(spec.index_set), spec.p, COUNT_BITS)
 
     def one(i: int) -> float:
         values = _sample_values(spec, i)

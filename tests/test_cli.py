@@ -11,6 +11,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,31 @@ class TestBasicCommands:
         assert run(argv + flag) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["majorant", "--freqs", "1,2", "--p", "4", "--samples", "5"],
+            ["majorant", "--genericity", "--freqs", "1,2", "--p", "4", "--sizes", "4", "--samples", "2"],
+            ["moment", "--process", "poisson", "--pmf", "1:1", "--p", "4", "--sizes", "4", "--samples", "2"],
+            ["moment", "--process", "poisson", "--p", "4", "--mode", "even", "--nodes", "9", "--sizes", "4"],
+            ["moment", "--process", "poisson", "--p", "4", "--nodes", "9", "--sizes", "4"],
+        ],
+    )
+    def test_ignored_flags_exit_one(self, argv, capsys):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --")
+
+    def test_config_samples_stay_a_fallback(self, tmp_path, capsys):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("samples = 3\n")
+        assert run(["majorant", "--freqs", "1,2", "--p", "4", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        argv = ["majorant", "--genericity", "--p", "4", "--sizes", "4", "--restarts", "1"]
+        code, out = run_capture(argv + ["--config", str(cfg)], capsys)
+        assert code == 0 and parse_csv(out)[0]["samples"] == "3"
+
     def test_json_format(self, capsys):
         code, out = run_capture(["divisor", "--x", "10,100", "--format", "json"], capsys)
         rows = json.loads(out)
@@ -312,6 +338,29 @@ class TestExitCodes:
         assert run(["repcount", "--n", "3", "--d", "9", "--M", "50"]) == 2
         err = capsys.readouterr().err
         assert "guard" in err
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["moment", "--process", "poisson", "--p", "1000000", "--sizes", "4", "--samples", "1"], 2),
+            (["moment", "--process", "poisson", "--p", "1000001", "--sizes", "4", "--samples", "1"], 2),
+            (["moment", "--process", "iid", "--pmf", "3:1", "--p", "1e12", "--sizes", "1", "--samples", "1"], 2),
+            (["majorant", "--freqs", "0,1,3", "--p", "1000000", "--restarts", "1"], 2),
+            (["majorant", "--freqs", "0,1,3", "--p", "1000001", "--restarts", "1"], 2),
+            (["majorant", "--freqs", "5", "--p", "1e12", "--restarts", "1"], 2),
+            (["moment", "--process", "poisson", "--p", "inf", "--sizes", "4", "--samples", "1"], 1),
+            (["moment", "--process", "poisson", "--p", "nan", "--sizes", "4", "--samples", "1"], 1),
+            (["majorant", "--freqs", "0,1,3", "--p", "inf", "--restarts", "1"], 1),
+            (["majorant", "--freqs", "0,1,3", "--p", "nan", "--restarts", "1"], 1),
+        ],
+    )
+    def test_extreme_p_fails_fast(self, argv, code, capsys):
+        started = time.perf_counter()
+        assert run(argv) == code
+        assert time.perf_counter() - started < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "p=" in captured.err
 
     def test_divisor_past_guard_exits_two(self, capsys):
         # the O(sqrt x) sum would run over 2^31 divisors; refuse at once

@@ -200,6 +200,22 @@ class TestEvenMoment:
         with pytest.raises(OverflowError):
             representation_table(spectrum, 10)  # the count 2^130 itself
 
+    def test_tuple_count_refused_before_convolving(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("convolved past the count ceiling")
+
+        monkeypatch.setattr("expsumlab.expsum._convolve", refuse)
+        pair, single = FrequencySpectrum.unit([0, 1]), FrequencySpectrum.unit([5])
+        with pytest.raises(OverflowError, match="2\\^128"):
+            even_moment(pair, 64)  # 2^128 2n-tuples
+        with pytest.raises(OverflowError):
+            representation_table(pair, 128)
+        with pytest.raises(OverflowError):
+            representation_table(single, 128)  # one term counts as two
+        monkeypatch.undo()
+        assert even_moment(pair, 63) == math.comb(126, 63)
+        assert representation_table(single, 127).counts == {635: 1}
+
 
 class TestEvenNormCoeff:
     def test_matches_even_moment_on_unit(self):
@@ -315,6 +331,18 @@ class TestQuadrature:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             lp_norm_quadrature(FrequencySpectrum.unit([1]), 0.5, 8)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_rejects_non_finite_p(self, p):
+        with pytest.raises(ValueError, match=f"p={p}"):
+            lp_norm_quadrature(FrequencySpectrum.unit([1]), p, 8)
+
+    def test_overflow_is_loud(self, monkeypatch):
+        with pytest.raises(OverflowError):
+            lp_norm_quadrature(FrequencySpectrum.from_pairs([(0, 1e200)]), 2.0, 7)
+        monkeypatch.setattr("expsumlab.expsum._grid_values", None)  # refused before the grid
+        with pytest.raises(OverflowError, match="2\\^1024"):
+            lp_norm_quadrature(FrequencySpectrum.unit([0, 1, 2, 3]), 512.0, 7)
 
     @pytest.mark.parametrize("width", [50, 10**9, 2**62 - 1])
     @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0, 4.0])

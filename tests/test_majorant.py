@@ -1,11 +1,13 @@
 """Phase optimization: even-p majorant property and optimizer invariants."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from expsumlab import FrequencySpectrum, SeedSpec, even_norm_coeff, lp_norm_quadrature, majorant
+from expsumlab.lattice import GreenRuzsaSpec, greenruzsa_generate
 from expsumlab.majorant import genericity_experiment, majorant_ratio, majorant_ratio_quadrature
 from expsumlab.moments import TimeMap
 from expsumlab.processes import Pmf
@@ -141,6 +143,81 @@ class TestRoutes:
                 lp_norm_quadrature(FrequencySpectrum.unit(freqs).with_phases(phases), 3.0, 41), rel=1e-12
             )
             np.testing.assert_allclose(moved, grid.s, rtol=0, atol=1e-12)
+
+
+NON_EVEN = [1.0, 1.5, 2.5, 3.0, 5.0]
+
+# Slices whose 33-sample best sits where Newton's first step leaves the
+# bracket (g'/g'' > 2 pi/33), so the polish keeps the coarse best.
+POLISH_KEEPS_START = {(2.5, 8), (3.0, 8)}
+
+
+def random_slice(p, seed):
+    """Coordinate slice g of the rectangle-rule objective at a seeded random phase vector."""
+    gen = SeedSpec(2026, seed).generator(0)
+    freqs = sorted(int(v) for v in gen.integers(-10, 11, size=int(gen.integers(3, 7))))
+    phases = gen.uniform(0, 2 * math.pi, len(freqs))
+    grid = majorant._Grid(freqs, p, 4 * math.ceil(p / 2) * (freqs[-1] - freqs[0]) + 7)
+    grid.value(phases)
+    return grid.along(phases, int(gen.integers(0, len(freqs))))
+
+
+class TestNewtonPolish:
+    @pytest.mark.parametrize("p", NON_EVEN)
+    def test_slope_matches_central_differences(self, p):
+        h = 1e-4
+        for seed in range(8):
+            g = random_slice(p, seed)
+            for theta in SeedSpec(2026, seed).generator(1).uniform(0, 2 * math.pi, 4):
+                d1, d2 = g.slope(theta)
+                lo, mid, hi = g(np.array([theta - h, theta, theta + h]))
+                assert d1 == pytest.approx((hi - lo) / (2 * h), rel=1e-6, abs=1e-6)
+                assert d2 == pytest.approx((hi - 2 * mid + lo) / h**2, rel=1e-4, abs=1e-4)
+
+    @pytest.mark.parametrize("p", NON_EVEN)
+    def test_polish_reaches_the_bracket_maximum(self, p):
+        # the best of 2^16 phases on the circle that lie within one coarse step of the start
+        circle = np.linspace(0, 2 * math.pi, 1 << 16, endpoint=False)
+        coarse = np.linspace(0, 2 * math.pi, majorant._COARSE, endpoint=False)
+        for seed in range(16):
+            g = random_slice(p, seed)
+            samples = g(coarse)
+            start = coarse[int(np.argmax(samples))]
+            polished = g(np.array([majorant._coarse_argmax(g)]))[0]
+            assert polished >= samples.max()
+            if (p, seed) in POLISH_KEEPS_START:
+                assert polished == samples.max()
+                continue
+            near = np.abs((circle - start + math.pi) % (2 * math.pi) - math.pi) <= coarse[1]
+            assert polished >= g(circle[near]).max() * (1 - 1e-12)
+
+    def test_even_p_results_pinned(self):
+        # c12's 50 sets: base, best, ratio and phases, bit for bit
+        gen = SeedSpec(111).generator(0)
+        digest = hashlib.sha256()
+        for i in range(50):
+            size = int(gen.integers(2, 9))
+            freqs = sorted(int(v) for v in gen.integers(0, 51, size=size))
+            r = majorant_ratio(freqs, (2, 4, 6)[i % 3], restarts=3, seed=SeedSpec(111, i + 1))
+            fields = (r.base_moment.hex(), r.best_moment.hex(), r.ratio.hex(), [t.hex() for t in r.best_phases])
+            digest.update(repr(fields).encode())
+        assert digest.hexdigest() == "f00f8413ad376f889ace9a0d2b72f9fbd4103e6459517e4d81ee89c9e62b9927"
+
+    @pytest.mark.parametrize(
+        "freqs, p, restarts, ratio",
+        [
+            ([0, 1, 3], 1.0, 1, 1.0007004336629663),
+            ([0, 1, 3], 1.0, 4, 1.0007004336629663),
+            ([0, 1, 3], 2.5, 1, 1.0051691880540645),
+            ([0, 1, 3], 2.5, 4, 1.0051691880621385),
+            ([0, 1, 3], 3.0, 1, 1.0059883822468842),
+            ([0, 1, 3], 3.0, 4, 1.005988382247903),
+            (greenruzsa_generate(GreenRuzsaSpec(7, 2)), 3.0, 4, 1.0154078394566064),
+        ],
+    )
+    def test_non_even_ratios_match_golden_section(self, freqs, p, restarts, ratio):
+        # ratios that the golden-section polish gave, with the same starts
+        assert majorant_ratio_quadrature(freqs, p, restarts).ratio == pytest.approx(ratio, rel=1e-9)
 
 
 class TestQuadratureVariant:

@@ -353,6 +353,17 @@ class TestMonteCarlo:
         assert est.mean == pytest.approx(1.0)
         assert est.std_error == pytest.approx(0.0)
 
+    def test_extreme_p_refused_before_sampling(self, monkeypatch):
+        monkeypatch.setattr("expsumlab.moments._sample_values", None)
+        spec = ExperimentSpec("poisson", (1, 2, 3, 4), TimeMap("identity"), 128.0, 1, SEED)
+        with pytest.raises(OverflowError, match="2\\^128"):
+            mc_even_moment(spec)  # 4^128 2n-tuples
+        with pytest.raises(OverflowError, match="2\\^1024"):
+            ExperimentSpec("poisson", (1, 2, 3, 4), TimeMap("identity"), 513.0, 1, SEED)
+        for p in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"p={p}"):
+                ExperimentSpec("poisson", (1, 2), TimeMap("identity"), p, 1, SEED)
+
     def test_point_mass_iid_fourth_moment(self):
         pmf = Pmf.point(4)
         spec = ExperimentSpec("iid", tuple(range(1, 7)), TimeMap("identity"), 4.0, 40, SEED, pmf)
@@ -439,7 +450,11 @@ class TestMonteCarlo:
 
 class TestEvenDegree:
     @pytest.mark.parametrize(
-        "p,n", [(2, 1), (4.0, 2), (6.0, 3), (3.0, 0), (2.5, 0), (1.0, 0), (0.0, 0), (-2.0, 0), (-4, 0)]
+        "p,n",
+        [
+            (2, 1), (4.0, 2), (6.0, 3), (3.0, 0), (2.5, 0), (1.0, 0), (0.0, 0), (-2.0, 0), (-4, 0),
+            (math.inf, 0), (math.nan, 0),
+        ],
     )
     def test_values(self, p, n):
         assert _even_degree(p) == n
