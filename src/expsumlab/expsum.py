@@ -9,12 +9,15 @@ p >= 1 a rectangle-rule quadrature is provided, with S evaluated on an FFT
 grid; on even integer p it is exact once the node count exceeds the
 polynomial bandwidth.
 
-Integer counts and complex coefficients share one convolution.  It is dense
-over the frequency span when the profiles fill their spans, and merges
-pairwise frequency sums otherwise, since realized frequency sets like
+Integer counts and complex coefficients share one convolution, on profiles
+held as frequency-sorted (freqs, coeffs) numpy arrays from the first
+convolution to the last.  It is dense over the frequency span when the
+profiles fill their spans.  Otherwise it sorts the pairwise frequency sums
+once and reduces each run of equal sums, since realized frequency sets like
 {N(j^d)} have huge span but few entries.  Counts stay in int64 only where no
-sum can wrap and in Python integers beyond.  Negative frequencies are allowed
-everywhere.
+sum can wrap and in Python integers beyond; the sum of squared counts is one
+int64 dot product where it cannot wrap either.  Negative frequencies are
+allowed everywhere.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from .errors import COUNT_BITS, GuardError, check_count, check_power
 
 _INT64_SAFE = 1 << 62
 _NODE_LIMIT = 1 << 24  # 256 MiB per complex128 grid; an ascent holds about ten
+
+_Profile = tuple[np.ndarray, np.ndarray]  # (freqs, coeffs), sorted by frequency
 
 
 @dataclass(frozen=True)
@@ -101,36 +106,51 @@ class RepresentationTable:
 # convolution
 # ---------------------------------------------------------------------------
 
-def _convolve(a: dict[int, complex], b: dict[int, complex]) -> dict[int, complex]:
-    """{f: sum of a[g] * b[h] over g + h = f}, sorted by f, exact zeros dropped.
+def _profile(table: dict[int, complex], dtype) -> _Profile:
+    """A frequency-sorted {f: c} map as (freqs, coeffs) arrays.
 
-    Integer profiles are counts (nonnegative) and stay exact: numpy runs in
-    int64 while every frequency sum and the product of the masses are below
-    2^62 (no partial sum can then wrap), and on int64 limbs past that.
+    Frequencies are int64, or Python integers (dtype object) once one
+    reaches 2^62 in magnitude; every convolution of those takes the pair loop.
+    """
+    freqs = list(table)
+    wide = bool(freqs) and max(-freqs[0], freqs[-1]) >= _INT64_SAFE
+    return np.array(freqs, object if wide else np.int64), np.array(list(table.values()), dtype)
+
+
+def _convolve(a: _Profile, b: _Profile) -> _Profile:
+    """f -> sum of a[g] * b[h] over g + h = f, exact zeros dropped.
+
+    Profiles in and out are (freqs, coeffs) arrays as ``_profile`` makes
+    them.  Integer profiles are counts (nonnegative) and stay exact: numpy
+    runs in int64 while every frequency sum and the product of the masses are
+    below 2^62 (no partial sum can then wrap), and on int64 limbs past that.
     Direct convolution of the dense arrays costs the product of their
     lengths, so it runs when that is at most four times the number of entry
-    pairs; otherwise the pairwise sums are merged.  A Python pair loop takes
-    frequencies past 2^62, and sparse profiles past the mass bound.
+    pairs.  Otherwise the pairwise sums are sorted once and each run of
+    equal sums is reduced: counts by ``np.add.reduceat``, exact in any
+    order, and complex coefficients, sorted stably, by one ``np.bincount``
+    over the run index for each of the real and imaginary parts.  Each
+    complex sum is so accumulated in pair order, bit for bit as a sequential
+    ``np.add.at`` would.  A Python pair loop takes frequencies past 2^62,
+    and sparse profiles past the mass bound.
     """
-    if not a or not b:
-        return {}
-    lo_a, hi_a, lo_b, hi_b = min(a), max(a), min(b), max(b)
-    exact = isinstance(next(iter(a.values())), int)
-    big = exact and sum(a.values()) * sum(b.values()) >= _INT64_SAFE
-    dense = (hi_a - lo_a + 1) * (hi_b - lo_b + 1) <= 4 * len(a) * len(b)
+    (fa, ca), (fb, cb) = a, b
+    if not len(fa) or not len(fb):
+        return fa[:0], ca[:0]
+    lo_a, hi_a, lo_b, hi_b = int(fa[0]), int(fa[-1]), int(fb[0]), int(fb[-1])
+    exact = ca.dtype != np.complex128
+    big = exact and int(ca.sum()) * int(cb.sum()) >= _INT64_SAFE
+    dense = (hi_a - lo_a + 1) * (hi_b - lo_b + 1) <= 4 * len(fa) * len(fb)
     if max(-lo_a, hi_a) + max(-lo_b, hi_b) >= _INT64_SAFE or (big and not dense):
-        return _convolve_pairs(a, b)
-    fa = np.fromiter(a, np.int64, len(a))
-    fb = np.fromiter(b, np.int64, len(b))
+        table = _convolve_pairs(dict(zip(fa.tolist(), ca.tolist())), dict(zip(fb.tolist(), cb.tolist())))
+        return _profile(table, object if exact else np.complex128)
     if big:
         coeffs = _convolve_limbs(
-            fa - lo_a, list(a.values()), hi_a - lo_a + 1, fb - lo_b, list(b.values()), hi_b - lo_b + 1
+            fa - lo_a, ca.tolist(), hi_a - lo_a + 1, fb - lo_b, cb.tolist(), hi_b - lo_b + 1
         )
         freqs = np.arange(lo_a + lo_b, hi_a + hi_b + 1)
     else:
         dtype = np.int64 if exact else np.complex128
-        ca = np.fromiter(a.values(), dtype, len(a))
-        cb = np.fromiter(b.values(), dtype, len(b))
         if dense:
             va = np.zeros(hi_a - lo_a + 1, dtype)
             va[fa - lo_a] = ca
@@ -139,11 +159,26 @@ def _convolve(a: dict[int, complex], b: dict[int, complex]) -> dict[int, complex
             coeffs = np.convolve(va, vb)
             freqs = np.arange(lo_a + lo_b, hi_a + hi_b + 1)
         else:
-            freqs, slot = np.unique(np.add.outer(fa, fb).ravel(), return_inverse=True)
-            coeffs = np.zeros(len(freqs), dtype)
-            np.add.at(coeffs, slot, np.multiply.outer(ca, cb).ravel())
+            sums = np.add.outer(fa, fb).ravel()
+            # counts sum exactly in any order; complex sums keep pair order
+            order = np.argsort(sums, kind=None if exact else "stable")
+            sums = sums[order]
+            first = np.empty(len(sums), bool)
+            first[0] = True
+            np.not_equal(sums[1:], sums[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            freqs = sums[starts]
+            products = np.multiply.outer(ca, cb).ravel()[order]
+            if exact:
+                coeffs = np.add.reduceat(products, starts)
+            else:
+                run = np.add.accumulate(first, dtype=np.intp)
+                run -= 1
+                coeffs = np.empty(len(starts), dtype)
+                coeffs.real = np.bincount(run, products.real, len(starts))
+                coeffs.imag = np.bincount(run, products.imag, len(starts))
     keep = coeffs != 0
-    return dict(zip(freqs[keep].tolist(), coeffs[keep].tolist()))
+    return freqs[keep], coeffs[keep]
 
 
 def _convolve_pairs(a: dict[int, complex], b: dict[int, complex]) -> dict[int, complex]:
@@ -180,13 +215,8 @@ def _convolve_limbs(ia, ca, na, ib, cb, nb) -> np.ndarray:
     return total
 
 
-def representation_table(spectrum: FrequencySpectrum, n: int) -> RepresentationTable:
-    """R(m) = number of ordered n-tuples of term indices with frequency sum m.
-
-    Needs a unit spectrum; computed by n-1 exact integer convolutions of the
-    multiplicity profile.  Total mass is exactly (number of terms)^n, and a
-    mass of 2^128 or more raises OverflowError before any convolution.
-    """
+def _representation(spectrum: FrequencySpectrum, n: int) -> _Profile:
+    """(freqs, counts) of ``representation_table``, with its checks."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     if not spectrum.terms:
@@ -194,14 +224,25 @@ def representation_table(spectrum: FrequencySpectrum, n: int) -> RepresentationT
     if not spectrum.is_unit:
         raise ValueError("representation_table requires unit coefficients")
     check_power(spectrum.size, n, COUNT_BITS)
-    profile = spectrum.multiplicities()
-    table = dict(profile)
+    profile = _profile(spectrum.multiplicities(), np.int64)
+    table = profile
     for _ in range(n - 1):
         table = _convolve(table, profile)
     # Every count feeds a count at least as large into the next convolution,
     # so checking the last table's largest count checks them all.
-    check_count(max(table.values()), "integer convolution")
-    return RepresentationTable(table, n)
+    check_count(int(table[1].max()), "integer convolution")
+    return table
+
+
+def representation_table(spectrum: FrequencySpectrum, n: int) -> RepresentationTable:
+    """R(m) = number of ordered n-tuples of term indices with frequency sum m.
+
+    Needs a unit spectrum; computed by n-1 exact integer convolutions of the
+    multiplicity profile.  Total mass is exactly (number of terms)^n, and a
+    mass of 2^128 or more raises OverflowError before any convolution.
+    """
+    freqs, counts = _representation(spectrum, n)
+    return RepresentationTable(dict(zip(freqs.tolist(), counts.tolist())), n)
 
 
 def even_moment(spectrum: FrequencySpectrum, n: int) -> int:
@@ -212,8 +253,12 @@ def even_moment(spectrum: FrequencySpectrum, n: int) -> int:
     2n-tuples, OverflowError is raised before any convolution.
     """
     check_power(spectrum.size, 2 * n, COUNT_BITS)
-    table = representation_table(spectrum, n)
-    total = sum(c * c for c in table.counts.values())
+    _, counts = _representation(spectrum, n)
+    # sum R(m)^2 <= max R * sum R = max R * size^n: below 2^63 no int64 sum wraps
+    if counts.dtype == np.int64 and int(counts.max()) * spectrum.size**n < 1 << 63:
+        total = int(np.dot(counts, counts))
+    else:
+        total = sum(c * c for c in counts.tolist())
     return check_count(total, "even moment")
 
 
@@ -227,11 +272,11 @@ def even_norm_coeff(spectrum: FrequencySpectrum, n: int) -> float:
         raise ValueError("n must be a positive integer")
     if not spectrum.terms:
         raise ValueError("empty spectrum")
-    profile = spectrum.merged()
-    conv = dict(profile)
+    profile = _profile(spectrum.merged(), np.complex128)
+    conv = profile
     for _ in range(n - 1):
         conv = _convolve(conv, profile)
-    return math.fsum(abs(c) ** 2 for _, c in sorted(conv.items()))
+    return math.fsum(abs(c) ** 2 for c in conv[1].tolist())
 
 
 # ---------------------------------------------------------------------------

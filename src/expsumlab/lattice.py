@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GuardError, check_count
-from .expsum import FrequencySpectrum, RepresentationTable, representation_table
+from .expsum import FrequencySpectrum, RepresentationTable, even_moment, representation_table
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -396,21 +396,23 @@ def divisor_error(x: float, summatory: int | None = None) -> float:
 # representation counts of d-th powers
 # ---------------------------------------------------------------------------
 
-def representation_count(n: int, d: int, M: int) -> RepresentationTable:
-    """Table of R(m) = #{(j_1..j_n) : 1 <= j_i <= M, sum j_i^d = m}, exact."""
+def _power_spectrum(n: int, d: int, M: int) -> FrequencySpectrum:
+    """The unit spectrum of 1^d..M^d, past the guard n*M^d <= 2^40."""
     if n < 1 or d < 1 or M < 1:
         raise ValueError("n, d, M must be positive integers")
     if n * M**d > 2**40:
         raise GuardError("dense representation table exceeds the guard n*M^d <= 2^40")
-    spectrum = FrequencySpectrum.unit(j**d for j in range(1, M + 1))
-    return representation_table(spectrum, n)
+    return FrequencySpectrum.unit(j**d for j in range(1, M + 1))
+
+
+def representation_count(n: int, d: int, M: int) -> RepresentationTable:
+    """Table of R(m) = #{(j_1..j_n) : 1 <= j_i <= M, sum j_i^d = m}, exact."""
+    return representation_table(_power_spectrum(n, d, M), n)
 
 
 def diophantine_count(n: int, d: int, M: int) -> int:
     """Number of 2n-tuples with equal sums of d-th powers: sum_m R(m)^2."""
-    table = representation_count(n, d, M)
-    total = sum(c * c for c in table.counts.values())
-    return check_count(total, "diophantine count")
+    return even_moment(_power_spectrum(n, d, M), n)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import check_power
 from .expsum import FrequencySpectrum, _grid_values, even_norm_coeff, lp_norm_quadrature, suggested_nodes
-from .moments import ExperimentSpec, TimeMap, _even_degree, _sample_values
+from .moments import ExperimentSpec, TimeMap, _even_degree, _sampler
 from .processes import Pmf, SeedSpec
 
 _SWEEP_LIMIT = 80
@@ -340,9 +340,10 @@ def genericity_experiment(
         )
         threshold = size**epsilon
         opt_seed = SeedSpec(seed.master_seed, (seed.stream_index << 16) ^ size ^ (1 << 40))
+        sample = _sampler(spec)
         hits = 0
         for i in range(samples):
-            values = sorted(_sample_values(spec, i))
+            values = sorted(sample(i))
             result = search(values, p, restarts, opt_seed)
             if result.ratio >= threshold:
                 hits += 1

@@ -34,7 +34,7 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -147,13 +147,18 @@ class SignedTimeMultiset:
             raise ValueError("times must be nonnegative")
 
 
-def _sample_values(spec: ExperimentSpec, sample_index: int) -> tuple[int, ...]:
+def _sampler(spec: ExperimentSpec) -> Callable[[int], tuple[int, ...]]:
+    """The realized values of sample i, as a function of i.
+
+    The mapped times, and the walk's index array, are built once here for
+    every sample of the experiment.
+    """
     if spec.process == "iid":
-        return sample_iid(spec.pmf, len(spec.index_set), spec.seed, sample_index).values
+        return lambda i: sample_iid(spec.pmf, len(spec.index_set), spec.seed, i).values
     times = spec.times()
     if spec.process == "poisson":
-        path = sample_poisson_path(TimeGrid(times), spec.seed, sample_index)
-        return path.values
+        grid = TimeGrid(times)
+        return lambda i: sample_poisson_path(grid, spec.seed, i).values
     if any(t != int(t) for t in times):
         raise ValueError("random walk is only defined at integer times")
     n_max = int(times[-1])
@@ -162,8 +167,8 @@ def _sample_values(spec: ExperimentSpec, sample_index: int) -> tuple[int, ...]:
             f"walk horizon {n_max} exceeds the desk-scale guard of 10^8 steps"
             " (about 1.6 GB at 16 bytes a step)"
         )
-    positions = walk_positions(n_max, spec.seed, sample_index)
-    return tuple(positions[np.array(times, dtype=np.int64)].tolist())
+    index = np.array(times, dtype=np.int64)
+    return lambda i: tuple(walk_positions(n_max, spec.seed, i)[index].tolist())
 
 
 def _summarize(values: list[float], spec: ExperimentSpec, descriptor: str) -> MomentEstimate:
@@ -193,10 +198,10 @@ def mc_even_moment(spec: ExperimentSpec) -> MomentEstimate:
     if not n:
         raise ValueError("mc_even_moment needs an even integer p >= 2")
     check_power(len(spec.index_set), spec.p, COUNT_BITS)
+    sample = _sampler(spec)
 
     def one(i: int) -> float:
-        values = _sample_values(spec, i)
-        return float(even_moment(FrequencySpectrum.unit(values), n))
+        return float(even_moment(FrequencySpectrum.unit(sample(i)), n))
 
     values = [one(i) for i in range(spec.samples)]
     return _summarize(values, spec, spec.descriptor() + "/exact-even")
@@ -208,9 +213,10 @@ def mc_general_moment(spec: ExperimentSpec, nodes: int | None = None) -> MomentE
     With ``nodes=None`` each sample uses the default node count for its
     realized spectrum, which is past the exactness threshold for even p.
     """
+    sample = _sampler(spec)
 
     def one(i: int) -> float:
-        spectrum = FrequencySpectrum.unit(_sample_values(spec, i))
+        spectrum = FrequencySpectrum.unit(sample(i))
         nd = nodes if nodes is not None else suggested_nodes(spectrum, spec.p)
         return lp_norm_quadrature(spectrum, spec.p, nd)
 

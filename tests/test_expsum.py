@@ -19,7 +19,7 @@ from expsumlab import (
     suggested_nodes,
     sup_norm_upper,
 )
-from expsumlab.expsum import _convolve, _convolve_pairs
+from expsumlab.expsum import _convolve, _convolve_pairs, _profile
 
 
 def oracle_even_moment(freqs, n):
@@ -93,6 +93,29 @@ def spy_dense_calls(monkeypatch):
     return calls
 
 
+def unique_add_at(a, b):
+    """The sparse convolution by np.unique slots and one sequential np.add.at, as before the sort-merge."""
+    (fa, ca), (fb, cb) = a, b
+    freqs, slot = np.unique(np.add.outer(fa, fb).ravel(), return_inverse=True)
+    coeffs = np.zeros(len(freqs), ca.dtype)
+    np.add.at(coeffs, slot, np.multiply.outer(ca, cb).ravel())
+    keep = coeffs != 0
+    return freqs[keep], coeffs[keep]
+
+
+def sparse_profile(seed, exact):
+    """40 terms at k * 10^5 + r, |k| <= 30 and r < 3: negative and repeated frequencies.
+
+    Their pair sums are far too spread for the dense route and collide in long runs.
+    """
+    rng = np.random.default_rng(seed)
+    freqs = (rng.integers(-30, 31, 40) * 10**5 + rng.integers(0, 3, 40)).tolist()
+    if exact:
+        return _profile(FrequencySpectrum.unit(freqs).multiplicities(), np.int64)
+    coeffs = rng.normal(size=40) + 1j * rng.normal(size=40)
+    return _profile(FrequencySpectrum.from_pairs(zip(freqs, coeffs.tolist())).merged(), np.complex128)
+
+
 class TestRepresentationTable:
     def test_pair_of_two(self):
         table = representation_table(FrequencySpectrum.unit([1, 2]), 2)
@@ -148,7 +171,8 @@ class TestRepresentationTable:
         gen = np.random.default_rng(7)
         a = {f: (1 << 100) + int(gen.integers(1 << 62)) for f in range(-30, 300)}
         b = {f: int(gen.integers(1, 1 << 62)) << 8 for f in range(5, 90)}
-        assert _convolve(a, b) == _convolve_pairs(a, b)
+        freqs, counts = _convolve(_profile(a, object), _profile(b, object))
+        assert dict(zip(freqs.tolist(), counts.tolist())) == _convolve_pairs(a, b)
 
     def test_dense_past_int64_is_fast(self):
         started = time.perf_counter()
@@ -163,6 +187,22 @@ class TestRepresentationTable:
         table = representation_table(FrequencySpectrum.unit(freqs), 2)
         assert table.total() == 9
         assert table[10**13] == 2
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sparse_branch_matches_unique_add_at(self, seed, exact, n, monkeypatch):
+        profile = sparse_profile(seed, exact)
+        assert profile[0].min() < 0 and len(profile[0]) < 40  # negative and repeated frequencies
+        calls = spy_dense_calls(monkeypatch)
+        table = reference = profile
+        for _ in range(n - 1):
+            table = _convolve(table, profile)
+            reference = unique_add_at(reference, profile)
+            assert table[0].tobytes() == reference[0].tobytes()
+            assert table[1].dtype == reference[1].dtype
+            assert table[1].tobytes() == reference[1].tobytes()
+        assert not calls
 
 
 class TestEvenMoment:
@@ -192,6 +232,15 @@ class TestEvenMoment:
         for i in range(n):
             falling *= max(distinct - i, 0)
         assert even_moment(FrequencySpectrum.unit(freqs), n) >= math.factorial(n) * falling
+
+    def test_sum_of_squares_past_int64(self):
+        # counts 2^32, 2^31*3 and 9*2^28 fit in int64; their squares sum past 2^63
+        a, b = 1 << 16, 3 << 14
+        spectrum = FrequencySpectrum.unit([0] * a + [1] * b)
+        got = even_moment(spectrum, 2)
+        assert type(got) is int
+        assert got == a**4 + 4 * a * a * b * b + b**4
+        assert got >= 1 << 64
 
     def test_overflow_is_loud(self):
         spectrum = FrequencySpectrum.unit([0] * (1 << 13))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsumlab import GuardError, lattice
+from expsumlab import FrequencySpectrum, GuardError, even_moment, lattice
 from expsumlab.lattice import (
     EULER_GAMMA,
     GreenRuzsaSpec,
@@ -507,6 +507,8 @@ class TestRepresentationCounts:
             if sum(v**d for v in tup[:n]) == sum(v**d for v in tup[n:]):
                 hits += 1
         assert diophantine_count(n, d, M) == hits
+        powers = FrequencySpectrum.unit(j**d for j in range(1, M + 1))
+        assert diophantine_count(n, d, M) == even_moment(powers, n)
 
     def test_guard(self):
         with pytest.raises(GuardError):

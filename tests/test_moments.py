@@ -38,7 +38,7 @@ from expsumlab.majorant import majorant_ratio
 from expsumlab.moments import (
     _WALK_LENGTH_GUARD,
     _even_degree,
-    _sample_values,
+    _sampler,
     interval_coefficients,
     truncated_poisson_pmf,
 )
@@ -354,7 +354,7 @@ class TestMonteCarlo:
         assert est.std_error == pytest.approx(0.0)
 
     def test_extreme_p_refused_before_sampling(self, monkeypatch):
-        monkeypatch.setattr("expsumlab.moments._sample_values", None)
+        monkeypatch.setattr("expsumlab.moments._sampler", None)
         spec = ExperimentSpec("poisson", (1, 2, 3, 4), TimeMap("identity"), 128.0, 1, SEED)
         with pytest.raises(OverflowError, match="2\\^128"):
             mc_even_moment(spec)  # 4^128 2n-tuples
@@ -401,8 +401,9 @@ class TestMonteCarlo:
     def test_general_moment_log_convexity_per_sample(self):
         pmf = Pmf.uniform([0, 1])
         spec = ExperimentSpec("iid", (1, 2, 3, 4), TimeMap("identity"), 3.0, 1, SEED, pmf)
+        sample = _sampler(spec)
         for i in range(50):
-            spectrum = FrequencySpectrum.unit(_sample_values(spec, i))
+            spectrum = FrequencySpectrum.unit(sample(i))
             nodes = suggested_nodes(spectrum, 4.0)
             v2 = lp_norm_quadrature(spectrum, 2.0, nodes)
             v3 = lp_norm_quadrature(spectrum, 3.0, nodes)
@@ -430,13 +431,13 @@ class TestMonteCarlo:
             times = spec.times()
             for i in range(3):
                 path = sample_random_walk(int(times[-1]), seed, i).values
-                assert _sample_values(spec, i) == tuple(path[int(t)] for t in times)
+                assert _sampler(spec)(i) == tuple(path[int(t)] for t in times)
 
     def test_walk_sample_is_fast(self):
         # 128^3 = 2,097,152 steps; a tuple path of them took 1.1 s
         spec = ExperimentSpec("walk", tuple(range(1, 129)), TimeMap("power", d=3), 4.0, 1, SEED)
         start = time.perf_counter()
-        values = _sample_values(spec, 0)
+        values = _sampler(spec)(0)
         assert time.perf_counter() - start < 0.2
         assert len(values) == 128 and all(type(v) is int for v in values)
 
@@ -445,7 +446,7 @@ class TestMonteCarlo:
         assert _WALK_LENGTH_GUARD == 100_000_000
         spec = ExperimentSpec("walk", (1, 100_000_001), TimeMap("identity"), 2.0, 1, SEED)
         with pytest.raises(GuardError, match="10\\^8 steps \\(about 1.6 GB at 16 bytes a step\\)"):
-            _sample_values(spec, 0)
+            _sampler(spec)(0)
 
 
 class TestEvenDegree:
