@@ -9,21 +9,22 @@ p >= 1 a rectangle-rule quadrature is provided, with S evaluated on an FFT
 grid; on even integer p it is exact once the node count exceeds the
 polynomial bandwidth.
 
-Integer counts and complex coefficients share one convolution, on profiles
-held as frequency-sorted (freqs, coeffs) numpy arrays from the first
-convolution to the last.  It is dense over the frequency span when the
-profiles fill their spans.  Otherwise it sorts the pairwise frequency sums
-once and reduces each run of equal sums, since realized frequency sets like
-{N(j^d)} have huge span but few entries.  Counts stay in int64 only where no
-sum can wrap and in Python integers beyond; the sum of squared counts is one
-int64 dot product where it cannot wrap either.  Negative frequencies are
-allowed everywhere.
+A spectrum is a pair of numpy arrays, frequencies and coefficients, in
+input order.  One merge (``_merge``) sorts keys once and reduces each run of
+equal keys.  It makes a spectrum's profile: the multiplicities of a unit
+spectrum, or the coefficients summed by frequency.  Integer counts and
+complex coefficients then share one convolution of such frequency-sorted
+(freqs, coeffs) profiles.  It is dense over the frequency span when the
+profiles fill their spans.  Otherwise it merges the pairwise frequency sums,
+since realized frequency sets like {N(j^d)} have huge span but few entries.
+Frequencies and counts stay in int64 only where no sum can wrap and in
+Python integers beyond; the sum of squared counts is one int64 dot product
+where it cannot wrap either.  Negative frequencies are allowed everywhere.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -37,55 +38,52 @@ _NODE_LIMIT = 1 << 24  # 256 MiB per complex128 grid; an ascent holds about ten
 _Profile = tuple[np.ndarray, np.ndarray]  # (freqs, coeffs), sorted by frequency
 
 
-@dataclass(frozen=True)
-class FrequencySpectrum:
-    """A finite list of (frequency, coefficient) terms.
+def _frequency_array(freqs: Iterable[int]) -> np.ndarray:
+    """Integer frequencies as int64, or as Python integers (dtype object) once one
+    reaches 2^62 in magnitude; convolutions of those sum in Python integers."""
+    values = freqs.tolist() if isinstance(freqs, np.ndarray) else list(freqs)
+    if values and max(-min(values), max(values)) >= _INT64_SAFE:
+        return np.array([int(f) for f in values], object)
+    return np.array(values, np.int64)
 
-    The raw term list keeps multiplicity: repeated frequencies matter for
-    moment counting, where each term is a separate summand.  ``merged()``
-    collapses equal frequencies by summing coefficients.
+
+@dataclass(frozen=True, eq=False)
+class FrequencySpectrum:
+    """A finite list of terms c e(f y), held as two equal-length arrays in input order.
+
+    ``frequencies`` follow ``_frequency_array``; ``coefficients`` are
+    complex128.  Repeated frequencies are kept: they matter for moment
+    counting, where each term is a separate summand.  ``_merge`` collapses
+    them, summing coefficients.
     """
 
-    terms: tuple[tuple[int, complex], ...]
+    frequencies: np.ndarray
+    coefficients: np.ndarray
 
     @classmethod
     def unit(cls, freqs: Iterable[int]) -> "FrequencySpectrum":
-        return cls(tuple((int(f), 1 + 0j) for f in freqs))
+        frequencies = _frequency_array(freqs)
+        return cls(frequencies, np.ones(len(frequencies), np.complex128))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, complex]]) -> "FrequencySpectrum":
-        return cls(tuple((int(f), complex(c)) for f, c in pairs))
+        pairs = list(pairs)
+        return cls(_frequency_array(f for f, _ in pairs), np.array([c for _, c in pairs], np.complex128))
 
     @property
     def size(self) -> int:
-        return len(self.terms)
+        return len(self.frequencies)
 
     @property
     def freqs(self) -> tuple[int, ...]:
-        return tuple(f for f, _ in self.terms)
-
-    @property
-    def is_unit(self) -> bool:
-        return all(c == 1 + 0j for _, c in self.terms)
-
-    def multiplicities(self) -> dict[int, int]:
-        """Frequency -> multiplicity map (requires integer-like unit terms)."""
-        return dict(sorted(Counter(f for f, _ in self.terms).items()))
-
-    def merged(self) -> dict[int, complex]:
-        """Frequency -> summed coefficient, in increasing frequency order."""
-        acc: dict[int, complex] = {}
-        for f, c in sorted(self.terms, key=lambda t: t[0]):
-            acc[f] = acc.get(f, 0j) + c
-        return acc
+        return tuple(self.frequencies.tolist())
 
     def with_phases(self, phases: Sequence[float]) -> "FrequencySpectrum":
         """Replace each coefficient with the unimodular e^{i*phase}."""
-        if len(phases) != len(self.terms):
+        if len(phases) != self.size:
             raise ValueError("one phase per term required")
-        return FrequencySpectrum(
-            tuple((f, complex(math.cos(t), math.sin(t))) for (f, _), t in zip(self.terms, phases))
-        )
+        coeffs = np.array([complex(math.cos(t), math.sin(t)) for t in phases], np.complex128)
+        return FrequencySpectrum(self.frequencies, coeffs)
 
 
 @dataclass(frozen=True)
@@ -106,88 +104,78 @@ class RepresentationTable:
 # convolution
 # ---------------------------------------------------------------------------
 
-def _profile(table: dict[int, complex], dtype) -> _Profile:
-    """A frequency-sorted {f: c} map as (freqs, coeffs) arrays.
+def _merge(keys: np.ndarray, values: np.ndarray) -> _Profile:
+    """The distinct keys in increasing order, and the sum of the values at each.
 
-    Frequencies are int64, or Python integers (dtype object) once one
-    reaches 2^62 in magnitude; every convolution of those takes the pair loop.
+    Keys are int64, or Python integers in an object array.  Integer and
+    object values are counts: ``np.add.reduceat`` sums each run of equal keys,
+    exact in any order.  Complex values are sorted stably and summed by one
+    ``np.bincount`` from 0.0 over the run index for each of the real and
+    imaginary parts, so each sum accumulates in input order, bit for bit as a
+    sequential loop would.  Sums that cancel to zero are kept.  Needs at least
+    one key.
     """
-    freqs = list(table)
-    wide = bool(freqs) and max(-freqs[0], freqs[-1]) >= _INT64_SAFE
-    return np.array(freqs, object if wide else np.int64), np.array(list(table.values()), dtype)
+    exact = values.dtype != np.complex128
+    # counts sum exactly in any order; complex sums keep input order
+    order = np.argsort(keys, kind=None if exact else "stable")
+    keys = keys[order]
+    first = np.empty(len(keys), bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    values = values[order]
+    if exact:
+        return keys[starts], np.add.reduceat(values, starts)
+    run = np.add.accumulate(first, dtype=np.intp)
+    run -= 1
+    sums = np.empty(len(starts), np.complex128)
+    sums.real = np.bincount(run, values.real, len(starts))
+    sums.imag = np.bincount(run, values.imag, len(starts))
+    return keys[starts], sums
 
 
 def _convolve(a: _Profile, b: _Profile) -> _Profile:
     """f -> sum of a[g] * b[h] over g + h = f, exact zeros dropped.
 
-    Profiles in and out are (freqs, coeffs) arrays as ``_profile`` makes
-    them.  Integer profiles are counts (nonnegative) and stay exact: numpy
-    runs in int64 while every frequency sum and the product of the masses are
-    below 2^62 (no partial sum can then wrap), and on int64 limbs past that.
-    Direct convolution of the dense arrays costs the product of their
-    lengths, so it runs when that is at most four times the number of entry
-    pairs.  Otherwise the pairwise sums are sorted once and each run of
-    equal sums is reduced: counts by ``np.add.reduceat``, exact in any
-    order, and complex coefficients, sorted stably, by one ``np.bincount``
-    over the run index for each of the real and imaginary parts.  Each
-    complex sum is so accumulated in pair order, bit for bit as a sequential
-    ``np.add.at`` would.  A Python pair loop takes frequencies past 2^62,
-    and sparse profiles past the mass bound.
+    Profiles in and out are (freqs, coeffs) arrays as ``_merge`` makes them.
+    Frequencies are int64 while every sum stays below 2^62 in magnitude and
+    Python integers (dtype object) past that.  Integer profiles are counts
+    (nonnegative) and stay exact: numpy runs in int64 while the product of
+    the masses is below 2^62 (no partial sum can then wrap), and in Python
+    integers or on int64 limbs past that.  Direct convolution of the dense
+    arrays costs the product of their lengths, so it runs when that is at most
+    four times the number of entry pairs and every frequency is int64.
+    Otherwise ``_merge`` sorts the pairwise sums once and reduces each run of
+    equal sums, which keeps complex sums in pair order.
     """
     (fa, ca), (fb, cb) = a, b
     if not len(fa) or not len(fb):
         return fa[:0], ca[:0]
     lo_a, hi_a, lo_b, hi_b = int(fa[0]), int(fa[-1]), int(fb[0]), int(fb[-1])
+    wide = max(-lo_a, hi_a) + max(-lo_b, hi_b) >= _INT64_SAFE
+    ftype = object if wide else np.int64
+    fa, fb = fa.astype(ftype, copy=False), fb.astype(ftype, copy=False)
     exact = ca.dtype != np.complex128
     big = exact and int(ca.sum()) * int(cb.sum()) >= _INT64_SAFE
-    dense = (hi_a - lo_a + 1) * (hi_b - lo_b + 1) <= 4 * len(fa) * len(fb)
-    if max(-lo_a, hi_a) + max(-lo_b, hi_b) >= _INT64_SAFE or (big and not dense):
-        table = _convolve_pairs(dict(zip(fa.tolist(), ca.tolist())), dict(zip(fb.tolist(), cb.tolist())))
-        return _profile(table, object if exact else np.complex128)
-    if big:
+    if wide or (hi_a - lo_a + 1) * (hi_b - lo_b + 1) > 4 * len(fa) * len(fb):
+        if big:
+            ca, cb = ca.astype(object), cb.astype(object)
+        freqs, coeffs = _merge(np.add.outer(fa, fb).ravel(), np.multiply.outer(ca, cb).ravel())
+    elif big:
         coeffs = _convolve_limbs(
             fa - lo_a, ca.tolist(), hi_a - lo_a + 1, fb - lo_b, cb.tolist(), hi_b - lo_b + 1
         )
         freqs = np.arange(lo_a + lo_b, hi_a + hi_b + 1)
     else:
         dtype = np.int64 if exact else np.complex128
-        if dense:
-            va = np.zeros(hi_a - lo_a + 1, dtype)
-            va[fa - lo_a] = ca
-            vb = np.zeros(hi_b - lo_b + 1, dtype)
-            vb[fb - lo_b] = cb
-            coeffs = np.convolve(va, vb)
-            freqs = np.arange(lo_a + lo_b, hi_a + hi_b + 1)
-        else:
-            sums = np.add.outer(fa, fb).ravel()
-            # counts sum exactly in any order; complex sums keep pair order
-            order = np.argsort(sums, kind=None if exact else "stable")
-            sums = sums[order]
-            first = np.empty(len(sums), bool)
-            first[0] = True
-            np.not_equal(sums[1:], sums[:-1], out=first[1:])
-            starts = np.flatnonzero(first)
-            freqs = sums[starts]
-            products = np.multiply.outer(ca, cb).ravel()[order]
-            if exact:
-                coeffs = np.add.reduceat(products, starts)
-            else:
-                run = np.add.accumulate(first, dtype=np.intp)
-                run -= 1
-                coeffs = np.empty(len(starts), dtype)
-                coeffs.real = np.bincount(run, products.real, len(starts))
-                coeffs.imag = np.bincount(run, products.imag, len(starts))
+        va = np.zeros(hi_a - lo_a + 1, dtype)
+        va[fa - lo_a] = ca
+        vb = np.zeros(hi_b - lo_b + 1, dtype)
+        vb[fb - lo_b] = cb
+        coeffs = np.convolve(va, vb)
+        freqs = np.arange(lo_a + lo_b, hi_a + hi_b + 1)
     keep = coeffs != 0
     return freqs[keep], coeffs[keep]
-
-
-def _convolve_pairs(a: dict[int, complex], b: dict[int, complex]) -> dict[int, complex]:
-    """_convolve by a Python loop over all entry pairs, in Python numbers."""
-    out: dict[int, complex] = {}
-    for fa, ca in a.items():
-        for fb, cb in b.items():
-            out[fa + fb] = out.get(fa + fb, 0) + ca * cb
-    return {f: c for f, c in sorted(out.items()) if c}
 
 
 def _convolve_limbs(ia, ca, na, ib, cb, nb) -> np.ndarray:
@@ -219,12 +207,12 @@ def _representation(spectrum: FrequencySpectrum, n: int) -> _Profile:
     """(freqs, counts) of ``representation_table``, with its checks."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if not spectrum.terms:
+    if not spectrum.size:
         raise ValueError("empty spectrum")
-    if not spectrum.is_unit:
+    if not (spectrum.coefficients == 1).all():
         raise ValueError("representation_table requires unit coefficients")
     check_power(spectrum.size, n, COUNT_BITS)
-    profile = _profile(spectrum.multiplicities(), np.int64)
+    profile = _merge(spectrum.frequencies, np.ones(spectrum.size, np.int64))
     table = profile
     for _ in range(n - 1):
         table = _convolve(table, profile)
@@ -270,9 +258,9 @@ def even_norm_coeff(spectrum: FrequencySpectrum, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if not spectrum.terms:
+    if not spectrum.size:
         raise ValueError("empty spectrum")
-    profile = _profile(spectrum.merged(), np.complex128)
+    profile = _merge(spectrum.frequencies, spectrum.coefficients)
     conv = profile
     for _ in range(n - 1):
         conv = _convolve(conv, profile)
@@ -285,14 +273,14 @@ def even_norm_coeff(spectrum: FrequencySpectrum, n: int) -> float:
 
 def suggested_nodes(spectrum: FrequencySpectrum, p: float) -> int:
     """Default node count: 4*n*span + 7, past the even-p exactness threshold."""
-    freqs = spectrum.freqs
-    span = max(freqs) - min(freqs) if freqs else 0
+    freqs = spectrum.frequencies
+    span = int(freqs.max()) - int(freqs.min()) if len(freqs) else 0
     n = max(1, math.ceil(p / 2))
     return 4 * n * span + 7
 
 
-def _grid_values(terms: Iterable[tuple[int, complex]], nodes: int) -> np.ndarray:
-    """S(i/nodes) for i < nodes, where S(y) = sum of c e(f y) over the terms.
+def _grid_values(freqs: np.ndarray, coeffs: np.ndarray, nodes: int) -> np.ndarray:
+    """S(i/nodes) for i < nodes, where S(y) = sum of c e(f y) over the terms (f, c).
 
     One inverse FFT of the coefficients binned at their residues f mod nodes;
     the residues are taken in exact integer arithmetic, so huge frequencies
@@ -300,9 +288,8 @@ def _grid_values(terms: Iterable[tuple[int, complex]], nodes: int) -> np.ndarray
     """
     if nodes > _NODE_LIMIT:
         raise GuardError(f"{nodes} quadrature nodes exceed the desk-scale guard 2^24")
-    residues, coeffs = zip(*((f % nodes, c) for f, c in terms))
     bins = np.zeros(nodes, np.complex128)
-    np.add.at(bins, np.array(residues, np.int64), np.array(coeffs, np.complex128))
+    np.add.at(bins, (freqs % nodes).astype(np.int64, copy=False), coeffs)
     values = np.fft.ifft(bins)
     values *= nodes
     return values
@@ -321,9 +308,9 @@ def lp_norm_quadrature(spectrum: FrequencySpectrum, p: float, nodes: int) -> flo
     check_power(spectrum.size, p)
     if nodes < 1:
         raise ValueError("nodes must be a positive integer")
-    if not spectrum.terms:
+    if not spectrum.size:
         raise ValueError("empty spectrum")
-    moduli = np.abs(_grid_values(spectrum.terms, nodes))
+    moduli = np.abs(_grid_values(spectrum.frequencies, spectrum.coefficients, nodes))
     moduli **= p
     mean = float(np.mean(moduli))
     if math.isinf(mean):
@@ -336,4 +323,4 @@ def sup_norm_upper(spectrum: FrequencySpectrum) -> float:
 
     For unit coefficients this is the exact sup norm (attained at y = 0).
     """
-    return math.fsum(abs(c) for _, c in spectrum.terms)
+    return math.fsum(abs(c) for c in spectrum.coefficients.tolist())

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import check_power
-from .expsum import FrequencySpectrum, _grid_values, even_norm_coeff, lp_norm_quadrature, suggested_nodes
+from .expsum import FrequencySpectrum, _grid_values, _merge, even_norm_coeff, lp_norm_quadrature, suggested_nodes
 from .moments import ExperimentSpec, TimeMap, _even_degree, _sampler
 from .processes import Pmf, SeedSpec
 
@@ -66,8 +66,8 @@ class _Grid:
     """The rectangle-rule objective on K nodes, with S kept current."""
 
     def __init__(self, freqs: Sequence[int], p: float, nodes: int):
-        self.freqs, self.p, self.nodes = freqs, p, nodes
-        self.roots = _grid_values([(1, 1.0)], nodes)  # e(k/K), guarded like every grid
+        self.freqs, self.p, self.nodes = np.asarray(freqs), p, nodes
+        self.roots = _grid_values(np.ones(1, int), np.ones(1, complex), nodes)  # e(k/K), guarded like every grid
         self.index = np.arange(nodes, dtype=np.int64)
 
     def _column(self, j: int) -> np.ndarray:
@@ -75,7 +75,7 @@ class _Grid:
 
     def value(self, phases: np.ndarray) -> float:
         """Recompute S from the phases; return mean |S|^p."""
-        self.s = _grid_values(zip(self.freqs, np.exp(1j * phases)), self.nodes)
+        self.s = _grid_values(self.freqs, np.exp(1j * phases), self.nodes)
         return float(np.mean(np.abs(self.s) ** self.p))
 
     def along(self, phases: np.ndarray, j: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -143,9 +143,9 @@ def _exact_is_cheaper(spectrum: FrequencySpectrum, n: int, nodes: int) -> bool:
     frequencies).  Each costs what ``_convolve`` pays: the product of the
     dense lengths, or four times the number of entry pairs if smaller.
     """
-    freqs = spectrum.freqs
-    d = len(set(freqs))
-    span = max(freqs) - min(freqs)
+    freqs, _ = _merge(spectrum.frequencies, spectrum.coefficients)
+    d = len(freqs)
+    span = int(freqs[-1]) - int(freqs[0])
     cost = d
     for i in range(1, n):
         entries = min(math.comb(d + i - 1, i), i * span + 1)
@@ -269,11 +269,11 @@ def majorant_ratio(
         raise ValueError("frequency list must be nonempty")
     check_power(len(freqs), p)
     spectrum = FrequencySpectrum.unit(freqs)
-    nodes = n * (max(spectrum.freqs) - min(spectrum.freqs)) + 1
+    nodes = n * (int(spectrum.frequencies.max()) - int(spectrum.frequencies.min())) + 1
     if _exact_is_cheaper(spectrum, n, nodes):
         objective = _Exact(spectrum, n)
     else:
-        objective = _Grid(spectrum.freqs, p, nodes)
+        objective = _Grid(spectrum.frequencies, p, nodes)
     return _search(spectrum, p, restarts, seed, objective, functools.partial(even_norm_coeff, n=n))
 
 
@@ -294,7 +294,7 @@ def majorant_ratio_quadrature(
     spectrum = FrequencySpectrum.unit(freqs)
     nd = suggested_nodes(spectrum, p)
     final = functools.partial(lp_norm_quadrature, p=p, nodes=nd)
-    return _search(spectrum, p, restarts, seed, _Grid(spectrum.freqs, p, nd), final)
+    return _search(spectrum, p, restarts, seed, _Grid(spectrum.frequencies, p, nd), final)
 
 
 def genericity_experiment(

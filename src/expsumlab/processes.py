@@ -184,7 +184,7 @@ def sample_iid(pmf: Pmf, count: int, seed: SeedSpec, sample_index: int = 0) -> P
     idx = np.searchsorted(cum, u, side="right")
     idx = np.minimum(idx, len(cum) - 1)
     support = np.asarray(pmf.values)
-    return ProcessPath(grid, tuple(int(v) for v in support[idx]))
+    return ProcessPath(grid, tuple(support[idx].tolist()))
 
 
 def sample_poisson_path(grid: TimeGrid, seed: SeedSpec, sample_index: int = 0) -> ProcessPath:
@@ -201,7 +201,7 @@ def sample_poisson_path(grid: TimeGrid, seed: SeedSpec, sample_index: int = 0) -
     gaps = np.diff(np.concatenate(([0.0], times)))
     increments = gen.poisson(gaps)
     values = np.cumsum(increments)
-    return ProcessPath(grid, tuple(int(v) for v in values))
+    return ProcessPath(grid, tuple(values.tolist()))
 
 
 def walk_positions(n_max: int, seed: SeedSpec, sample_index: int = 0) -> np.ndarray:

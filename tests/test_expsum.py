@@ -2,7 +2,12 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +24,7 @@ from expsumlab import (
     suggested_nodes,
     sup_norm_upper,
 )
-from expsumlab.expsum import _convolve, _convolve_pairs, _profile
+from expsumlab.expsum import _convolve, _merge
 
 
 def oracle_even_moment(freqs, n):
@@ -93,6 +98,38 @@ def spy_dense_calls(monkeypatch):
     return calls
 
 
+def _convolve_pairs(a, b):
+    """_convolve by a Python loop over all entry pairs of two {f: c} maps, in Python numbers."""
+    out = {}
+    for fa, ca in a.items():
+        for fb, cb in b.items():
+            out[fa + fb] = out.get(fa + fb, 0) + ca * cb
+    return {f: c for f, c in sorted(out.items()) if c}
+
+
+def as_profile(table, dtype):
+    """A frequency-sorted {f: c} map as (freqs, coeffs) arrays; frequencies in int64."""
+    return np.array(list(table), np.int64), np.array(list(table.values()), dtype)
+
+
+def as_table(profile):
+    """(freqs, coeffs) arrays as an {f: c} map of Python numbers."""
+    return dict(zip(profile[0].tolist(), profile[1].tolist()))
+
+
+def counter_profile(freqs):
+    """Frequency -> multiplicity, in increasing frequency order, by a Counter."""
+    return dict(sorted(Counter(freqs).items()))
+
+
+def merged_loop(pairs):
+    """Frequency -> summed coefficient, in increasing frequency order, by a dict loop from 0j."""
+    acc = {}
+    for f, c in sorted(pairs, key=lambda t: t[0]):
+        acc[f] = acc.get(f, 0j) + c
+    return acc
+
+
 def unique_add_at(a, b):
     """The sparse convolution by np.unique slots and one sequential np.add.at, as before the sort-merge."""
     (fa, ca), (fb, cb) = a, b
@@ -111,9 +148,9 @@ def sparse_profile(seed, exact):
     rng = np.random.default_rng(seed)
     freqs = (rng.integers(-30, 31, 40) * 10**5 + rng.integers(0, 3, 40)).tolist()
     if exact:
-        return _profile(FrequencySpectrum.unit(freqs).multiplicities(), np.int64)
+        return as_profile(counter_profile(freqs), np.int64)
     coeffs = rng.normal(size=40) + 1j * rng.normal(size=40)
-    return _profile(FrequencySpectrum.from_pairs(zip(freqs, coeffs.tolist())).merged(), np.complex128)
+    return as_profile(merged_loop(zip(freqs, coeffs.tolist())), np.complex128)
 
 
 class TestRepresentationTable:
@@ -139,7 +176,7 @@ class TestRepresentationTable:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            representation_table(FrequencySpectrum(()), 1)
+            representation_table(FrequencySpectrum.unit([]), 1)
 
     @given(unit_freq_lists, st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
@@ -158,7 +195,7 @@ class TestRepresentationTable:
     def test_dense_past_int64_matches_pair_loop(self, monkeypatch):
         # The 11-fold table of 1..64 has mass 2^66: its last convolution
         # crosses 2^62 and runs on int64 limbs.
-        profile = FrequencySpectrum.unit(range(1, 65)).multiplicities()
+        profile = counter_profile(range(1, 65))
         reference = dict(profile)
         for _ in range(10):
             reference = _convolve_pairs(reference, profile)
@@ -171,8 +208,7 @@ class TestRepresentationTable:
         gen = np.random.default_rng(7)
         a = {f: (1 << 100) + int(gen.integers(1 << 62)) for f in range(-30, 300)}
         b = {f: int(gen.integers(1, 1 << 62)) << 8 for f in range(5, 90)}
-        freqs, counts = _convolve(_profile(a, object), _profile(b, object))
-        assert dict(zip(freqs.tolist(), counts.tolist())) == _convolve_pairs(a, b)
+        assert as_table(_convolve(as_profile(a, object), as_profile(b, object))) == _convolve_pairs(a, b)
 
     def test_dense_past_int64_is_fast(self):
         started = time.perf_counter()
@@ -439,3 +475,158 @@ class TestSupNorm:
 
     def test_single_small_term(self):
         assert sup_norm_upper(FrequencySpectrum.from_pairs([(2, 0.5)])) == 0.5
+
+
+class TestSpectrumArrays:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda f: np.array(f, np.int64),
+            list,
+            lambda f: (v for v in f),
+        ],
+        ids=["int64-array", "list", "generator"],
+    )
+    def test_unit_from_any_iterable(self, make):
+        freqs = [5, -3, 5, 0, 2**40]
+        spectrum = FrequencySpectrum.unit(make(freqs))
+        assert spectrum.frequencies.dtype == np.int64
+        assert spectrum.frequencies.tolist() == freqs
+        assert spectrum.coefficients.dtype == np.complex128
+        assert (spectrum.coefficients == 1).all() and spectrum.size == 5
+        assert spectrum.freqs == tuple(freqs)
+
+    def test_unit_from_empty_list(self):
+        spectrum = FrequencySpectrum.unit([])
+        assert spectrum.size == 0 and spectrum.freqs == ()
+        assert len(spectrum.coefficients) == 0
+
+    @pytest.mark.parametrize("top", [2**62 - 1, 2**62, 2**63, 2**70])
+    def test_wide_frequencies_are_python_ints(self, top):
+        for freqs in ([0, top, -7], [-top, 3]):
+            spectrum = FrequencySpectrum.unit(freqs)
+            assert spectrum.frequencies.dtype == (np.int64 if top < 2**62 else object)
+            assert spectrum.freqs == tuple(freqs)
+            assert all(type(f) is int for f in spectrum.freqs)
+            pairs = FrequencySpectrum.from_pairs((f, 0.5j) for f in freqs)
+            assert all(type(f) is int for f in pairs.freqs)
+            assert pairs.coefficients.tolist() == [0.5j] * len(freqs)
+
+    def test_freqs_are_python_ints(self):
+        for spectrum in (
+            FrequencySpectrum.unit(np.arange(-4, 9)),
+            FrequencySpectrum.from_pairs([(np.int64(3), 1.0), (-2, 2j)]),
+            FrequencySpectrum.unit([1, 2, 3]).with_phases([0.1, 0.2, 0.3]),
+        ):
+            assert all(type(f) is int for f in spectrum.freqs)
+
+    def test_with_phases_builds_from_math(self):
+        phases = np.random.default_rng(5).uniform(0, 2 * np.pi, 50)
+        spectrum = FrequencySpectrum.unit(range(50)).with_phases(phases)
+        expected = [complex(math.cos(t), math.sin(t)) for t in phases.tolist()]
+        assert spectrum.coefficients.tolist() == expected
+        with pytest.raises(ValueError):
+            FrequencySpectrum.unit([1, 2]).with_phases([0.0])
+
+
+class TestMerge:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_complex_matches_dict_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        freqs = rng.integers(-6, 7, 300).tolist()  # long runs of repeats, negatives
+        coeffs = (rng.normal(size=300) + 1j * rng.normal(size=300)) * 10.0 ** rng.integers(-8, 9, 300)
+        pairs = list(zip(freqs, coeffs.tolist()))
+        pairs += [(99, 0.1 + 0.3j), (99, -0.1 - 0.3j), (-99, 2.0), (-99, -2.0)]  # sums to zero
+        spectrum = FrequencySpectrum.from_pairs(pairs)
+        got = _merge(spectrum.frequencies, spectrum.coefficients)
+        expected = as_profile(merged_loop(pairs), np.complex128)
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].dtype == np.complex128
+        assert got[1].tobytes() == expected[1].tobytes()
+        assert as_table(got)[99] == 0 and as_table(got)[-99] == 0  # kept, not dropped
+
+    @pytest.mark.parametrize("top", [50, 2**63])
+    def test_counts_match_counter(self, top):
+        rng = np.random.default_rng(top % 1000)
+        freqs = [int(v) for v in rng.integers(-50, 51, 400)] + [top, top, -top]
+        spectrum = FrequencySpectrum.unit(freqs)
+        got = _merge(spectrum.frequencies, np.ones(spectrum.size, np.int64))
+        assert as_table(got) == counter_profile(freqs)
+        assert all(type(f) is int for f in got[0].tolist())
+
+
+class TestWideConvolution:
+    """Routes past int64 go through the one merge: no dense call, the pair loop's answer."""
+
+    def unit_profile(self, freqs):
+        spectrum = FrequencySpectrum.unit(freqs)
+        return _merge(spectrum.frequencies, np.ones(spectrum.size, np.int64))
+
+    @pytest.mark.parametrize("base", [2**62 - 3, 2**62, 2**63, -(2**63) - 5])
+    def test_wide_frequencies(self, base, monkeypatch):
+        # a dense run of frequencies: only its width keeps it off np.convolve
+        profile = self.unit_profile([base + k for k in (0, 1, 1, 2, 3, 3, 3, 5)])
+        calls = spy_dense_calls(monkeypatch)
+        table = profile
+        reference = as_table(profile)
+        for _ in range(2):
+            table = _convolve(table, profile)
+            reference = _convolve_pairs(reference, as_table(profile))
+            assert as_table(table) == reference
+            assert all(type(f) is int for f in table[0].tolist())
+        assert not calls
+
+    def test_wide_complex(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        freqs = [2**63 + int(k) * 10**6 for k in rng.integers(-20, 21, 15)]
+        coeffs = rng.normal(size=15) + 1j * rng.normal(size=15)
+        spectrum = FrequencySpectrum.from_pairs(zip(freqs, coeffs.tolist()))
+        profile = _merge(spectrum.frequencies, spectrum.coefficients)
+        calls = spy_dense_calls(monkeypatch)
+        got = as_table(_convolve(profile, profile))
+        expected = _convolve_pairs(as_table(profile), as_table(profile))
+        assert list(got) == list(expected)
+        assert list(got.values()) == pytest.approx(list(expected.values()), rel=1e-12, abs=1e-12)
+        assert not calls
+
+    def test_big_sparse_counts(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        a = {int(k) * 10**9 + int(r): (1 << 40) + int(c) for k, r, c in rng.integers(0, 1000, (30, 3))}
+        b = {int(k) * 10**9: 1 << int(s) for k, s in rng.integers(0, 90, (12, 2))}
+        calls = spy_dense_calls(monkeypatch)
+        ab = _convolve(as_profile(a, object), as_profile(b, object))
+        assert ab[1].dtype == object
+        assert as_table(ab) == _convolve_pairs(a, b)
+        # int64 counts below 2^32 whose masses multiply past 2^62
+        half = {f: c >> 9 for f, c in a.items()}
+        assert sum(half.values()) ** 2 >= 2**62
+        got = _convolve(as_profile(half, np.int64), as_profile(half, np.int64))
+        assert got[1].dtype == object
+        assert as_table(got) == _convolve_pairs(half, half)
+        assert not calls
+
+
+def test_no_numpy_ma():
+    """No public path imports numpy.ma, which np.unique pulls in at about 0.6 MB."""
+    script = """
+import sys
+from expsumlab import FrequencySpectrum, even_moment, even_norm_coeff, lp_norm_quadrature
+from expsumlab.cli import run
+from expsumlab.majorant import majorant_ratio, majorant_ratio_quadrature
+
+for freqs in ([0, 1, 3, 7, 7], [0, 10**9, 3 * 10**9, 2**63]):
+    spectrum = FrequencySpectrum.unit(freqs)
+    even_moment(spectrum, 2)
+    even_norm_coeff(spectrum.with_phases([0.3] * len(freqs)), 3)
+    lp_norm_quadrature(spectrum, 3.0, 64)
+for p in (2, 4):
+    majorant_ratio([0, 1, 3, 7], p, restarts=2)
+    majorant_ratio([1, 10**9], p, restarts=2)
+majorant_ratio_quadrature([0, 1, 3, 7], 3.0, restarts=2)
+assert run(["verify", "--quick"]) == 0
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr[-2000:]
