@@ -17,9 +17,14 @@ complex coefficients then share one convolution of such frequency-sorted
 (freqs, coeffs) profiles.  It is dense over the frequency span when the
 profiles fill their spans.  Otherwise it merges the pairwise frequency sums,
 since realized frequency sets like {N(j^d)} have huge span but few entries.
-Frequencies and counts stay in int64 only where no sum can wrap and in
-Python integers beyond; the sum of squared counts is one int64 dot product
-where it cannot wrap either.  Negative frequencies are allowed everywhere.
+Int64 counts merge as packed integer words, key offset above count, in
+int32 or int64 as the words fit: one in-place sort brings equal keys
+together with no argsort, and a profile convolved with itself packs only
+the pairs i <= j.  Complex sums (in input order, by a stable argsort),
+Python integers and words past 63 bits are argsorted.  Frequencies and
+counts stay in int64 only where no sum can wrap and in Python integers
+beyond; the sum of squared counts is one int64 dot product where it cannot
+wrap either.  Negative frequencies are allowed everywhere.
 """
 
 from __future__ import annotations
@@ -108,13 +113,27 @@ def _merge(keys: np.ndarray, values: np.ndarray) -> _Profile:
     """The distinct keys in increasing order, and the sum of the values at each.
 
     Keys are int64, or Python integers in an object array.  Integer and
-    object values are counts: ``np.add.reduceat`` sums each run of equal keys,
-    exact in any order.  Complex values are sorted stably and summed by one
-    ``np.bincount`` from 0.0 over the run index for each of the real and
-    imaginary parts, so each sum accumulates in input order, bit for bit as a
-    sequential loop would.  Sums that cancel to zero are kept.  Needs at least
-    one key.
+    object values are positive counts, exact in any order.  Int64 keys and
+    counts whose packed words fit (``_word_layout``) take one sort of the
+    words (``_sorted_runs``); other counts are argsorted and each run of
+    equal keys summed by ``np.add.reduceat``.  Complex values are sorted
+    stably and summed by one ``np.bincount`` from 0.0 over the run index for
+    each of the real and imaginary parts, so each sum accumulates in input
+    order, bit for bit as a sequential loop would.  Sums that cancel to zero
+    are kept.  Needs at least one key.
     """
+    if keys.dtype == values.dtype == np.int64:
+        lo = int(keys.min())
+        layout = _word_layout(int(keys.max()) - lo, int(values.max()))
+        if layout:
+            shift, wtype = layout
+            words = (keys - lo).astype(wtype, copy=False)
+            if shift:
+                words <<= shift
+                words |= values.astype(wtype, copy=False)
+            offsets, counts = _sorted_runs(words, shift)
+            offsets += lo
+            return offsets, counts
     exact = values.dtype != np.complex128
     # counts sum exactly in any order; complex sums keep input order
     order = np.argsort(keys, kind=None if exact else "stable")
@@ -134,19 +153,61 @@ def _merge(keys: np.ndarray, values: np.ndarray) -> _Profile:
     return keys[starts], sums
 
 
+def _word_layout(span: int, top: int) -> tuple[int, type] | None:
+    """(shift, word type) to pack key offsets up to span above counts up to top.
+
+    A word is ``offset << shift | count``: shift is the bit length of the
+    largest count, or 0 when every count is 1 (a run's length is then its
+    sum).  Words of up to 31 bits are int32, up to 63 bits int64; None past
+    that.
+    """
+    shift = top.bit_length() if top > 1 else 0
+    bits = span.bit_length() + shift
+    if bits > 63:
+        return None
+    return shift, np.int32 if bits <= 31 else np.int64
+
+
+def _sorted_runs(words: np.ndarray, shift: int) -> _Profile:
+    """Sort packed words in place; (distinct offsets, count sums), both int64.
+
+    After the sort equal offsets are adjacent.  A run's sum is a difference
+    of the cumulative sum of the low bits at the run ends, so the total of
+    all counts must fit in int64; when shift is 0 that cumulative sum is the
+    word count, end + 1.  No argsort and no gather through a permutation.
+    """
+    words.sort()
+    offsets = words >> shift if shift else words
+    last = np.empty(len(words), bool)
+    last[-1] = True
+    np.not_equal(offsets[1:], offsets[:-1], out=last[:-1])
+    ends = np.flatnonzero(last)
+    if shift:
+        words &= (1 << shift) - 1
+        counts = words.astype(np.int64, copy=False)
+        np.cumsum(counts, out=counts)
+        counts = counts[ends]
+    else:
+        counts = ends + 1
+    counts[1:] -= counts[:-1]
+    return offsets[ends].astype(np.int64, copy=False), counts
+
+
 def _convolve(a: _Profile, b: _Profile) -> _Profile:
     """f -> sum of a[g] * b[h] over g + h = f, exact zeros dropped.
 
     Profiles in and out are (freqs, coeffs) arrays as ``_merge`` makes them.
     Frequencies are int64 while every sum stays below 2^62 in magnitude and
     Python integers (dtype object) past that.  Integer profiles are counts
-    (nonnegative) and stay exact: numpy runs in int64 while the product of
-    the masses is below 2^62 (no partial sum can then wrap), and in Python
+    (positive) and stay exact: numpy runs in int64 while the product of the
+    masses is below 2^62 (no partial sum can then wrap), and in Python
     integers or on int64 limbs past that.  Direct convolution of the dense
     arrays costs the product of their lengths, so it runs when that is at most
     four times the number of entry pairs and every frequency is int64.
-    Otherwise ``_merge`` sorts the pairwise sums once and reduces each run of
-    equal sums, which keeps complex sums in pair order.
+    Otherwise the pairwise sums are merged: int64 counts whose packed words
+    fit by one sort of those words (``_convolve_packed``, which packs only
+    the pairs i <= j when ``a is b``), everything else by ``_merge``, which
+    keeps complex sums in pair order.
     """
     (fa, ca), (fb, cb) = a, b
     if not len(fa) or not len(fb):
@@ -158,6 +219,10 @@ def _convolve(a: _Profile, b: _Profile) -> _Profile:
     exact = ca.dtype != np.complex128
     big = exact and int(ca.sum()) * int(cb.sum()) >= _INT64_SAFE
     if wide or (hi_a - lo_a + 1) * (hi_b - lo_b + 1) > 4 * len(fa) * len(fb):
+        if not (wide or big) and ca.dtype == cb.dtype == np.int64:
+            layout = _word_layout(hi_a + hi_b - lo_a - lo_b, int(ca.max()) * int(cb.max()))
+            if layout:
+                return _convolve_packed(a, b, *layout)
         if big:
             ca, cb = ca.astype(object), cb.astype(object)
         freqs, coeffs = _merge(np.add.outer(fa, fb).ravel(), np.multiply.outer(ca, cb).ravel())
@@ -176,6 +241,30 @@ def _convolve(a: _Profile, b: _Profile) -> _Profile:
         freqs = np.arange(lo_a + lo_b, hi_a + hi_b + 1)
     keep = coeffs != 0
     return freqs[keep], coeffs[keep]
+
+
+def _convolve_packed(a: _Profile, b: _Profile, shift: int, wtype: type) -> _Profile:
+    """The sparse convolution of int64 count profiles by one sort of packed words.
+
+    The pair (i, j) becomes the word ``(fa[i] - fa[0] + fb[j] - fb[0]) << shift
+    | ca[i] * cb[j]`` in ``wtype``, a ``_word_layout`` that the caller has
+    checked.  Counts are positive, so no sum is zero.  For a square (``a is
+    b``) only the pairs i <= j are packed, which halves the sort: their sums
+    T give the full count 2T less the diagonal product ca[i]^2 at 2 fa[i].
+    """
+    (fa, ca), (fb, cb) = a, b
+    words = np.add.outer((fa - fa[0]).astype(wtype), (fb - fb[0]).astype(wtype))
+    if shift:
+        words <<= shift
+        words |= np.multiply.outer(ca.astype(wtype), cb.astype(wtype))
+    square = a is b
+    words = words[np.tri(len(fa), dtype=bool)] if square else words.ravel()
+    freqs, counts = _sorted_runs(words, shift)
+    freqs += int(fa[0]) + int(fb[0])
+    if square:
+        counts *= 2
+        counts[np.searchsorted(freqs, fa + fa)] -= ca * ca
+    return freqs, counts
 
 
 def _convolve_limbs(ia, ca, na, ib, cb, nb) -> np.ndarray:
@@ -282,17 +371,17 @@ def suggested_nodes(spectrum: FrequencySpectrum, p: float) -> int:
 def _grid_values(freqs: np.ndarray, coeffs: np.ndarray, nodes: int) -> np.ndarray:
     """S(i/nodes) for i < nodes, where S(y) = sum of c e(f y) over the terms (f, c).
 
-    One inverse FFT of the coefficients binned at their residues f mod nodes;
-    the residues are taken in exact integer arithmetic, so huge frequencies
-    lose no phase.
+    One inverse FFT, in place, of the coefficients binned at their residues
+    f mod nodes; the residues are taken in exact integer arithmetic, so huge
+    frequencies lose no phase.
     """
     if nodes > _NODE_LIMIT:
         raise GuardError(f"{nodes} quadrature nodes exceed the desk-scale guard 2^24")
     bins = np.zeros(nodes, np.complex128)
     np.add.at(bins, (freqs % nodes).astype(np.int64, copy=False), coeffs)
-    values = np.fft.ifft(bins)
-    values *= nodes
-    return values
+    np.fft.ifft(bins, out=bins)
+    bins *= nodes
+    return bins
 
 
 def lp_norm_quadrature(spectrum: FrequencySpectrum, p: float, nodes: int) -> float:

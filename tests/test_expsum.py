@@ -24,7 +24,9 @@ from expsumlab import (
     suggested_nodes,
     sup_norm_upper,
 )
+from expsumlab import expsum
 from expsumlab.expsum import _convolve, _merge
+from expsumlab.lattice import diophantine_count
 
 
 def oracle_even_moment(freqs, n):
@@ -545,6 +547,20 @@ class TestMerge:
         assert got[1].tobytes() == expected[1].tobytes()
         assert as_table(got)[99] == 0 and as_table(got)[-99] == 0  # kept, not dropped
 
+    @pytest.mark.parametrize("value_bits, route", [(1, np.int32), (19, np.int64), (24, None)])
+    def test_counts_packed_where_words_fit(self, value_bits, route, monkeypatch):
+        # 40-bit key offsets above counts of 19 or 24 bits: 59 and 64-bit words
+        rng = np.random.default_rng(value_bits)
+        keys = rng.integers(-(2**39), 2**39, 500) // 10**9 * 10**9
+        keys[:2] = -(2**39), 2**39 - 1
+        values = rng.integers(1, 2**value_bits, 500) if value_bits > 1 else np.ones(500, np.int64)
+        if route is np.int32:
+            keys //= 2**10  # 30-bit words: unit counts take no bits
+        argsorts = spy_argsort_calls(monkeypatch)
+        got = _merge(keys, values)
+        assert argsorts == ([] if route else [None])
+        assert_same_arrays(got, argsort_reduceat(keys, values))
+
     @pytest.mark.parametrize("top", [50, 2**63])
     def test_counts_match_counter(self, top):
         rng = np.random.default_rng(top % 1000)
@@ -555,17 +571,19 @@ class TestMerge:
         assert all(type(f) is int for f in got[0].tolist())
 
 
+def unit_profile(freqs):
+    """The multiplicity profile of a unit spectrum, as ``_representation`` makes it."""
+    spectrum = FrequencySpectrum.unit(freqs)
+    return _merge(spectrum.frequencies, np.ones(spectrum.size, np.int64))
+
+
 class TestWideConvolution:
     """Routes past int64 go through the one merge: no dense call, the pair loop's answer."""
-
-    def unit_profile(self, freqs):
-        spectrum = FrequencySpectrum.unit(freqs)
-        return _merge(spectrum.frequencies, np.ones(spectrum.size, np.int64))
 
     @pytest.mark.parametrize("base", [2**62 - 3, 2**62, 2**63, -(2**63) - 5])
     def test_wide_frequencies(self, base, monkeypatch):
         # a dense run of frequencies: only its width keeps it off np.convolve
-        profile = self.unit_profile([base + k for k in (0, 1, 1, 2, 3, 3, 3, 5)])
+        profile = unit_profile([base + k for k in (0, 1, 1, 2, 3, 3, 3, 5)])
         calls = spy_dense_calls(monkeypatch)
         table = profile
         reference = as_table(profile)
@@ -604,6 +622,131 @@ class TestWideConvolution:
         assert got[1].dtype == object
         assert as_table(got) == _convolve_pairs(half, half)
         assert not calls
+
+
+def argsort_reduceat(keys, values):
+    """Distinct keys and summed counts by an argsort and np.add.reduceat, as ``_merge`` did before packed words."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(values[order], starts)
+
+
+def argsort_merge(a, b):
+    """The sparse convolution of count profiles by ``argsort_reduceat`` of every pair sum."""
+    (fa, ca), (fb, cb) = a, b
+    return argsort_reduceat(np.add.outer(fa, fb).ravel(), np.multiply.outer(ca, cb).ravel())
+
+
+def spy_packed_calls(monkeypatch, replace=False):
+    """A list of (word type, square) per packed convolution; with replace, each runs ``argsort_merge``."""
+    calls = []
+    packed = expsum._convolve_packed
+
+    def spy(a, b, shift, wtype):
+        calls.append((wtype, a is b))
+        return argsort_merge(a, b) if replace else packed(a, b, shift, wtype)
+
+    monkeypatch.setattr(expsum, "_convolve_packed", spy)
+    return calls
+
+
+def spy_argsort_calls(monkeypatch):
+    """A list that grows by the ``kind`` of every np.argsort call."""
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, kind=None: calls.append(kind) or argsort(a, kind=kind))
+    return calls
+
+
+def assert_same_arrays(got, expected):
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype == np.int64
+        assert g.tobytes() == e.tobytes()
+
+
+class TestPackedConvolution:
+    """Sparse int64 counts sort packed words: the argsort merge's arrays byte for byte, no argsort."""
+
+    @pytest.mark.parametrize("seed", [21, 22, 23, 24])
+    @pytest.mark.parametrize("square", [True, False])
+    def test_matches_argsort_merge(self, seed, square, monkeypatch):
+        rng = np.random.default_rng(seed)
+        a = sparse_profile(seed, True)
+        assert a[0].min() < 0 and a[1].max() > 1  # negative frequencies, multiplicities above 1
+        b = a if square else as_profile(counter_profile(rng.integers(-(10**7), 10**7, 25).tolist() * 3), np.int64)
+        expected = argsort_merge(a, b)
+        argsorts, packed = spy_argsort_calls(monkeypatch), spy_packed_calls(monkeypatch)
+        got = _convolve(a, b)
+        assert not argsorts and packed == [(np.int32, square)]
+        assert_same_arrays(got, expected)
+        assert as_table(got) == _convolve_pairs(as_table(a), as_table(b))
+        # the next step: the table against the profile, both with counts above 1
+        monkeypatch.undo()
+        assert_same_arrays(_convolve(got, a), argsort_merge(got, a))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_public_counts_match_argsort_route(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        freqs = (rng.integers(-8, 9, 14) * 10**6 + rng.integers(0, 2, 14)).tolist()
+        spectrum = FrequencySpectrum.unit(freqs)
+        powers = (n, 3, {2: 60, 3: 20, 4: 9}[n])
+        packed = spy_packed_calls(monkeypatch)
+        table = representation_table(spectrum, n)
+        moment, count = even_moment(spectrum, n), diophantine_count(*powers)
+        assert packed[0] == (np.int32, True) and len(packed) == 3 * (n - 1)
+        monkeypatch.undo()
+        reference = spy_packed_calls(monkeypatch, replace=True)
+        assert table.counts == representation_table(spectrum, n).counts
+        assert table.counts == oracle_convolution([(f, 1) for f in freqs], n)
+        assert moment == even_moment(spectrum, n) == sum(c * c for c in table.counts.values())
+        assert count == diophantine_count(*powers)
+        assert len(reference) == len(packed)
+
+    # (span bits, largest count product, square) -> words of 31, 32, 63 and 64 bits
+    @pytest.mark.parametrize(
+        "span_bits, top, square, route",
+        [
+            (29, 3, False, np.int32),
+            (30, 3, False, np.int64),
+            (61, 3, False, np.int64),
+            (61, 4, False, None),
+            (28, 4, True, np.int32),
+            (29, 4, True, np.int64),
+            (60, 4, True, np.int64),
+            (61, 4, True, None),
+        ],
+    )
+    def test_word_size_boundaries(self, span_bits, top, square, route, monkeypatch):
+        # the largest frequency sum less the smallest, of span_bits bits (even for a square)
+        span = (1 << span_bits) - (2 if square else 1)
+        if square:
+            # counts 1, 2, 1 make the largest product 4
+            a = b = (np.array([-5, -2, span // 2 - 5], np.int64), np.array([1, 2, 1], np.int64))
+        else:
+            a = (np.array([-7, 3, (1 << (span_bits - 1)) - 7], np.int64), np.array([1, top, 1], np.int64))
+            b = (np.array([0, 9, (1 << (span_bits - 1)) - 1], np.int64), np.array([1, 1, 1], np.int64))
+        assert int(a[0][-1]) + int(b[0][-1]) - int(a[0][0]) - int(b[0][0]) == span
+        expected = argsort_merge(a, b)
+        argsorts, packed = spy_argsort_calls(monkeypatch), spy_packed_calls(monkeypatch)
+        got = _convolve(a, b)
+        assert packed == ([] if route is None else [(route, square)])
+        assert argsorts == ([] if route else [None])
+        assert_same_arrays(got, expected)
+        assert as_table(got) == _convolve_pairs(as_table(a), as_table(b))
+
+    def test_complex_and_object_take_argsort(self, monkeypatch):
+        complex_profile = sparse_profile(31, False)
+        counts = {int(k) * 10**9: int(c) for k, c in np.random.default_rng(5).integers(1, 50, (20, 2))}
+        object_profile = as_profile(counts, object)
+        wide = unit_profile([2**62 + 10**9 * k for k in (0, 1, 1, 5)])
+        argsorts, packed = spy_argsort_calls(monkeypatch), spy_packed_calls(monkeypatch)
+        _convolve(complex_profile, complex_profile)
+        assert argsorts == ["stable"]
+        for profile in (object_profile, wide):
+            got = _convolve(profile, profile)
+            assert as_table(got) == _convolve_pairs(as_table(profile), as_table(profile))
+        assert argsorts == ["stable", None, None] and not packed
 
 
 def test_no_numpy_ma():
