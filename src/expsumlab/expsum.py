@@ -17,10 +17,10 @@ complex coefficients then share one convolution of such frequency-sorted
 (freqs, coeffs) profiles.  It is dense over the frequency span when the
 profiles fill their spans.  Otherwise it merges the pairwise frequency sums,
 since realized frequency sets like {N(j^d)} have huge span but few entries.
-Int64 counts merge as packed integer words, key offset above count, in
-int32 or int64 as the words fit: one in-place sort brings equal keys
-together with no argsort, and a profile convolved with itself packs only
-the pairs i <= j.  Complex sums (in input order, by a stable argsort),
+Int64 counts merge as packed int64 words, key offset above count, where
+the words fit in 63 bits: one in-place sort brings equal keys together
+with no argsort, and a profile convolved with itself packs only the pairs
+i <= j.  Complex sums (in input order, by a stable argsort),
 Python integers and words past 63 bits are argsorted.  Frequencies and
 counts stay in int64 only where no sum can wrap and in Python integers
 beyond; the sum of squared counts is one int64 dot product where it cannot
@@ -114,7 +114,7 @@ def _merge(keys: np.ndarray, values: np.ndarray) -> _Profile:
 
     Keys are int64, or Python integers in an object array.  Integer and
     object values are positive counts, exact in any order.  Int64 keys and
-    counts whose packed words fit (``_word_layout``) take one sort of the
+    counts whose packed words fit (``_word_shift``) take one sort of the
     words (``_sorted_runs``); other counts are argsorted and each run of
     equal keys summed by ``np.add.reduceat``.  Complex values are sorted
     stably and summed by one ``np.bincount`` from 0.0 over the run index for
@@ -124,16 +124,20 @@ def _merge(keys: np.ndarray, values: np.ndarray) -> _Profile:
     """
     if keys.dtype == values.dtype == np.int64:
         lo = int(keys.min())
-        layout = _word_layout(int(keys.max()) - lo, int(values.max()))
-        if layout:
-            shift, wtype = layout
-            words = (keys - lo).astype(wtype, copy=False)
+        shift = _word_shift(int(keys.max()) - lo, int(values.max()))
+        if shift is not None:
+            words = keys - lo
             if shift:
                 words <<= shift
-                words |= values.astype(wtype, copy=False)
+                words |= values
             offsets, counts = _sorted_runs(words, shift)
             offsets += lo
             return offsets, counts
+    return _argsort_merge(keys, values)
+
+
+def _argsort_merge(keys: np.ndarray, values: np.ndarray) -> _Profile:
+    """``_merge`` by an argsort of the keys: every case but fitting int64 words."""
     exact = values.dtype != np.complex128
     # counts sum exactly in any order; complex sums keep input order
     order = np.argsort(keys, kind=None if exact else "stable")
@@ -153,23 +157,19 @@ def _merge(keys: np.ndarray, values: np.ndarray) -> _Profile:
     return keys[starts], sums
 
 
-def _word_layout(span: int, top: int) -> tuple[int, type] | None:
-    """(shift, word type) to pack key offsets up to span above counts up to top.
+def _word_shift(span: int, top: int) -> int | None:
+    """The shift that packs key offsets up to span above counts up to top.
 
-    A word is ``offset << shift | count``: shift is the bit length of the
-    largest count, or 0 when every count is 1 (a run's length is then its
-    sum).  Words of up to 31 bits are int32, up to 63 bits int64; None past
-    that.
+    A word is the int64 ``offset << shift | count``: shift is the bit length
+    of the largest count, or 0 when every count is 1 (a run's length is then
+    its sum).  None when a word would pass 63 bits.
     """
     shift = top.bit_length() if top > 1 else 0
-    bits = span.bit_length() + shift
-    if bits > 63:
-        return None
-    return shift, np.int32 if bits <= 31 else np.int64
+    return shift if span.bit_length() + shift <= 63 else None
 
 
 def _sorted_runs(words: np.ndarray, shift: int) -> _Profile:
-    """Sort packed words in place; (distinct offsets, count sums), both int64.
+    """Sort packed int64 words in place; (distinct offsets, count sums).
 
     After the sort equal offsets are adjacent.  A run's sum is a difference
     of the cumulative sum of the low bits at the run ends, so the total of
@@ -184,13 +184,12 @@ def _sorted_runs(words: np.ndarray, shift: int) -> _Profile:
     ends = np.flatnonzero(last)
     if shift:
         words &= (1 << shift) - 1
-        counts = words.astype(np.int64, copy=False)
-        np.cumsum(counts, out=counts)
-        counts = counts[ends]
+        np.cumsum(words, out=words)
+        counts = words[ends]
     else:
         counts = ends + 1
     counts[1:] -= counts[:-1]
-    return offsets[ends].astype(np.int64, copy=False), counts
+    return offsets[ends], counts
 
 
 def _convolve(a: _Profile, b: _Profile) -> _Profile:
@@ -206,8 +205,8 @@ def _convolve(a: _Profile, b: _Profile) -> _Profile:
     four times the number of entry pairs and every frequency is int64.
     Otherwise the pairwise sums are merged: int64 counts whose packed words
     fit by one sort of those words (``_convolve_packed``, which packs only
-    the pairs i <= j when ``a is b``), everything else by ``_merge``, which
-    keeps complex sums in pair order.
+    the pairs i <= j when ``a is b``), everything else by ``_merge``'s
+    argsort route, which keeps complex sums in pair order.
     """
     (fa, ca), (fb, cb) = a, b
     if not len(fa) or not len(fb):
@@ -220,12 +219,13 @@ def _convolve(a: _Profile, b: _Profile) -> _Profile:
     big = exact and int(ca.sum()) * int(cb.sum()) >= _INT64_SAFE
     if wide or (hi_a - lo_a + 1) * (hi_b - lo_b + 1) > 4 * len(fa) * len(fb):
         if not (wide or big) and ca.dtype == cb.dtype == np.int64:
-            layout = _word_layout(hi_a + hi_b - lo_a - lo_b, int(ca.max()) * int(cb.max()))
-            if layout:
-                return _convolve_packed(a, b, *layout)
+            shift = _word_shift(hi_a + hi_b - lo_a - lo_b, int(ca.max()) * int(cb.max()))
+            if shift is not None:
+                return _convolve_packed(a, b, shift)
         if big:
             ca, cb = ca.astype(object), cb.astype(object)
-        freqs, coeffs = _merge(np.add.outer(fa, fb).ravel(), np.multiply.outer(ca, cb).ravel())
+        # _merge would find no word shift for these pairs either
+        freqs, coeffs = _argsort_merge(np.add.outer(fa, fb).ravel(), np.multiply.outer(ca, cb).ravel())
     elif big:
         coeffs = _convolve_limbs(
             fa - lo_a, ca.tolist(), hi_a - lo_a + 1, fb - lo_b, cb.tolist(), hi_b - lo_b + 1
@@ -243,20 +243,20 @@ def _convolve(a: _Profile, b: _Profile) -> _Profile:
     return freqs[keep], coeffs[keep]
 
 
-def _convolve_packed(a: _Profile, b: _Profile, shift: int, wtype: type) -> _Profile:
+def _convolve_packed(a: _Profile, b: _Profile, shift: int) -> _Profile:
     """The sparse convolution of int64 count profiles by one sort of packed words.
 
-    The pair (i, j) becomes the word ``(fa[i] - fa[0] + fb[j] - fb[0]) << shift
-    | ca[i] * cb[j]`` in ``wtype``, a ``_word_layout`` that the caller has
-    checked.  Counts are positive, so no sum is zero.  For a square (``a is
+    The pair (i, j) becomes the int64 word ``(fa[i] - fa[0] + fb[j] - fb[0])
+    << shift | ca[i] * cb[j]``; the caller has checked that ``_word_shift``
+    gave shift.  Counts are positive, so no sum is zero.  For a square (``a is
     b``) only the pairs i <= j are packed, which halves the sort: their sums
     T give the full count 2T less the diagonal product ca[i]^2 at 2 fa[i].
     """
     (fa, ca), (fb, cb) = a, b
-    words = np.add.outer((fa - fa[0]).astype(wtype), (fb - fb[0]).astype(wtype))
+    words = np.add.outer(fa - fa[0], fb - fb[0])
     if shift:
         words <<= shift
-        words |= np.multiply.outer(ca.astype(wtype), cb.astype(wtype))
+        words |= np.multiply.outer(ca, cb)
     square = a is b
     words = words[np.tri(len(fa), dtype=bool)] if square else words.ravel()
     freqs, counts = _sorted_runs(words, shift)

@@ -547,18 +547,16 @@ class TestMerge:
         assert got[1].tobytes() == expected[1].tobytes()
         assert as_table(got)[99] == 0 and as_table(got)[-99] == 0  # kept, not dropped
 
-    @pytest.mark.parametrize("value_bits, route", [(1, np.int32), (19, np.int64), (24, None)])
-    def test_counts_packed_where_words_fit(self, value_bits, route, monkeypatch):
-        # 40-bit key offsets above counts of 19 or 24 bits: 59 and 64-bit words
+    @pytest.mark.parametrize("value_bits, packed", [(1, True), (19, True), (24, False)])
+    def test_counts_packed_where_words_fit(self, value_bits, packed, monkeypatch):
+        # 40-bit key offsets above unit counts (no count bits) or counts of 19 or 24 bits: 40, 59 and 64-bit words
         rng = np.random.default_rng(value_bits)
         keys = rng.integers(-(2**39), 2**39, 500) // 10**9 * 10**9
         keys[:2] = -(2**39), 2**39 - 1
         values = rng.integers(1, 2**value_bits, 500) if value_bits > 1 else np.ones(500, np.int64)
-        if route is np.int32:
-            keys //= 2**10  # 30-bit words: unit counts take no bits
         argsorts = spy_argsort_calls(monkeypatch)
         got = _merge(keys, values)
-        assert argsorts == ([] if route else [None])
+        assert argsorts == ([] if packed else [None])
         assert_same_arrays(got, argsort_reduceat(keys, values))
 
     @pytest.mark.parametrize("top", [50, 2**63])
@@ -639,13 +637,13 @@ def argsort_merge(a, b):
 
 
 def spy_packed_calls(monkeypatch, replace=False):
-    """A list of (word type, square) per packed convolution; with replace, each runs ``argsort_merge``."""
+    """A list of (shift, square) per packed convolution; with replace, each runs ``argsort_merge``."""
     calls = []
     packed = expsum._convolve_packed
 
-    def spy(a, b, shift, wtype):
-        calls.append((wtype, a is b))
-        return argsort_merge(a, b) if replace else packed(a, b, shift, wtype)
+    def spy(a, b, shift):
+        calls.append((shift, a is b))
+        return argsort_merge(a, b) if replace else packed(a, b, shift)
 
     monkeypatch.setattr(expsum, "_convolve_packed", spy)
     return calls
@@ -678,7 +676,8 @@ class TestPackedConvolution:
         expected = argsort_merge(a, b)
         argsorts, packed = spy_argsort_calls(monkeypatch), spy_packed_calls(monkeypatch)
         got = _convolve(a, b)
-        assert not argsorts and packed == [(np.int32, square)]
+        shift = (int(a[1].max()) * int(b[1].max())).bit_length()
+        assert not argsorts and packed == [(shift, square)]
         assert_same_arrays(got, expected)
         assert as_table(got) == _convolve_pairs(as_table(a), as_table(b))
         # the next step: the table against the profile, both with counts above 1
@@ -694,7 +693,8 @@ class TestPackedConvolution:
         packed = spy_packed_calls(monkeypatch)
         table = representation_table(spectrum, n)
         moment, count = even_moment(spectrum, n), diophantine_count(*powers)
-        assert packed[0] == (np.int32, True) and len(packed) == 3 * (n - 1)
+        top = max(counter_profile(freqs).values()) ** 2
+        assert packed[0] == (top.bit_length(), True) and len(packed) == 3 * (n - 1)
         monkeypatch.undo()
         reference = spy_packed_calls(monkeypatch, replace=True)
         assert table.counts == representation_table(spectrum, n).counts
@@ -703,21 +703,19 @@ class TestPackedConvolution:
         assert count == diophantine_count(*powers)
         assert len(reference) == len(packed)
 
-    # (span bits, largest count product, square) -> words of 31, 32, 63 and 64 bits
+    # (span bits, largest count product, square) -> words of 31, 63 and 64 bits; shift None is the argsort
     @pytest.mark.parametrize(
-        "span_bits, top, square, route",
+        "span_bits, top, square, shift",
         [
-            (29, 3, False, np.int32),
-            (30, 3, False, np.int64),
-            (61, 3, False, np.int64),
+            (29, 3, False, 2),
+            (61, 3, False, 2),
             (61, 4, False, None),
-            (28, 4, True, np.int32),
-            (29, 4, True, np.int64),
-            (60, 4, True, np.int64),
+            (28, 4, True, 3),
+            (60, 4, True, 3),
             (61, 4, True, None),
         ],
     )
-    def test_word_size_boundaries(self, span_bits, top, square, route, monkeypatch):
+    def test_word_size_boundaries(self, span_bits, top, square, shift, monkeypatch):
         # the largest frequency sum less the smallest, of span_bits bits (even for a square)
         span = (1 << span_bits) - (2 if square else 1)
         if square:
@@ -729,9 +727,13 @@ class TestPackedConvolution:
         assert int(a[0][-1]) + int(b[0][-1]) - int(a[0][0]) - int(b[0][0]) == span
         expected = argsort_merge(a, b)
         argsorts, packed = spy_argsort_calls(monkeypatch), spy_packed_calls(monkeypatch)
+        shifts = []
+        word_shift = expsum._word_shift
+        monkeypatch.setattr(expsum, "_word_shift", lambda *args: shifts.append(args) or word_shift(*args))
         got = _convolve(a, b)
-        assert packed == ([] if route is None else [(route, square)])
-        assert argsorts == ([] if route else [None])
+        assert packed == ([] if shift is None else [(shift, square)])
+        assert argsorts == ([] if shift is not None else [None])
+        assert len(shifts) == 1  # the argsort fallback does not try the words again
         assert_same_arrays(got, expected)
         assert as_table(got) == _convolve_pairs(as_table(a), as_table(b))
 
