@@ -19,6 +19,11 @@ ignore exits 1: ``--samples`` or ``--nodes`` with ``moment --mode exact``
 (which computes each mean exactly), ``--nodes`` wherever no quadrature
 runs, ``--pmf`` unless the process is iid, and ``majorant --freqs`` with
 ``--genericity`` or ``--samples`` without it.
+One exception: ``majorant`` at even p does not read ``--restarts``, nor
+``--seed`` with ``--freqs``, since the even-p ratio is exactly 1 and no
+search runs.  ``--restarts`` is still validated (at least 1) and echoed in
+the row; neither is refused, because scripts and the benchmark pass them at
+every p.
 
 Exit codes: 0 success, 1 usage error, 2 numeric guard or overflow,
 3 verification suite failure.

@@ -1,32 +1,28 @@
-"""Majorant ratio estimation by phase-only coordinate ascent.
+"""Majorant ratios: by the theorem at even p, by phase-only coordinate ascent otherwise.
 
 The worst-case ratio compares ``sup_{|a_j| <= 1} || sum a_j e(f_j y) ||_p``
-against the unit-coefficient norm.  The objective is convex in the
-coefficient vector, so its maximum over the polydisc sits at unimodular
-coefficients a_j = e^{i theta_j}; only phases are optimized.
+against the unit-coefficient norm.  At even p = 2n the answer is known: the
+coefficients of c^{*n} satisfy |c^{*n}| <= 1^{*n} term by term, so the
+all-ones vector attains the supremum and the ratio is exactly 1.
+``majorant_ratio`` returns that with one ``even_norm_coeff`` call.  At other p
+the property fails (Bachelis 1973; Green and Ruzsa 2004), and
+``majorant_ratio_quadrature`` searches.
 
-One cyclic coordinate ascent (``_ascend``) serves every p.  It keeps
+The objective is convex in the coefficient vector, so its maximum over the
+polydisc sits at unimodular coefficients a_j = e^{i theta_j}; only phases are
+optimized.  One cyclic coordinate ascent (``_ascend``) keeps
 S(y) = sum_j e^{i theta_j} e(f_j y) at K equally spaced nodes.  Changing one
 phase changes S by a rank-one term: with R = S - e^{i theta_j} e(f_j y), the
 objective along coordinate j is g(theta) = mean_k |R_k + e^{i theta} e(f_j y_k)|^p,
-so M trial phases cost one M x K array.  For even p = 2n, g is a
-trigonometric polynomial of degree n: 2n+1 samples give it exactly through
-one FFT, and it is maximized on a dense grid.  On K = n*span + 1 nodes the
-rectangle rule integrates |S|^{2n} exactly.  For other p the objective is
-the rectangle rule itself, sampled at 33 phases.  Either start is polished by
-the same Newton steps (``_newton``) on g's closed-form first and second
-derivatives.  A move is kept only if it raises the objective.
-
-When the span is so large that 2n+1 samples of K node values cost more than
-2n+1 exact evaluations of ``even_norm_coeff``, the even-p search takes its
-samples from ``even_norm_coeff`` instead.  Multi-start from the all-ones
-vector plus random phase vectors; the reported maximum is a lower bound on
-the true supremum.
+so M trial phases cost one M x K array.  Each coordinate starts from the best
+of 33 equally spaced phases, polished by Newton steps (``_newton``) on g's
+closed-form first and second derivatives.  A move is kept only if it raises
+the objective.  Multi-start from the all-ones vector plus random phase
+vectors; the reported maximum is a lower bound on the true supremum.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -34,12 +30,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import check_power
-from .expsum import FrequencySpectrum, _grid_values, _merge, even_norm_coeff, lp_norm_quadrature, suggested_nodes
+from .expsum import FrequencySpectrum, _grid_values, even_norm_coeff, lp_norm_quadrature, suggested_nodes
 from .moments import ExperimentSpec, TimeMap, _even_degree, _sampler
 from .processes import Pmf, SeedSpec
 
 _SWEEP_LIMIT = 80
-_COARSE = 33  # trial phases per coordinate at non-even p
+_COARSE = 33  # trial phases per coordinate
 _NEWTON_STEPS = 8
 _BLOCK = 1 << 22  # slice entries evaluated at once
 
@@ -104,7 +100,7 @@ class _Grid:
             curve = (q - 1.0) * w * z.imag[live] ** 2 / h[live] - w * z.real[live]
             return -float(np.dot(w, z.imag[live])) / self.nodes, float(curve.sum()) / self.nodes
 
-        g.slope = slope  # read by _coarse_argmax
+        g.slope = slope  # read by _newton
         return g
 
     def move(self, phases: np.ndarray, j: int, theta: float) -> None:
@@ -112,155 +108,65 @@ class _Grid:
         phases[j] = theta
 
 
-class _Exact:
-    """The exact even-p objective, one ``even_norm_coeff`` call per phase vector."""
+def _newton(g: Callable, start: float, top: float, width: float) -> tuple[float, float]:
+    """Polish ``start``, where g = ``top``, by Newton steps on g.slope = (g', g'').
 
-    def __init__(self, spectrum: FrequencySpectrum, n: int):
-        self.spectrum, self.n = spectrum, n
-
-    def value(self, phases: np.ndarray) -> float:
-        return even_norm_coeff(self.spectrum.with_phases(phases), self.n)
-
-    def along(self, phases: np.ndarray, j: int) -> Callable[[np.ndarray], np.ndarray]:
-        def g(thetas: np.ndarray) -> np.ndarray:
-            trial = phases.copy()
-            out = np.empty(len(thetas))
-            for i, theta in enumerate(thetas):
-                trial[j] = theta
-                out[i] = self.value(trial)
-            return out
-
-        return g
-
-    def move(self, phases: np.ndarray, j: int, theta: float) -> None:
-        phases[j] = theta
-
-
-def _exact_is_cheaper(spectrum: FrequencySpectrum, n: int, nodes: int) -> bool:
-    """Whether one ``even_norm_coeff`` call costs less than K node values.
-
-    The exact call runs n-1 convolutions of the merged profile (d distinct
-    frequencies).  Each costs what ``_convolve`` pays: the product of the
-    dense lengths, or four times the number of entry pairs if smaller.
-    """
-    freqs, _ = _merge(spectrum.frequencies, spectrum.coefficients)
-    d = len(freqs)
-    span = int(freqs[-1]) - int(freqs[0])
-    cost = d
-    for i in range(1, n):
-        entries = min(math.comb(d + i - 1, i), i * span + 1)
-        cost += min((i * span + 1) * (span + 1), 4 * entries * d)
-    return cost < nodes
-
-
-def _newton(start: float, width: float, slope: Callable, value: Callable) -> float:
-    """Polish ``start`` by Newton steps on slope(theta) = (g', g'').
-
-    Steps stop where g'' >= 0 or below 1e-15; the end is kept only within
-    ``width`` of ``start`` and if ``value``, increasing in g, does not fall.
+    Steps stop where g'' >= 0 or below 1e-15.  The end, reduced mod 2 pi, is
+    kept only within ``width`` of ``start`` and if g does not fall there.
+    Returns the phase and its g value.
     """
     theta = start
     for _ in range(_NEWTON_STEPS):
-        d1, d2 = slope(theta)
+        d1, d2 = g.slope(theta)
         if d2 >= 0.0:
             break
         step = d1 / d2
         theta -= step
         if abs(step) < 1e-15:
             break
-    if abs(theta - start) > width or value(theta) < value(start):
-        theta = start
-    return theta % (2.0 * math.pi)
+    if abs(theta - start) <= width:
+        theta %= 2.0 * math.pi
+        value = float(g(np.array([theta]))[0])
+        if value >= top:
+            return theta, value
+    return start, top
 
 
-def _even_argmax(g: Callable[[np.ndarray], np.ndarray], n: int) -> float:
-    """Maximizer of g, a trigonometric polynomial of degree n, from 2n+1 samples.
-
-    The samples' FFT gives g exactly; its maximum on 64(n+1) phases (the same
-    FFT, zero-padded) starts ``_newton``, within one grid step of it.
-    """
-    m = np.arange(1, n + 1)
-    fourier = np.fft.rfft(g(2.0 * math.pi * np.arange(2 * n + 1) / (2 * n + 1)))
-    c = fourier[1:] / (2 * n + 1)  # g = c_0 + 2 Re sum_m c_m e^{i m theta}
-
-    def wave(theta: float) -> np.ndarray:
-        return c * np.exp(1j * m * theta)
-
-    def slope(theta: float) -> tuple[float, float]:
-        z = wave(theta)
-        return -2.0 * np.dot(m, z.imag), -2.0 * np.dot(m * m, z.real)
-
-    width = 2.0 * math.pi / (64 * n + 64)
-    start = width * int(np.argmax(np.fft.irfft(fourier, 64 * n + 64)))
-    return _newton(start, width, slope, lambda theta: wave(theta).real.sum())
-
-
-def _coarse_argmax(g: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Best of 33 equally spaced phases, polished by ``_newton`` on g.slope."""
+def _coarse_argmax(g: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
+    """Best of 33 equally spaced phases, polished by ``_newton``; (phase, g value)."""
     coarse = np.linspace(0.0, 2.0 * math.pi, _COARSE, endpoint=False)
-    start = coarse[int(np.argmax(g(coarse)))]
-    return _newton(start, coarse[1], g.slope, lambda theta: g(np.array([theta]))[0])
+    samples = g(coarse)
+    best = int(np.argmax(samples))
+    return _newton(g, coarse[best], float(samples[best]), coarse[1])
 
 
-def _ascend(objective: _Grid | _Exact, phases: np.ndarray, p: float, base: float) -> np.ndarray:
+def _ascend(grid: _Grid, phases: np.ndarray, base: float) -> np.ndarray:
     """Cyclic coordinate ascent from ``phases`` (updated in place and returned)."""
-    n = _even_degree(p)
     for _ in range(_SWEEP_LIMIT):
-        best = objective.value(phases)
+        best = grid.value(phases)
         gain = 0.0
         for j in range(len(phases)):
-            g = objective.along(phases, j)
-            theta = _even_argmax(g, n) if n else _coarse_argmax(g)
-            candidate = float(g(np.array([theta]))[0])
+            theta, candidate = _coarse_argmax(grid.along(phases, j))
             if candidate > best:
                 gain += candidate - best
                 best = candidate
-                objective.move(phases, j, theta)
+                grid.move(phases, j, theta)
         if gain < 1e-10 * max(1.0, base):
             break
     return phases
 
 
-def _search(
-    spectrum: FrequencySpectrum,
-    p: float,
-    restarts: int,
-    seed: SeedSpec,
-    objective: _Grid | _Exact,
-    final: Callable[[FrequencySpectrum], float],
-) -> MajorantResult:
-    """Multi-start ascent, scored by ``final``: all-ones phases first, then random ones."""
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    base = final(spectrum)
-    best_val = -math.inf
-    best_phases: np.ndarray | None = None
-    for r in range(restarts):
-        if r == 0:
-            phases = np.zeros(spectrum.size)
-        else:
-            phases = seed.generator(r).uniform(0.0, 2.0 * math.pi, spectrum.size)
-        phases = _ascend(objective, phases, p, base)
-        val = final(spectrum.with_phases(phases))
-        if val > best_val:
-            best_val = val
-            best_phases = phases.copy()
-    ratio = (best_val / base) ** (1.0 / p)
-    return MajorantResult(base, best_val, ratio, tuple(float(t) for t in best_phases), restarts)
-
-
 def majorant_ratio(
     freqs: Sequence[int], p: int, restarts: int = 1, seed: SeedSpec = SeedSpec(0)
 ) -> MajorantResult:
-    """Maximize the L^p norm over unimodular coefficients, exactly for even p.
+    """The even-p majorant ratio, exactly 1 by the majorant property.
 
-    Multi-start ascent: the all-ones vector first (so the result never falls
-    below the unit-coefficient moment), then ``restarts - 1`` random phase
-    vectors.  Ties between restarts resolve toward the earlier one.  The
-    ascent runs on K = n*span + 1 nodes, where the rectangle rule is exact,
-    unless exact evaluations are cheaper; base and best moments are
-    ``even_norm_coeff`` values.  The returned ratio is (best/base)^{1/p}, a
-    lower bound on the true constant.
+    At p = 2n the coefficients of c^{*n} satisfy |c^{*n}| <= 1^{*n} term by
+    term, so no unimodular phase vector beats the all-ones vector.  Returns
+    base = best = ``even_norm_coeff`` of the all-ones vector, ratio 1.0 and
+    zero phases, with no search.  ``restarts`` must be at least 1 and is
+    echoed; it and ``seed`` keep the signature of
+    ``majorant_ratio_quadrature`` but are not read.  Non-even p is refused.
     """
     n = _even_degree(p)
     if not n:
@@ -269,12 +175,10 @@ def majorant_ratio(
         raise ValueError("frequency list must be nonempty")
     check_power(len(freqs), p)
     spectrum = FrequencySpectrum.unit(freqs)
-    nodes = n * (int(spectrum.frequencies.max()) - int(spectrum.frequencies.min())) + 1
-    if _exact_is_cheaper(spectrum, n, nodes):
-        objective = _Exact(spectrum, n)
-    else:
-        objective = _Grid(spectrum.frequencies, p, nodes)
-    return _search(spectrum, p, restarts, seed, objective, functools.partial(even_norm_coeff, n=n))
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    base = even_norm_coeff(spectrum, n)
+    return MajorantResult(base, base, 1.0, (0.0,) * spectrum.size, restarts)
 
 
 def majorant_ratio_quadrature(
@@ -283,18 +187,37 @@ def majorant_ratio_quadrature(
     restarts: int = 1,
     seed: SeedSpec = SeedSpec(0),
 ) -> MajorantResult:
-    """Approximate majorant search for arbitrary p >= 1 (quadrature objective).
+    """Phase search for arbitrary p >= 1 on the rectangle rule.
 
-    The same ascent as ``majorant_ratio``, on the rectangle rule with
-    ``suggested_nodes`` points; base and best moments are
-    ``lp_norm_quadrature`` values.  Nothing here is exact for non-even p:
-    the result is only as good as the node count.
+    Multi-start ascent: the all-ones vector first (so the result never falls
+    below the unit-coefficient moment), then ``restarts - 1`` random phase
+    vectors.  Ties between restarts resolve toward the earlier one.  The
+    ascent runs on ``suggested_nodes`` points, and base and best moments are
+    ``lp_norm_quadrature`` values there.  Nothing here is exact for non-even
+    p: the result is only as good as the node count.  The returned ratio is
+    (best/base)^{1/p}, a lower bound on the true constant.
     """
     check_power(len(freqs), p)
     spectrum = FrequencySpectrum.unit(freqs)
-    nd = suggested_nodes(spectrum, p)
-    final = functools.partial(lp_norm_quadrature, p=p, nodes=nd)
-    return _search(spectrum, p, restarts, seed, _Grid(spectrum.frequencies, p, nd), final)
+    nodes = suggested_nodes(spectrum, p)
+    grid = _Grid(spectrum.frequencies, p, nodes)
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    base = lp_norm_quadrature(spectrum, p, nodes)
+    best_val = -math.inf
+    best_phases: np.ndarray | None = None
+    for r in range(restarts):
+        if r == 0:
+            phases = np.zeros(spectrum.size)
+        else:
+            phases = seed.generator(r).uniform(0.0, 2.0 * math.pi, spectrum.size)
+        phases = _ascend(grid, phases, base)
+        val = lp_norm_quadrature(spectrum.with_phases(phases), p, nodes)
+        if val > best_val:
+            best_val = val
+            best_phases = phases.copy()
+    ratio = (best_val / base) ** (1.0 / p)
+    return MajorantResult(base, best_val, ratio, tuple(float(t) for t in best_phases), restarts)
 
 
 def genericity_experiment(
@@ -311,11 +234,12 @@ def genericity_experiment(
     """Empirical probability that a realized set violates the majorant bound.
 
     For each size, `samples` paths are realized on the mapped index set
-    {1..size}; each realized spectrum is phase-optimized and the event
-    ratio >= size^epsilon recorded: by ``majorant_ratio`` at even p, by
-    ``majorant_ratio_quadrature`` otherwise.  Binomial standard errors
-    accompany every point.  Because the optimizer lower-bounds the supremum, the reported
-    probabilities lower-bound the true event probabilities.
+    {1..size}, and the event ratio >= size^epsilon is recorded for each
+    realized spectrum: by ``majorant_ratio`` at even p, where the ratio is
+    exactly 1, by the ``majorant_ratio_quadrature`` search otherwise.
+    Binomial standard errors accompany every point.  Because the search
+    lower-bounds the supremum, the reported non-even probabilities
+    lower-bound the true event probabilities.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
