@@ -19,7 +19,8 @@ The grids are array passes over one core per bound, which the scalar checks
 also call with one point: the concentration tails per m, one mode-pmf vector
 P[N(n) = n] = n^n e^{-n}/n! shared by the pmf_sup_over_t and Robbins grids,
 the pmf_sup_over_a values and their mode scans, and the window-transfer
-implications on the drawn triples.  ``_holds`` is the one verdict rule.
+implications on the drawn triples, which are decoded from blocks of raw
+Philox words.  ``_holds`` is the one verdict rule.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import ShellQuery, divisor_summatory, shell_count_brute, shell_count_fast
+from .lattice import ShellQuery, divisor_summatories, shell_count_brute, shell_count_fast
 from .moments import (
     SignedTimeMultiset,
     coincidence_probability_poisson,
@@ -41,6 +42,9 @@ from .processes import SeedSpec, poisson_pmf
 
 _E50 = math.exp(50.0)
 _SCAN_BLOCK = 1 << 16
+_RAW_BLOCK = 1 << 12  # Philox words decoded per block by _transfer_triples
+_DOUBLE = 2.0**-53
+_STIRLING_FROM = 1 << 14  # _mode_pmf reads the Stirling series from here on
 
 
 @dataclass(frozen=True)
@@ -104,8 +108,20 @@ def poisson_concentration_check(m: int, lam: float) -> BoundCheck:
 
 
 def _mode_pmf(n: np.ndarray) -> np.ndarray:
-    """P[N(n) = n] = n^n e^{-n} / n! for each positive integer n (as floats)."""
-    return poisson_pmf(n, n)
+    """P[N(n) = n] = n^n e^{-n} / n! for each positive integer n (as floats).
+
+    Below _STIRLING_FROM this is poisson_pmf(n, n).  From there on the log
+    space sum n log n - n - log n! would cancel about n log n ulps, which by
+    n = 10^6 passes the 1e-12 slack of the checks, so the term is
+    e^{-r(n)} / sqrt(2 pi n) with the Stirling remainder r(n) = log n! -
+    (n log n - n + log(2 pi n) / 2) summed as its series 1/(12n) -
+    1/(360n^3), whose next term is under 1e-24 there.
+    """
+    direct = np.minimum(n, _STIRLING_FROM - 1.0)  # the table stays below 2^14 entries
+    inv = 1.0 / n
+    remainder = inv * (1.0 / 12.0 - inv * inv / 360.0)
+    series = np.exp(-remainder) / np.sqrt(2.0 * math.pi * n)
+    return np.where(n < _STIRLING_FROM, poisson_pmf(direct, direct), series)
 
 
 def _sup_over_t_bound(a: np.ndarray) -> np.ndarray:
@@ -289,6 +305,12 @@ def sqrt_log_transfer_check(x: float, y: float, C: float) -> tuple[bool, bool]:
     return bool(impl_a[0]), bool(impl_b[0])
 
 
+def _raw_words(bit_generator: np.random.BitGenerator):
+    """The bit generator's 64-bit words in order, read _RAW_BLOCK at a time."""
+    while True:
+        yield from bit_generator.random_raw(_RAW_BLOCK).tolist()
+
+
 def _transfer_triples(gen: np.random.Generator, trials: int) -> tuple[np.ndarray, ...]:
     """The suite's (x, y, C) draws, as three arrays.
 
@@ -297,22 +319,36 @@ def _transfer_triples(gen: np.random.Generator, trials: int) -> tuple[np.ndarray
     multiple in [0, 3] of C sqrt(x log x) on either side of x.  A uniform on
     [lo, hi] is lo + (hi - lo) * gen.random(), which is gen.uniform(lo, hi)
     bit for bit.
+
+    The draws decode the generator's raw words as numpy does, so the triples
+    are those of scalar gen.random() and gen.integers(0, 3) calls: a double
+    is (w >> 11) * 2^-53; integers(0, 3) takes a 32-bit u, the low half of a
+    fresh word or else the high half left by the last such draw, and returns
+    (3u) >> 32, drawing again when (3u) mod 2^32 is 0 (Lemire's rejection).
     """
-    random, integers = gen.random, gen.integers
-    xs, ys, cs = [], [], []
-    for _ in range(trials):
-        x = math.exp(50.0 + 30.0 * random())
-        c = 1.0 + 9.0 * random()
-        if integers(0, 3) == 0:
-            y = math.exp(50.0 + 30.0 * random())
+    words = _raw_words(gen.bit_generator)
+    half = None  # the high half of the word the last integers(0, 3) split
+    xs, ys, cs = np.empty(trials), np.empty(trials), np.empty(trials)
+    for i in range(trials):
+        x = math.exp(50.0 + 30.0 * ((next(words) >> 11) * _DOUBLE))
+        c = 1.0 + 9.0 * ((next(words) >> 11) * _DOUBLE)
+        while True:
+            if half is None:
+                word = next(words)
+                u, half = word & 0xFFFFFFFF, word >> 32
+            else:
+                u, half = half, None
+            product = 3 * u
+            if product & 0xFFFFFFFF:
+                break
+        if product >> 32 == 0:
+            y = math.exp(50.0 + 30.0 * ((next(words) >> 11) * _DOUBLE))
         else:
-            u = 3.0 * random()
-            sign = 1.0 if random() < 0.5 else -1.0
+            u = 3.0 * ((next(words) >> 11) * _DOUBLE)
+            sign = 1.0 if (next(words) >> 11) * _DOUBLE < 0.5 else -1.0
             y = max(1.0, x + sign * u * c * math.sqrt(x * math.log(x)))
-        xs.append(x)
-        ys.append(y)
-        cs.append(c)
-    return np.array(xs), np.array(ys), np.array(cs)
+        xs[i], ys[i], cs[i] = x, y, c
+    return xs, ys, cs
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +393,11 @@ def verification_suite(quick: bool = False, seed: SeedSpec | None = None) -> lis
 
     The seven inequality grids come first, then two exact-count oracles:
     shell_oracle compares the fast and brute shell counters on every integer
-    E in [D, D^2] for D <= 10, and divisor_oracle compares the hyperbola-method
-    D(x) with a sieve at every integer x.  quick=True shrinks the grids by
-    roughly an order of magnitude for smoke tests; the full suite is the
-    acceptance configuration.
+    E in [D, D^2] for D <= 10, and divisor_oracle compares one
+    ``divisor_summatories`` pass of the hyperbola method with a sieve at every
+    integer x, as arrays, and reports the first x where they differ.
+    quick=True shrinks the grids by roughly an order of magnitude for smoke
+    tests; the full suite is the acceptance configuration.
     """
     seed = seed or SeedSpec(20240)
     reports: list[GridReport] = []
@@ -454,10 +491,8 @@ def verification_suite(quick: bool = False, seed: SeedSpec | None = None) -> lis
     reports.append(_report("shell_oracle", failures, checked))
 
     top = 2000 if quick else 20_000
-    sums = divisor_sieve(top).tolist()
-    failures = [
-        f"divisor x={x}" for x in range(1, top + 1) if divisor_summatory(float(x)) != sums[x]
-    ]
-    reports.append(_report("divisor_oracle", failures, top))
+    sums = divisor_summatories(np.arange(1, top + 1, dtype=np.int64))
+    holds = sums == divisor_sieve(top)[1:]
+    reports.append(_grid_report("divisor_oracle", holds, lambda i: f"divisor x={i + 1}"))
 
     return reports

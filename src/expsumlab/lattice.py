@@ -345,38 +345,91 @@ def hyperbolic_count(d: int, x: float) -> int:
 # divisor summatory function
 # ---------------------------------------------------------------------------
 
-_DIVISOR_BLOCK = 1 << 16  # divisors per quotient block; a block stays in cache
+_DIVISOR_BLOCK = 1 << 16  # quotients per tile; a tile stays in cache
+_LIMB = 31  # bits of the low limb of a quotient sum
+_LOW = (1 << _LIMB) - 1
 
 
 def divisor_summatory(x: float) -> int:
     """D(x) = sum_{n <= x} d(n) by the hyperbola identity, O(sqrt x) time.
 
-    D(x) = 2 * sum_{a <= sqrt x} floor(x/a) - floor(sqrt x)^2, summed in blocks
-    of 2^16 divisors so memory stays flat.  x >= 2^62 raises GuardError: the
-    sum would run over 2^31 divisors.
+    The one-row face of ``divisor_summatories``.  x >= 2^62 raises
+    GuardError: the sum would run over 2^31 divisors.
     """
     if x < 1:
         raise ValueError("x must be at least 1")
     n = math.floor(x)
     if n >= 2**62:
         raise GuardError("divisor summatory needs x < 2^62 (over 2^31 divisors past it)")
-    s = math.isqrt(n)
-    total = 0
-    for lo in range(1, s + 1, _DIVISOR_BLOCK):
-        total += _quotient_sum(n, lo, min(lo + _DIVISOR_BLOCK, s + 1))
-    return check_count(2 * total - s * s, "divisor summatory")
+    return check_count(int(divisor_summatories(np.array([n], dtype=np.int64))[0]), "divisor summatory")
 
 
-def _quotient_sum(n: int, lo: int, hi: int) -> int:
-    """sum_{lo <= a < hi} n // a for n < 2^62 and hi - lo <= 2^16, exactly.
+def divisor_summatories(n: np.ndarray) -> np.ndarray:
+    """D(n) = 2 * sum_{a <= s} floor(n/a) - s^2, s = isqrt(n), per entry of n.
 
-    One int64 sum where (hi - lo) * (n // lo) < 2^63 bounds it; otherwise
-    the quotients split into 31-bit limbs, whose sums stay below 2^47.
+    ``n`` is a nondecreasing int64 array of values in [1, 2^62).  Entries
+    sharing s form one group, summed in tiles of rows x a-block with at most
+    2^16 quotients, so memory stays flat.  A tile sums in int64 where
+    (block length) * (largest n // first a) < 2^63 bounds every row;
+    otherwise the quotients split into 31-bit limbs, whose sums stay below
+    2^47.  The result is int64 where every sum over a stays below 2^61, and
+    an object array of Python ints past that.
     """
-    q = n // np.arange(lo, hi, dtype=np.int64)
-    if (hi - lo) * (n // lo) < 2**63:
-        return int(q.sum())
-    return (int((q >> 31).sum()) << 31) + int((q & (2**31 - 1)).sum())
+    n = np.asarray(n)
+    if n.dtype != np.int64 or n.ndim != 1:
+        raise ValueError("n must be a one-dimensional int64 array")
+    if not n.size:
+        return np.zeros(0, dtype=np.int64)
+    if n[0] < 1 or np.any(n[1:] < n[:-1]):
+        raise ValueError("n must be nondecreasing and at least 1")
+    if n[-1] >= 2**62:
+        raise GuardError("divisor summatory needs x < 2^62 (over 2^31 divisors past it)")
+    s = _isqrt(n)
+    high = np.zeros(len(n), dtype=np.int64)  # sum over a = high * 2^31 + low
+    low = np.zeros(len(n), dtype=np.int64)
+    cuts = [0, *(np.flatnonzero(s[1:] != s[:-1]) + 1).tolist(), len(n)]
+    for start, stop in itertools.pairwise(cuts):
+        root = int(s[start])
+        width = min(root, _DIVISOR_BLOCK)
+        for first in range(start, stop, _DIVISOR_BLOCK // width):
+            rows = slice(first, min(first + _DIVISOR_BLOCK // width, stop))
+            for lo in range(1, root + 1, width):
+                tile_high, tile_low = _quotient_sums(n[rows, None], lo, min(lo + width, root + 1))
+                high[rows] += tile_high
+                low[rows] += tile_low
+    high += low >> _LIMB
+    low &= _LOW
+    if high.max() < 1 << (61 - _LIMB):
+        return 2 * ((high << _LIMB) | low) - s * s
+    return 2 * ((high.astype(object) << _LIMB) | low.astype(object)) - (s * s).astype(object)
+
+
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)) per entry of an int64 array in [0, 2^62).
+
+    The rounded float root truncates to s = isqrt(n) or s + 1: rounding n
+    up can reach (s + 1)^2, but rounding s^2 down moves its root by under
+    half a float spacing, so the root never falls below s.  One step down,
+    checked on exact int64 squares, makes it exact.
+    """
+    s = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    s -= s * s > n
+    return s
+
+
+def _quotient_sums(col: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row n of a nondecreasing column below 2^62, sum_{lo <= a < hi} n // a.
+
+    Returned as limbs (high, low) of the sum high * 2^31 + low, for a tile of
+    at most 2^16 quotients.  One int64 sum per row where (hi - lo) * (largest
+    n // lo) < 2^63 bounds it; otherwise the quotients split into 31-bit
+    limbs, whose sums stay below 2^47.
+    """
+    q = col // np.arange(lo, hi, dtype=np.int64)
+    if (hi - lo) * (int(col[-1, 0]) // lo) < 2**63:
+        total = q.sum(axis=1)
+        return total >> _LIMB, total & _LOW
+    return (q >> _LIMB).sum(axis=1), (q & _LOW).sum(axis=1)
 
 
 def divisor_error(x: float, summatory: int | None = None) -> float:

@@ -235,10 +235,12 @@ def genericity_experiment(
 
     For each size, `samples` paths are realized on the mapped index set
     {1..size}, and the event ratio >= size^epsilon is recorded for each
-    realized spectrum: by ``majorant_ratio`` at even p, where the ratio is
-    exactly 1, by the ``majorant_ratio_quadrature`` search otherwise.
-    Binomial standard errors accompany every point.  Because the search
-    lower-bounds the supremum, the reported non-even probabilities
+    realized spectrum by the ``majorant_ratio_quadrature`` search.  At even p
+    every ratio is exactly 1 (see ``majorant_ratio``), so the probability is
+    1 if size^epsilon <= 1 and 0 otherwise, with no path drawn; the
+    experiment and its sampler are still built, so bad input fails as at
+    other p.  Binomial standard errors accompany every point.  Because the
+    search lower-bounds the supremum, the reported non-even probabilities
     lower-bound the true event probabilities.
     """
     if epsilon <= 0:
@@ -250,7 +252,7 @@ def genericity_experiment(
     if any(size >= 1 << 16 for size in sizes):
         raise ValueError("sizes must be below 2^16")
     check_power(max(sizes, default=1), p)
-    search = majorant_ratio if _even_degree(p) else majorant_ratio_quadrature
+    even = bool(_even_degree(p))
     points: list[GenericityPoint] = []
     for size in sizes:
         spec = ExperimentSpec(
@@ -264,14 +266,18 @@ def genericity_experiment(
         )
         threshold = size**epsilon
         opt_seed = SeedSpec(seed.master_seed, (seed.stream_index << 16) ^ size ^ (1 << 40))
-        sample = _sampler(spec)
-        hits = 0
-        for i in range(samples):
-            values = sorted(sample(i))
-            result = search(values, p, restarts, opt_seed)
-            if result.ratio >= threshold:
-                hits += 1
-        prob = hits / samples
+        sample = _sampler(spec)  # validates the process and its times at every p
+        if even:  # every ratio is exactly 1; restarts is checked as majorant_ratio would
+            if restarts < 1:
+                raise ValueError("restarts must be at least 1")
+            prob = 1.0 if 1.0 >= threshold else 0.0
+        else:
+            hits = 0
+            for i in range(samples):
+                result = majorant_ratio_quadrature(sorted(sample(i)), p, restarts, opt_seed)
+                if result.ratio >= threshold:
+                    hits += 1
+            prob = hits / samples
         se = math.sqrt(prob * (1.0 - prob) / samples)
         points.append(GenericityPoint(size, prob, se, samples, threshold))
     return points

@@ -135,11 +135,43 @@ class ProcessPath:
             raise ValueError("one value per grid point required")
 
 
+_LOG_FACTORIAL_LIMIT = 1 << 16  # entries the log-factorial table may grow to
+_log_factorial_table = np.zeros(0)  # lgamma(k + 1.0) for k < len, filled on first use
+
+
+def _log_factorials(a: np.ndarray) -> np.ndarray:
+    """lgamma(a + 1.0) per entry of an array of nonnegative integer values.
+
+    Entries are read from one module-level table, grown to the largest a
+    asked for by the same scalar math.lgamma calls, so every value has the
+    bits of math.lgamma.  An array reaching _LOG_FACTORIAL_LIMIT is computed
+    entry by entry instead, so one huge a does not grow the table.
+    """
+    global _log_factorial_table
+    if a.dtype.kind not in "iu" and not np.all(np.isfinite(a) & (a == np.floor(a))):
+        raise ValueError("a must be integer-valued")
+    if not a.size:
+        return np.zeros(a.shape)
+    if a.min() < 0:
+        raise ValueError("a must be nonnegative")
+    top = int(a.max())
+    if top >= _LOG_FACTORIAL_LIMIT:
+        values = (math.lgamma(x + 1.0) for x in a.ravel().tolist())
+        return np.fromiter(values, np.float64, a.size).reshape(a.shape)
+    known = len(_log_factorial_table)
+    if top >= known:
+        values = (math.lgamma(k + 1.0) for k in range(known, top + 1))
+        grown = np.fromiter(values, np.float64, top + 1 - known)
+        _log_factorial_table = np.concatenate((_log_factorial_table, grown))
+    return _log_factorial_table[a.astype(np.intp)]
+
+
 def poisson_pmf(mean: float | np.ndarray, a: int | np.ndarray) -> float | np.ndarray:
     """P[N = a] for a Poisson variable of the given mean.
 
-    ``a`` is an int, or an ndarray of nonnegative ints for the pmf at each
-    entry; ``mean`` may also be an ndarray, broadcast against ``a``.
+    ``a`` is an int, or an ndarray of nonnegative integer values for the pmf
+    at each entry (ValueError otherwise); ``mean`` may also be an ndarray,
+    broadcast against ``a``.
     Evaluated in log space so huge means neither overflow nor lose the tiny
     tail values; underflow saturates to 0.  mean = 0 is the point mass at 0.
     """
@@ -147,7 +179,7 @@ def poisson_pmf(mean: float | np.ndarray, a: int | np.ndarray) -> float | np.nda
         if np.any(np.asarray(mean) < 0):
             raise ValueError("mean must be nonnegative")
         a = np.asarray(a)
-        logfact = np.array([math.lgamma(x + 1.0) for x in a.ravel().tolist()]).reshape(a.shape)
+        logfact = _log_factorials(a)
         if not isinstance(mean, np.ndarray):
             if mean == 0.0:
                 return np.where(a == 0, 1.0, 0.0)

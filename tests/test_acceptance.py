@@ -28,7 +28,7 @@ from expsumlab.bounds import divisor_sieve, verification_suite
 from expsumlab.lattice import (
     GreenRuzsaSpec,
     ShellQuery,
-    divisor_summatory,
+    divisor_summatories,
     greenruzsa_generate,
     shell_count_brute,
     shell_count_fast,
@@ -164,9 +164,8 @@ def test_c09_divisor_oracle_and_error_scan():
     top_eq = 100_000
     top_scan = 1_000_000
     sums = divisor_sieve(top_scan)
-    mismatch = sum(
-        1 for x in range(1, top_eq + 1) if divisor_summatory(float(x)) != int(sums[x])
-    )
+    hyperbola = divisor_summatories(np.arange(1, top_eq + 1, dtype=np.int64))
+    mismatch = int(np.count_nonzero(hyperbola != sums[1 : top_eq + 1]))
     xs = np.arange(1, top_scan + 1, dtype=np.float64)
     delta = sums[1:].astype(np.float64) - xs * np.log(xs) - (2 * EULER_GAMMA - 1) * xs
     violations = int(np.count_nonzero(np.abs(delta) > 2.0 * np.sqrt(xs)))

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expsumlab import SeedSpec, SignedTimeMultiset, coincidence_probability_poisson, poisson_pmf
-from expsumlab import bounds
+from expsumlab import bounds, processes
 from expsumlab.bounds import (
     _check_mode,
+    _RAW_BLOCK,
+    _STIRLING_FROM,
     _mode_pmf,
     _robbins_bounds,
     _sup_over_a,
@@ -199,6 +201,25 @@ class TestRobbins:
         lower, upper = robbins_check(n)
         assert lower.holds and upper.holds
 
+    def test_no_false_violations_from_a_million(self):
+        # n log n - n - lgamma(n + 1) cancels about n log n ulps: summed that
+        # way, 51 of the 2,000 n from 10^6 and 1,477 of those from 10^7 failed
+        gen = np.random.default_rng(106)
+        for n in [10**6, 10**7, *gen.integers(10**6, 10**7, size=2000, endpoint=True).tolist()]:
+            lower, upper = robbins_check(n)
+            assert lower.holds and upper.holds and pmf_sup_over_t(n).holds
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 170, 10**4, _STIRLING_FROM - 1, _STIRLING_FROM, 10**6, 10**7, 10**12]
+    )
+    def test_mode_pmf_matches_40_digits(self, n):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            exact = float(mp.exp(n * mp.log(n) - n - mp.loggamma(n + 1)))
+        # the log-space sum errs by about n log n ulps; the series by a few
+        ulps = 4.0 if n >= _STIRLING_FROM else 4.0 * n * (math.log(n) + 1.0)
+        assert _mode_pmf(np.array([float(n)]))[0] == pytest.approx(exact, rel=ulps * sys.float_info.epsilon)
+
 
 class TestComboBound:
     def test_single_poisson_at_mode(self):
@@ -359,6 +380,14 @@ FIRST_FAILURES = {
 }
 
 
+def inline_lgamma_pmf(mean, a: np.ndarray) -> np.ndarray:
+    """poisson_pmf's array path with math.lgamma called once per entry."""
+    logfact = np.array([math.lgamma(x + 1.0) for x in a.ravel().tolist()]).reshape(a.shape)
+    if not isinstance(mean, np.ndarray):
+        return np.exp(-mean + a * math.log(mean) - logfact)
+    return np.exp(-mean + a * np.log(mean) - logfact)
+
+
 def reference_triples(seed: SeedSpec, trials: int) -> list[tuple[float, float, float]]:
     """The sqrt_log_transfer draws as a loop over gen.uniform."""
     gen = seed.generator(0)
@@ -374,6 +403,20 @@ def reference_triples(seed: SeedSpec, trials: int) -> list[tuple[float, float, f
             y = max(1.0, x + sign * u * c * math.sqrt(x * math.log(x)))
         triples.append((x, y, c))
     return triples
+
+
+class CraftedWords:
+    """Stands in for a Generator whose bit generator returns the given words."""
+
+    def __init__(self, words: list[int]):
+        self.bit_generator = self
+        self.words = np.array(words, dtype=np.uint64)
+        self.served = []
+
+    def random_raw(self, size: int) -> np.ndarray:
+        self.served.append(size)
+        assert len(self.served) == 1 and size >= len(self.words)
+        return np.concatenate((self.words, np.zeros(size - len(self.words), np.uint64)))
 
 
 class TestGridsMatchScalarChecks:
@@ -435,11 +478,30 @@ class TestGridsMatchScalarChecks:
         for i in range(3):
             assert sqrt_log_transfer_check(xs[i], ys[i], cs[i]) == (bool(impl_a[i]), bool(impl_b[i]))
 
-    @pytest.mark.parametrize("seed", [20240, 501])
+    @pytest.mark.parametrize("seed", [20240, 501, 7, 777])
     def test_triples_equal_uniform_draws(self, seed):
-        x, y, c = _transfer_triples(SeedSpec(seed).generator(0), 10_000)
-        got = list(zip(x.tolist(), y.tolist(), c.tolist()))
-        assert got == reference_triples(SeedSpec(seed), 10_000)
+        # 1,000 trials end inside the first 4,096-word block, 10,000 cross eight
+        for trials in (1000, 10_000):
+            x, y, c = _transfer_triples(SeedSpec(seed).generator(0), trials)
+            got = list(zip(x.tolist(), y.tolist(), c.tolist()))
+            assert got == reference_triples(SeedSpec(seed), trials)
+
+    def test_draw_of_three_rejects_a_zero_product(self):
+        # integers(0, 3) maps u to (3u) >> 32 and draws again where 3u = 0 mod
+        # 2^32, which is u = 0; the high half of a split word is the next u
+        double = 1 << 63  # a word whose double is exactly 0.5
+        words = [
+            double, double, (0x55555555 << 32) | 0, double,  # u = 0, then the high half: 0
+            double, double, 0, (7 << 32) | 0xAAAAAAAB, double, 0,  # u = 0, 0, then 2
+            double, double, 0,  # the buffered high half 7 gives 0
+        ]
+        gen = CraftedWords(words + [0] * 8)
+        x, y, c = _transfer_triples(gen, 3)
+        half = math.exp(50.0 + 30.0 * 0.5)
+        assert x.tolist() == [half] * 3 and c.tolist() == [5.5] * 3
+        offset = 1.5 * 5.5 * math.sqrt(half * math.log(half))
+        assert y.tolist() == [half, half + offset, math.exp(50.0)]
+        assert gen.served == [_RAW_BLOCK]
 
 
 class TestGridsMatchLoopFormulas:
@@ -470,6 +532,17 @@ class TestGridsMatchLoopFormulas:
             terms = t + k * abs(math.log(t)) + math.lgamma(k + 1)
             assert value == pytest.approx(poisson_pmf(t, k), rel=8 * self.EPS * (1.0 + terms))
             assert bound == (1.0 if k == 0 else min(1.0, 1.0 / math.sqrt(2.0 * math.pi * k)))
+
+    def test_table_pmf_equals_inline_lgamma(self, monkeypatch):
+        monkeypatch.setattr(processes, "_log_factorial_table", np.zeros(0))  # filled and grown here
+        for m in range(1, 201):  # the concentration grid's pmf vectors
+            a = np.arange(2 * m + 65)
+            assert poisson_pmf(float(m), a).tobytes() == inline_lgamma_pmf(float(m), a).tobytes()
+        mode = inline_lgamma_pmf(FULL_GRID, FULL_GRID)  # the mode grid, P[N(n) = n]
+        assert poisson_pmf(FULL_GRID, FULL_GRID).tobytes() == mode.tobytes()
+        assert _mode_pmf(FULL_GRID).tobytes() == mode.tobytes()
+        ts = np.arange(1, 1001) / 10.0  # the pmf_sup_over_a grid
+        assert _sup_over_a(ts)[1].tobytes() == inline_lgamma_pmf(ts, np.floor(ts)).tobytes()
 
     @pytest.mark.parametrize("m", [1, 37, 200])
     def test_concentration_bound(self, m):
@@ -563,16 +636,19 @@ class TestInjectedFailures:
 
     def test_divisor_oracle(self, monkeypatch):
         calls = []
-        real = bounds.divisor_summatory
+        real = bounds.divisor_summatories
 
-        def divisor(x):
-            calls.append(x)
-            return real(x) + (x == 1234.0)
+        def divisor(n):
+            calls.append(n.copy())
+            sums = real(n)
+            sums[n == 1234] += 1
+            return sums
 
-        monkeypatch.setattr(bounds, "divisor_summatory", divisor)
+        monkeypatch.setattr(bounds, "divisor_summatories", divisor)
         report = verification_suite(quick=True)[8]
         assert (report.ok, report.checked, report.detail) == (False, 2000, "divisor x=1234")
-        assert calls == [float(x) for x in range(1, 2001)]  # one real call per x
+        assert len(calls) == 1  # one kernel call over every x
+        assert np.array_equal(calls[0], np.arange(1, 2001))
 
 
 class TestDivisorSieve:

@@ -17,13 +17,15 @@ from expsumlab.lattice import (
     ShellQuery,
     _DIVISOR_BLOCK,
     _first_above,
+    _isqrt,
     _last_j,
-    _quotient_sum,
+    _quotient_sums,
     _strict_window,
     _sweep_counts,
     _window_count,
     diophantine_count,
     divisor_error,
+    divisor_summatories,
     divisor_summatory,
     domination_check,
     greenruzsa_generate,
@@ -95,6 +97,24 @@ def per_e_sup(d: int, D: float, e_samples: int) -> tuple[list[float], list[int]]
     return grid, [shell_count_fast(ShellQuery(d, e, D)).count for e in grid]
 
 
+def per_block_divisor_sum(n: int) -> int:
+    """D(n) by the hyperbola identity, one 2^16-divisor block at a time.
+
+    The scalar loop ``divisor_summatory`` ran before the array kernel, with
+    its limb split where a block's sum could reach 2^63.
+    """
+    s = math.isqrt(n)
+    total = 0
+    for lo in range(1, s + 1, 1 << 16):
+        hi = min(lo + (1 << 16), s + 1)
+        q = n // np.arange(lo, hi, dtype=np.int64)
+        if (hi - lo) * (n // lo) < 2**63:
+            total += int(q.sum())
+        else:
+            total += (int((q >> 31).sum()) << 31) + int((q & (2**31 - 1)).sum())
+    return 2 * total - s * s
+
+
 def quotient_block_divisor_sum(n: int) -> int:
     """D(n) = sum_{k <= n} floor(n/k): k <= isqrt(n) one by one, larger k
     grouped by their quotient q, which takes n//q - n//(q+1) values of k."""
@@ -129,9 +149,10 @@ class TestDivisor:
         # a full first block sums to about 11.7 * 2^61, past int64; the
         # block-bound check must keep it off the wrapping int64 sum
         n = 2**61
-        got = _quotient_sum(n, 1, _DIVISOR_BLOCK + 1)
-        assert got > 2**63
-        assert got == sum(n // a for a in range(1, _DIVISOR_BLOCK + 1))
+        high, low = _quotient_sums(np.array([[n - 1], [n]], dtype=np.int64), 1, _DIVISOR_BLOCK + 1)
+        got = [(h << 31) + l for h, l in zip(high.tolist(), low.tolist())]
+        assert got[1] > 2**63
+        assert got == [sum(m // a for a in range(1, _DIVISOR_BLOCK + 1)) for m in (n - 1, n)]
 
     def test_block_is_two_to_the_sixteen(self):
         # 2^16 quotients stay in cache; x = 10^14 then sums without limbs
@@ -163,6 +184,66 @@ class TestDivisor:
         expected = d100 - 100 * math.log(100) - (2 * EULER_GAMMA - 1) * 100
         assert divisor_error(100.0) == pytest.approx(expected, rel=1e-12)
         assert abs(divisor_error(100.0)) <= 2 * math.sqrt(100)
+
+
+class TestDivisorKernel:
+    """divisor_summatories against the sieve and the per-block scalar loop."""
+
+    def test_matches_sieve_in_one_call(self):
+        top = 30_000
+        got = divisor_summatories(np.arange(1, top + 1, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, sieve_divisor_sums(top)[1:])
+
+    @pytest.mark.parametrize("s", [_DIVISOR_BLOCK - 1, _DIVISOR_BLOCK, _DIVISOR_BLOCK + 1, 3 * _DIVISOR_BLOCK])
+    def test_groups_either_side_of_the_tile_width(self, s):
+        # below 2^16 a tile holds 2^16 // s rows of one a-block; from 2^16 on,
+        # one row and several a-blocks
+        n = np.array([s * s, s * s + 1, s * s + s, (s + 1) ** 2 - 1, (s + 1) ** 2], dtype=np.int64)
+        assert divisor_summatories(n).tolist() == [per_block_divisor_sum(int(v)) for v in n]
+
+    @pytest.mark.parametrize("s", [200, 1000])
+    def test_group_spanning_several_tiles(self, s):
+        # the 2s + 1 rows with isqrt(n) = s fill 2 tiles at s = 200, 31 at 1000
+        n = np.arange(s * s - 1, (s + 1) ** 2 + 1, dtype=np.int64)
+        assert divisor_summatories(n).tolist() == [per_block_divisor_sum(int(v)) for v in n]
+
+    def test_limb_route_and_mixed_groups(self):
+        # 2^16 * (n // 1) >= 2^63 from n = 2^47 on: those tiles sum in limbs
+        n = np.array(
+            [1, 2, 3, 99, 2**32 - 1, 2**32, 10**14, 2**47 - 1, 2**47, 2**47, 2**47 + 1], dtype=np.int64
+        )
+        got = divisor_summatories(n)
+        assert got.tolist() == [per_block_divisor_sum(int(v)) for v in n]
+        assert [divisor_summatory(int(v)) for v in n] == got.tolist()
+
+    def test_large_sums_come_back_as_python_ints(self):
+        # past n = 2^57 the sum over a may pass 2^61 and 2 * sum past 2^63,
+        # so the result is an object array of exact Python ints
+        n = 2**57 + 12345
+        got = divisor_summatories(np.array([n], dtype=np.int64))
+        assert got.dtype == object
+        assert got.tolist() == [per_block_divisor_sum(n)]
+
+    def test_random_values_up_to_1e14(self):
+        gen = np.random.default_rng(17)
+        n = np.sort(gen.integers(1, 10**14, size=12))
+        assert divisor_summatories(n).tolist() == [per_block_divisor_sum(int(v)) for v in n]
+
+    def test_isqrt_is_exact_below_2_62(self):
+        # squares and their neighbours, where the float root rounds up to the next root
+        roots = [1, 2, 3, 2**26 + 1, 2**27 - 1, 3037000499, 2**31 - 2, 2**31 - 1]
+        roots += np.random.default_rng(5).integers(2**20, 2**31, size=200).tolist()
+        n = sorted({v for s in roots for v in (s * s - 1, s * s, s * s + 1, (s + 1) ** 2 - 1) if v < 2**62})
+        assert _isqrt(np.array(n, dtype=np.int64)).tolist() == [math.isqrt(v) for v in n]
+
+    def test_rejects_bad_arrays(self):
+        assert divisor_summatories(np.zeros(0, dtype=np.int64)).tolist() == []
+        for bad in ([0, 1], [3, 2], [1.0, 2.0], [[1, 2]]):
+            with pytest.raises(ValueError):
+                divisor_summatories(np.array(bad))
+        with pytest.raises(GuardError, match="2\\^62"):
+            divisor_summatories(np.array([1, 2**62], dtype=np.int64))
 
 
 class TestShellCounts:

@@ -253,6 +253,50 @@ class TestGenericity:
         assert seen == [3] * 6
         assert all(0.0 <= pt.probability <= 1.0 for pt in points)
 
+    def test_even_p_draws_no_path_and_runs_no_search(self, monkeypatch):
+        built = []
+        real = majorant._sampler
+
+        def sampler(spec):
+            built.append(len(spec.index_set))
+            real(spec)
+            return lambda i: pytest.fail("a path was drawn at even p")
+
+        def search(*args):
+            pytest.fail("a majorant search ran at even p")
+
+        monkeypatch.setattr(majorant, "_sampler", sampler)
+        monkeypatch.setattr(majorant, "majorant_ratio", search)
+        monkeypatch.setattr(majorant, "majorant_ratio_quadrature", search)
+        points = genericity_experiment(
+            "poisson", TimeMap("identity"), [1, 4, 8], 4, 0.2, samples=5, restarts=1, seed=SEED
+        )
+        # every even-p ratio is 1, so only size 1 (threshold 1^eps = 1) hits
+        assert [(pt.size, pt.probability, pt.std_error, pt.samples) for pt in points] == [
+            (1, 1.0, 0.0, 5),
+            (4, 0.0, 0.0, 5),
+            (8, 0.0, 0.0, 5),
+        ]
+        assert built == [1, 4, 8]
+
+    @pytest.mark.parametrize("p", [2, 4, 3])
+    @pytest.mark.parametrize(
+        "process, time_map, sizes, samples, restarts, match",
+        [
+            ("bogus", TimeMap("identity"), [4], 2, 1, "process must be"),
+            ("iid", TimeMap("identity"), [4], 2, 1, "iid process needs a pmf"),
+            ("walk", TimeMap("arith", r=0.5), [3], 2, 1, "integer times"),
+            ("poisson", TimeMap("identity"), [4], 0, 1, "samples must be positive"),
+            ("poisson", TimeMap("identity"), [4, 0], 2, 1, "index set must be nonempty"),
+            ("poisson", TimeMap("identity"), [4], 2, 0, "restarts must be at least 1"),
+        ],
+    )
+    def test_bad_input_raises_at_every_p(self, p, process, time_map, sizes, samples, restarts, match):
+        with pytest.raises(ValueError, match=match):
+            genericity_experiment(
+                process, time_map, sizes, p, 0.2, samples=samples, restarts=restarts, seed=SEED
+            )
+
     def test_colliding_streams_rejected(self):
         # sample streams are (stream_index << 16) ^ size; optimizer streams add bit 40
         args = ("poisson", TimeMap("identity"))

@@ -1,6 +1,8 @@
 """Samplers: exact distributions, determinism, and statistical contracts."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from expsumlab import (
     sample_poisson_path,
     sample_random_walk,
 )
-from expsumlab.processes import walk_positions
+from expsumlab import processes
+from expsumlab.processes import _LOG_FACTORIAL_LIMIT, walk_positions
 
 SEED = SeedSpec(1234, 7)
 
@@ -63,6 +66,42 @@ class TestPoissonPmf:
     @settings(max_examples=50, deadline=None)
     def test_in_unit_interval(self, mean, a):
         assert 0.0 <= poisson_pmf(mean, a) <= 1.0
+
+
+class TestLogFactorialTable:
+    """The array path reads lgamma(a + 1) from one table of math.lgamma values."""
+
+    def test_grows_to_the_largest_a_asked_for(self, monkeypatch):
+        monkeypatch.setattr(processes, "_log_factorial_table", np.zeros(0))
+        poisson_pmf(3.0, np.array([[4, 9], [0, 2]]))
+        assert len(processes._log_factorial_table) == 10
+        poisson_pmf(np.array([1.0, 2.0]), np.array([3.0, 7.0]))  # integer-valued floats
+        assert len(processes._log_factorial_table) == 10
+        poisson_pmf(3.0, np.arange(41))
+        table = processes._log_factorial_table
+        assert [v.hex() for v in table.tolist()] == [math.lgamma(k + 1.0).hex() for k in range(41)]
+
+    def test_past_the_limit_is_computed_without_the_table(self, monkeypatch):
+        monkeypatch.setattr(processes, "_log_factorial_table", np.zeros(0))
+        a = np.array([5, _LOG_FACTORIAL_LIMIT, 10**9])
+        got = poisson_pmf(np.array([5.0, 7e4, 1e9]), a)
+        assert len(processes._log_factorial_table) == 0
+        for mean, k, value in zip([5.0, 7e4, 1e9], a.tolist(), got.tolist()):
+            assert value == math.exp(-mean + k * math.log(mean) - math.lgamma(k + 1.0))
+
+    @pytest.mark.parametrize("a", [[2.5], [1.0, math.nan], [math.inf], [-1], [3.0, -2.0]])
+    def test_rejects_non_integer_or_negative_a(self, a):
+        with pytest.raises(ValueError):
+            poisson_pmf(2.0, np.array(a))
+
+    def test_empty_and_zero_mean(self):
+        assert poisson_pmf(2.0, np.zeros(0, dtype=np.int64)).shape == (0,)
+        assert poisson_pmf(0.0, np.array([0, 1])).tolist() == [1.0, 0.0]
+
+    def test_nothing_is_computed_at_import(self):
+        code = "import expsumlab, expsumlab.processes as p; print(len(p._log_factorial_table))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
 
 
 class TestPmfType:
