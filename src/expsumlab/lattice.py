@@ -369,7 +369,9 @@ def divisor_summatories(n: np.ndarray) -> np.ndarray:
 
     ``n`` is a nondecreasing int64 array of values in [1, 2^62).  Entries
     sharing s form one group, summed in tiles of rows x a-block with at most
-    2^16 quotients, so memory stays flat.  A tile sums in int64 where
+    2^16 quotients.  Every tile is written into one scratch block allocated
+    per call, so memory stays flat and a large n does not wait on a fresh
+    allocation (and its page faults) per tile.  A tile sums in int64 where
     (block length) * (largest n // first a) < 2^63 bounds every row;
     otherwise the quotients split into 31-bit limbs, whose sums stay below
     2^47.  The result is int64 where every sum over a stays below 2^61, and
@@ -387,14 +389,23 @@ def divisor_summatories(n: np.ndarray) -> np.ndarray:
     s = _isqrt(n)
     high = np.zeros(len(n), dtype=np.int64)  # sum over a = high * 2^31 + low
     low = np.zeros(len(n), dtype=np.int64)
+    ramp = np.arange(min(int(s[-1]), _DIVISOR_BLOCK), dtype=np.int64)
+    tile_max = min(_DIVISOR_BLOCK, len(n) * len(ramp))
+    scratch = np.empty((3, tile_max), dtype=np.int64)  # divisors, quotients, low limbs
     cuts = [0, *(np.flatnonzero(s[1:] != s[:-1]) + 1).tolist(), len(n)]
     for start, stop in itertools.pairwise(cuts):
         root = int(s[start])
         width = min(root, _DIVISOR_BLOCK)
-        for first in range(start, stop, _DIVISOR_BLOCK // width):
-            rows = slice(first, min(first + _DIVISOR_BLOCK // width, stop))
+        height = _DIVISOR_BLOCK // width  # rows per tile
+        for first in range(start, stop, height):
+            rows = slice(first, min(first + height, stop))
             for lo in range(1, root + 1, width):
-                tile_high, tile_low = _quotient_sums(n[rows, None], lo, min(lo + width, root + 1))
+                size = min(width, root + 1 - lo)
+                a = np.add(ramp[:size], lo, out=scratch[0, :size])
+                tile = (rows.stop - rows.start) * size
+                q = scratch[1, :tile].reshape(-1, size)
+                spare = scratch[2, :tile].reshape(-1, size)
+                tile_high, tile_low = _quotient_sums(n[rows, None], a, q, spare)
                 high[rows] += tile_high
                 low[rows] += tile_low
     high += low >> _LIMB
@@ -417,19 +428,24 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
     return s
 
 
-def _quotient_sums(col: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row n of a nondecreasing column below 2^62, sum_{lo <= a < hi} n // a.
+def _quotient_sums(
+    col: np.ndarray, a: np.ndarray, q: np.ndarray, spare: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row n of a nondecreasing column below 2^62, the sum of n // a over a.
 
-    Returned as limbs (high, low) of the sum high * 2^31 + low, for a tile of
-    at most 2^16 quotients.  One int64 sum per row where (hi - lo) * (largest
-    n // lo) < 2^63 bounds it; otherwise the quotients split into 31-bit
-    limbs, whose sums stay below 2^47.
+    ``a`` holds at most 2^16 increasing divisors; ``q`` and ``spare`` are
+    scratch of the tile's shape, rows x len(a), so no tile allocates it.
+    Returned as limbs (high, low) of the sum high * 2^31 + low.  One int64
+    sum per row where len(a) * (largest n // a[0]) < 2^63 bounds it;
+    otherwise the quotients split into 31-bit limbs, whose sums stay below
+    2^47.
     """
-    q = col // np.arange(lo, hi, dtype=np.int64)
-    if (hi - lo) * (int(col[-1, 0]) // lo) < 2**63:
+    np.floor_divide(col, a, out=q)
+    if len(a) * (int(col[-1, 0]) // int(a[0])) < 2**63:
         total = q.sum(axis=1)
         return total >> _LIMB, total & _LOW
-    return (q >> _LIMB).sum(axis=1), (q & _LOW).sum(axis=1)
+    low = np.bitwise_and(q, _LOW, out=spare).sum(axis=1)
+    return np.right_shift(q, _LIMB, out=q).sum(axis=1), low
 
 
 def divisor_error(x: float, summatory: int | None = None) -> float:

@@ -149,7 +149,9 @@ class TestDivisor:
         # a full first block sums to about 11.7 * 2^61, past int64; the
         # block-bound check must keep it off the wrapping int64 sum
         n = 2**61
-        high, low = _quotient_sums(np.array([[n - 1], [n]], dtype=np.int64), 1, _DIVISOR_BLOCK + 1)
+        col = np.array([[n - 1], [n]], dtype=np.int64)
+        q, spare = np.empty((2, 2, _DIVISOR_BLOCK), dtype=np.int64)
+        high, low = _quotient_sums(col, np.arange(1, _DIVISOR_BLOCK + 1), q, spare)
         got = [(h << 31) + l for h, l in zip(high.tolist(), low.tolist())]
         assert got[1] > 2**63
         assert got == [sum(m // a for a in range(1, _DIVISOR_BLOCK + 1)) for m in (n - 1, n)]
