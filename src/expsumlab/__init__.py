@@ -3,9 +3,9 @@ counts their even moments reduce to.
 
 Subpackages by concern: exact process samplers (:mod:`.processes`), algebraic
 norm evaluation (:mod:`.expsum`), exact and Monte Carlo moment expectations
-(:mod:`.moments`), lattice counting (:mod:`.lattice`), inequality oracles
-(:mod:`.bounds`), majorant-ratio optimization (:mod:`.majorant`), and the
-reproducible CLI (:mod:`.cli`).
+(:mod:`.moments`), lattice counting (:mod:`.lattice`, with the shell counts
+in :mod:`.shell`), inequality oracles (:mod:`.bounds`), majorant-ratio
+optimization (:mod:`.majorant`), and the reproducible CLI (:mod:`.cli`).
 """
 
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import ShellQuery, divisor_summatories, shell_count_brute, shell_count_fast
+from .lattice import divisor_summatories
 from .moments import (
     SignedTimeMultiset,
     coincidence_probability_poisson,
@@ -189,8 +189,9 @@ def _check_mode(t, k) -> None:
     log_t = np.log(t)[:, None]
     k_col, a_col = k[:, None], a_max[:, None]
     j = np.arange(k.min() + 1.0, a_max.max() + 1.0)  # a > k: each row sums from its k + 1
-    steps = np.where((j > k_col) & (j <= a_col), log_t - np.log(j), 0.0)
-    best = np.cumsum(steps, axis=1).max(axis=1)
+    steps = log_t - np.log(j)
+    steps[(j <= k_col) | (j > a_col)] = 0.0
+    best = np.cumsum(steps, axis=1, out=steps).max(axis=1)  # in place: this pass sets verify's peak memory
     total = np.zeros(len(t))
     for hi in range(int(k.max()), 0, -_SCAN_BLOCK):  # a < k, in cache-sized blocks
         j = np.arange(hi, max(hi - _SCAN_BLOCK, 0), -1, dtype=np.float64)
@@ -399,6 +400,10 @@ def verification_suite(quick: bool = False, seed: SeedSpec | None = None) -> lis
     quick=True shrinks the grids by roughly an order of magnitude for smoke
     tests; the full suite is the acceptance configuration.
     """
+    # The shell counts load on first use; here before the grids, whose
+    # temporaries set the suite's peak memory, rather than on top of them.
+    from .shell import shell_counts
+
     seed = seed or SeedSpec(20240)
     reports: list[GridReport] = []
 
@@ -481,13 +486,12 @@ def verification_suite(quick: bool = False, seed: SeedSpec | None = None) -> lis
 
     d_cap = 100 if quick else 400
     failures, checked = [], 0
+    grid = [(e, D) for D in range(1, 11) for e in range(D, min(D * D, d_cap) + 1)]
+    es, ds = [float(e) for e, _ in grid], [float(D) for _, D in grid]
     for d in (2, 3) if quick else (2, 3, 4, 5):
-        for D in range(1, 11):
-            for e in range(D, min(D * D, d_cap) + 1):
-                q = ShellQuery(d, float(e), float(D))
-                checked += 1
-                if shell_count_brute(q).count != shell_count_fast(q).count:
-                    failures.append(f"shell d={d} E={e} D={D}")
+        checked += len(grid)
+        differ = shell_counts(d, es, ds, "brute")[0] != shell_counts(d, es, ds, "fast")[0]
+        failures += [f"shell d={d} E={grid[i][0]} D={grid[i][1]}" for i in np.flatnonzero(differ)]
     reports.append(_report("shell_oracle", failures, checked))
 
     top = 2000 if quick else 20_000

@@ -48,17 +48,12 @@ from .bounds import verification_suite
 from .errors import GuardError
 from .lattice import (
     GreenRuzsaSpec,
-    ShellQuery,
-    _geometric,
     divisor_error,
-    divisor_summatory,
+    divisor_floor,
+    divisor_summatories,
     greenruzsa_generate,
-    hyperbolic_count,
     representation_count,
     diophantine_count,
-    shell_count_brute,
-    shell_count_fast,
-    shell_sup_ratio,
     sparsity_count,
 )
 from .majorant import genericity_experiment, majorant_ratio, majorant_ratio_quadrature
@@ -310,11 +305,15 @@ def _shell_grid(D: float, cap: int) -> list[float]:
     hi = math.floor(D * D)
     if hi - lo + 1 <= cap:
         return [float(e) for e in range(lo, hi + 1)]
+    from .shell import _geometric  # the shell counts load only with a shell or hyperbolic command
+
     grid = np.clip(np.rint(_geometric(lo, hi, cap)), lo, hi)
     return sorted({float(lo), float(hi), *grid.tolist()})
 
 
 def _cmd_shell(args) -> tuple[list[dict], int]:
+    from .shell import shell_counts, shell_sup_ratio
+
     if args.e_samples < 1:
         raise ValueError("--e-samples must be at least 1")
     d_values = [float(tok) for tok in args.D.split(",")]
@@ -337,33 +336,33 @@ def _cmd_shell(args) -> tuple[list[dict], int]:
         raise ValueError(f"shell --mode {args.mode} takes one --D value; a list needs --mode sup")
     (D,) = d_values
     grid = [args.E] if args.E is not None else _shell_grid(D, args.e_samples)
-    for e in grid:
-        q = ShellQuery(args.d, e, D)
-        row: dict = {"E": e}
-        if args.mode in ("brute", "both"):
-            res = shell_count_brute(q)
-            row["brute"] = res.count
-            row["work_brute"] = res.work
-        if args.mode in ("fast", "both"):
-            res = shell_count_fast(q)
-            row["fast"] = res.count
-            row["work_fast"] = res.work
-        if args.mode == "both":
+    rows = [{"E": e} for e in grid]
+    for method in ("brute", "fast"):
+        if args.mode in (method, "both"):
+            counts, work = shell_counts(args.d, grid, [D] * len(grid), method)
+            for row, count, steps in zip(rows, counts.tolist(), work.tolist()):
+                row[method] = count
+                row[f"work_{method}"] = steps
+    if args.mode == "both":
+        for row in rows:
             row["equal"] = row["brute"] == row["fast"]
-        rows.append(row)
     return rows, 0
 
 
 def _cmd_divisor(args) -> tuple[list[dict], int]:
-    rows = []
-    for tok in args.x.split(","):
-        x = float(tok)
-        total = divisor_summatory(x)
-        rows.append({"x": x, "summatory": total, "error": divisor_error(x, total)})
-    return rows, 0
+    xs, floors = [], []
+    for tok in args.x.split(","):  # each x is parsed and checked in turn, so the first bad one raises
+        xs.append(float(tok))
+        floors.append(divisor_floor(xs[-1]))
+    order = sorted(range(len(xs)), key=floors.__getitem__)  # one kernel call wants nondecreasing x
+    ordered = divisor_summatories(np.array([floors[i] for i in order], dtype=np.int64)).tolist()
+    sums = dict(zip(order, ordered))
+    return [{"x": x, "summatory": sums[i], "error": divisor_error(x, sums[i])} for i, x in enumerate(xs)], 0
 
 
 def _cmd_hyperbolic(args) -> tuple[list[dict], int]:
+    from .shell import hyperbolic_count
+
     rows = []
     for tok in args.x.split(","):
         x = float(tok)

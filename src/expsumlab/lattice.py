@@ -1,38 +1,12 @@
 """Exact lattice-point counting.
 
-Covers the divisor summatory function (hyperbola method), thin shells around
-the power-difference surface k^d - j^d = E, the symmetric two-sided count
-R_d(x), representation counts of sums of d-th powers, Green-Ruzsa digit sets,
-and the interval-domination comparison for decreasing weights.
-
-Counting conventions are exact and explicit:
-
-* shell counts use the strict window |k^d - j^d - E| < D with j < k over the
-  positive integers (so N starts at 1);
-* R_d(x) uses the half-open condition 0 < |k|^d - |j|^d <= x over all of Z^2.
-
-Two counters share that window form, pairs j < k with k^d - j^d on an
-inclusive integer window [lo, hi], and differ in how many windows they answer:
-
-* the single-window bisection (`_window_count`): two integer binary searches
-  per b = k - j, O(hi^{1/d} log hi) steps.  A shell passes the integers
-  strictly inside (E - D, E + D); R_d(x) passes [1, floor(x)] and adds the
-  sign and axis symmetries.
-* the batch sweep (`_sweep_counts`), behind `shell_sup_ratio`: every
-  difference up to the largest window top is enumerated once, per b in
-  increasing int64 blocks, and all G windows are answered by two
-  `searchsorted` calls per block, N + B * G steps for N differences, B
-  values of b and G windows.  The bisection is its oracle.
-
-Every integer binary search in the module is `_first_above`, on x^d or on
-(x+b)^d - x^d: the brute counter, the bisection and the sweep's last j per b
-call it.  Every int64 list of differences (x+b)^d - x^d is `_differences`:
-the sweep's blocks and the sup grid's realized differences.
-
-Real-valued E, D are honored exactly: integer quantities are compared with
-the real bounds through exact rational thresholds, so boundary lattice points
-are never misclassified by float rounding.  All powers are arbitrary
-precision; counts above 128 bits raise instead of wrapping.
+Covers the divisor summatory function (hyperbola method), representation
+counts of sums of d-th powers, Green-Ruzsa digit sets, and the
+interval-domination comparison for decreasing weights.  The thin shells
+around the power-difference surface k^d - j^d = E and the symmetric
+two-sided count R_d(x) live in `expsumlab.shell`; their public names are
+also reachable here, and load that module on first use, so a run that
+counts no shells never compiles it.
 """
 
 from __future__ import annotations
@@ -41,7 +15,6 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,294 +24,19 @@ from .expsum import FrequencySpectrum, RepresentationTable, even_moment, represe
 
 EULER_GAMMA = 0.5772156649015329
 
-
-@dataclass(frozen=True)
-class ShellQuery:
-    """Parameters of one shell count: |k^d - j^d - E| < D, j < k in N."""
-
-    d: int
-    E: float
-    D: float
-
-    def __post_init__(self):
-        if self.d < 2 or self.d != int(self.d):
-            raise ValueError("d must be an integer >= 2")
-        if self.E < 1 or self.D < 1:
-            raise ValueError("E and D must be at least 1")
-        if self.E + self.D > 2**63:
-            raise GuardError("E + D exceeds the supported range")
+_SHELL_NAMES = frozenset(
+    ("CountResult", "ShellQuery", "hyperbolic_count", "shell_count_brute", "shell_count_fast",
+     "shell_counts", "shell_power_law_bound", "shell_sup_ratio")
+)
 
 
-@dataclass(frozen=True)
-class CountResult:
-    count: int
-    method: str
-    work: int
+def __getattr__(name: str):
+    """The public names of `expsumlab.shell`, which is imported on first use."""
+    if name in _SHELL_NAMES:
+        from . import shell
 
-
-def _strict_window(E: float, D: float) -> tuple[int, int]:
-    """Integers v with E - D < v < E + D, as an inclusive [lo, hi] range.
-
-    Exact for any float inputs: floor and ceil are taken on the exact
-    rationals E -+ D by integer division, so v = E +- D itself is always
-    excluded.
-    """
-    e_num, e_den = E.as_integer_ratio()
-    d_num, d_den = D.as_integer_ratio()
-    den = e_den * d_den
-    lo = (e_num * d_den - d_num * e_den) // den + 1
-    hi = -(-(e_num * d_den + d_num * e_den) // den) - 1
-    return lo, hi
-
-
-def shell_count_brute(q: ShellQuery) -> CountResult:
-    """Count shell pairs by scanning j and bisecting the k-range.
-
-    j runs while d * j^{d-1} stays below E + D (no larger j can admit any k);
-    for each j the admissible k form a contiguous block located by two
-    `_first_above` searches on the strictly increasing map k -> k^d.
-    """
-    lo, hi = _strict_window(q.E, q.D)
-    d = q.d
-    below = max(lo, 1) - 1  # k^d - j^d > below; the difference is at least 1 anyway
-    count = 0
-    work = 0
-    j = 1
-    slope = d  # d * j^{d-1}, maintained incrementally for the loop guard
-    while slope <= hi:
-        jd = j**d
-        k_top = j + hi // slope + 1
-        k_lo, probes = _first_above(d, 0, jd + below, j + 1, k_top)
-        work += probes
-        if k_lo**d > jd + below:
-            k_hi, probes = _first_above(d, 0, jd + hi, k_lo, k_top + 1)
-            work += probes
-            count += k_hi - k_lo
-        j += 1
-        slope = d * j ** (d - 1)
-    return CountResult(check_count(count, "shell count"), "brute", work)
-
-
-def _window_count(d: int, lo: int, hi: int) -> CountResult:
-    """Pairs j < k in N with lo <= k^d - j^d <= hi, by scanning b = k - j.
-
-    Writing k = j + b turns the window into bounds on the strictly
-    increasing v_b(j) = (j+b)^d - j^d, and each b needs only two
-    `_first_above` searches; total work O(hi^{1/d} log hi).
-    """
-    count = 0
-    work = 0
-    b = 1
-    while b**d <= hi:
-        t = max(lo - 1, b**d)  # v_b(j) > t means v_b(j) >= lo, as v_b(j) > b^d for j >= 1
-        if hi > t:
-            ub = _floor_root(max((hi - b**d) // (d * b), 1), d - 1) + 1
-            j_lo, probes = _first_above(d, b, t, 1, ub)
-            work += probes
-            if (j_lo + b) ** d - j_lo**d > t:
-                j_hi, probes = _first_above(d, b, hi, j_lo, ub + 1)
-                work += probes
-                count += j_hi - j_lo
-        b += 1
-    return CountResult(check_count(count, "shell count"), "fast", work)
-
-
-def shell_count_fast(q: ShellQuery) -> CountResult:
-    """Count shell pairs on the integer window of |v - E| < D, scanning k - j."""
-    return _window_count(q.d, *_strict_window(q.E, q.D))
-
-
-def _first_above(d: int, b: int, t: int, lo: int, hi: int) -> tuple[int, int]:
-    """Smallest x in [lo, hi) with f_b(x) > t, or hi if there is none.
-
-    f_0(x) = x^d and f_b(x) = (x+b)^d - x^d for b >= 1; both increase
-    strictly on x >= 0.  Returns (x, probes), the probes being the `work`
-    the counters report.  One integer binary search serves every counter.
-    """
-    probes = 0
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        probes += 1
-        if ((mid + b) ** d - mid**d if b else mid**d) > t:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo, probes
-
-
-def _floor_root(v: int, d: int) -> int:
-    """Largest integer r with r^d <= v (v >= 0, d >= 1), exactly."""
-    if v < 0:
-        raise ValueError("v must be nonnegative")
-    if d == 1:
-        return v
-    if d == 2:
-        return math.isqrt(v)
-    if v == 0:
-        return 0
-    r = int(round(v ** (1.0 / d)))
-    while r > 0 and r**d > v:
-        r -= 1
-    while (r + 1) ** d <= v:
-        r += 1
-    return r
-
-
-_SWEEP_BLOCK = 1 << 20
-_SUP_WORK_LIMIT = 1 << 28
-_GRID_POINT_STEPS = 48  # building one sup grid point and its window, in sweep steps
-
-
-def shell_sup_ratio(d: int, D: float, e_samples: int) -> tuple[int, float, float]:
-    """Maximize the shell count over D <= E <= D^2 and scale by D^{2/d}.
-
-    The grid is every integer in [D, D^2] when that fits the sample budget;
-    otherwise a geometric grid plus the endpoints plus every realized
-    difference k^d - j^d with j <= 2 D^{1/d} (counts peak near actual
-    differences).  Returns (sup count, sup count / D^{2/d}, argmax E); ties
-    resolve toward smaller E.
-
-    Every grid window is counted in one batch sweep (`_sweep_counts`), not by
-    one bisection per E.  The work is N + (B + 48) * G steps: the N
-    differences k^d - j^d up to the largest window top are enumerated once,
-    each of the B values of b = k - j that reach it searches all G windows,
-    and building one grid point and its window costs about 48 steps.  A step
-    is about 37 ns on a 2-vCPU Xeon; work past 2^28 steps (about 10 s) raises
-    GuardError, and so does a d, E, D that `ShellQuery` refuses at the
-    largest grid E.  A lower bound on the work (the pairs j < k <= top^{1/d},
-    and the grid points known before the grid is built) is checked first;
-    the slowest refusal measured, at d = 3 and D = 1.5e6, takes 0.65 s.
-    """
-    if e_samples < 1:
-        raise ValueError("e_samples must be positive")
-    if D < 1:
-        raise ValueError("D must be at least 1")
-    lo_e = math.ceil(Fraction(D))
-    hi_e = math.floor(Fraction(D) * Fraction(D))
-    if lo_e > hi_e:
-        raise ValueError(f"no integer E lies in [D, D^2] for D = {D}")
-    integral = hi_e - lo_e + 1 <= e_samples
-    top_e = float(hi_e) if integral else float(D) * float(D)  # the largest grid E
-    ShellQuery(d, top_e, D)  # refuses a bad d, or E + D > 2^63 at the largest E
-    top = _strict_window(top_e, D)[1]
-    n_b = _floor_root(top + 1, d) - 1  # b with (1 + b)^d - 1 <= top
-    m = _floor_root(top, d)  # every pair j < k <= m differs by less than top
-    # the j = 1 differences in [lo_e, hi_e] are distinct grid points
-    known = hi_e - lo_e + 1 if integral else _floor_root(hi_e + 1, d) - _floor_root(lo_e, d)
-    _check_sup_work(m * (m - 1) // 2 + (n_b + _GRID_POINT_STEPS) * known)
-    last_js = [_last_j(d, b, top) for b in range(1, n_b + 1)]
-    if integral:
-        grid = [float(e) for e in range(lo_e, hi_e + 1)]
-    else:
-        ends = [float(D), float(D) * float(D)]
-        geometric = np.clip(_geometric(lo_e, hi_e, e_samples), *ends)
-        j_cap = int(2 * D ** (1.0 / d)) + 1
-        diffs = np.concatenate(
-            [np.zeros(0, np.int64)]  # n_b may be 0
-            + [_differences(d, b, 1, min(j_cap, last) + 1) for b, last in enumerate(last_js, start=1)]
-        )
-        diffs = diffs[(diffs >= lo_e) & (diffs <= hi_e)]
-        grid = np.sort(np.concatenate((ends, geometric, diffs.astype(np.float64))))
-        grid = grid[np.diff(grid, prepend=0.0) > 0].tolist()  # np.unique would import numpy.ma
-    _check_sup_work(sum(last_js) + (n_b + _GRID_POINT_STEPS) * len(grid))
-    bounds = itertools.chain.from_iterable(_strict_window(e, D) for e in grid)
-    lo, hi = np.fromiter(bounds, np.int64, 2 * len(grid)).reshape(-1, 2).T
-    counts = _sweep_counts(d, lo, hi, last_js)
-    best = int(np.argmax(counts))  # the first maximum, so ties go to the smaller E
-    best_count = int(counts[best])
-    return best_count, best_count / D ** (2.0 / d), grid[best]
-
-
-def _check_sup_work(work: int) -> None:
-    if work > _SUP_WORK_LIMIT:
-        raise GuardError(
-            f"shell sup search needs at least {work} steps, past the 2^28 limit (about 10 s)"
-        )
-
-
-def _last_j(d: int, b: int, top: int) -> int:
-    """Largest j >= 0 with (j+b)^d - j^d <= top, for b^d <= top.
-
-    (j+b)^d - j^d >= b^d + d b j^{d-1} bounds the search.
-    """
-    bound = _floor_root((top - b**d) // (d * b), d - 1)
-    return _first_above(d, b, top, 1, bound + 1)[0] - 1
-
-
-def _differences(d: int, b: int, start: int, stop: int) -> np.ndarray:
-    """v_b(j) = (j+b)^d - j^d for start <= j < stop, as int64, increasing.
-
-    v_b(j) is the binomial sum sum_{i<d} C(d,i) b^{d-i} j^i by Horner's rule:
-    every term and partial value is at most v_b(j), so nothing wraps while
-    v_b(stop - 1) < 2^63.
-    """
-    coeffs = [math.comb(d, i) * b ** (d - i) for i in range(d)]
-    j = np.arange(start, stop, dtype=np.int64)
-    v = np.full(len(j), coeffs[-1], dtype=np.int64)
-    for c in reversed(coeffs[:-1]):
-        v *= j
-        v += c
-    return v
-
-
-def _geometric(lo: int, hi: int, count: int) -> np.ndarray:
-    """x_i = lo * r^i for i < count, r = (hi/lo)^{1/max(count-1, 1)}.
-
-    Each x_i is the running product x_{i-1} * r, so the floats do not depend
-    on how the sequence is evaluated.
-    """
-    ratio = (hi / lo) ** (1.0 / max(count - 1, 1))
-    return np.cumprod(np.concatenate(([float(lo)], np.full(count - 1, ratio))))
-
-
-def _sweep_counts(d: int, lo: np.ndarray, hi: np.ndarray, last_js: Sequence[int]) -> np.ndarray:
-    """Pairs j < k with lo[i] <= k^d - j^d <= hi[i], for every window i at once.
-
-    last_js[b - 1] is the last j whose difference v_b(j) = (j+b)^d - j^d
-    stays within the largest hi < 2^63.  v_b increases strictly in j, so each
-    b is enumerated once, in blocks of at most _SWEEP_BLOCK entries, and
-    every window takes two searchsorted calls per block.
-    """
-    counts = np.zeros(len(lo), dtype=np.int64)
-    for b, last in enumerate(last_js, start=1):
-        for start in range(1, last + 1, _SWEEP_BLOCK):
-            v = _differences(d, b, start, min(start + _SWEEP_BLOCK, last + 1))
-            counts += np.searchsorted(v, hi, "right") - np.searchsorted(v, lo, "left")
-    return counts
-
-
-def shell_power_law_bound(d: int, D: float, s: float) -> float:
-    """Predicted count scale for shells |k^d - j^d - D^s| < D, unit constant.
-
-    Two regimes split at s = d^2/(d^2 - d - 1); the exponents agree there,
-    so the bound is continuous in s.
-    """
-    if d < 3 or d != int(d):
-        raise ValueError("d must be an integer >= 3")
-    if not (1.0 < s <= 2.0):
-        raise ValueError("s must lie in (1, 2]")
-    if D < 1:
-        raise ValueError("D must be at least 1")
-    split = d * d / (d * d - d - 1.0)
-    if s <= split:
-        return D ** (1.0 + s * (2.0 / d - 1.0))
-    return D ** ((s / d) * (1.0 - 1.0 / d))
-
-
-def hyperbolic_count(d: int, x: float) -> int:
-    """R_d(x) = #{(j,k) in Z^2 : 0 < |k|^d - |j|^d <= x}.
-
-    Decomposes by sign symmetry: 4 * (pairs 1 <= j < k with k^d - j^d in
-    [1, floor(x)], counted by the shell counter) + 2 * floor(x^{1/d}) for
-    the axis pairs (0, +-k).
-    """
-    if d < 2 or d != int(d):
-        raise ValueError("d must be an integer >= 2")
-    if x < 1:
-        raise ValueError("x must be at least 1")
-    fx = math.floor(x)
-    positive = _window_count(d, 1, fx).count
-    return check_count(4 * positive + 2 * _floor_root(fx, d), "hyperbolic count")
+        return getattr(shell, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +54,18 @@ def divisor_summatory(x: float) -> int:
     The one-row face of ``divisor_summatories``.  x >= 2^62 raises
     GuardError: the sum would run over 2^31 divisors.
     """
+    n = divisor_floor(x)
+    return check_count(int(divisor_summatories(np.array([n], dtype=np.int64))[0]), "divisor summatory")
+
+
+def divisor_floor(x: float) -> int:
+    """floor(x) as a ``divisor_summatories`` entry: ValueError below 1, GuardError from 2^62."""
     if x < 1:
         raise ValueError("x must be at least 1")
     n = math.floor(x)
     if n >= 2**62:
         raise GuardError("divisor summatory needs x < 2^62 (over 2^31 divisors past it)")
-    return check_count(int(divisor_summatories(np.array([n], dtype=np.int64))[0]), "divisor summatory")
+    return n
 
 
 def divisor_summatories(n: np.ndarray) -> np.ndarray:

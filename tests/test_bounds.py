@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expsumlab import SeedSpec, SignedTimeMultiset, coincidence_probability_poisson, poisson_pmf
-from expsumlab import bounds, processes
+from expsumlab import bounds, processes, shell
 from expsumlab.bounds import (
     _check_mode,
     _RAW_BLOCK,
@@ -649,6 +649,24 @@ class TestInjectedFailures:
         assert (report.ok, report.checked, report.detail) == (False, 2000, "divisor x=1234")
         assert len(calls) == 1  # one kernel call over every x
         assert np.array_equal(calls[0], np.arange(1, 2001))
+
+
+    def test_shell_oracle(self, monkeypatch):
+        calls = []
+        real = shell.shell_counts
+
+        def counts(d, E, D, method):
+            calls.append((d, method, len(E)))
+            count, work = real(d, E, D, method)
+            if d == 3 and method == "fast":
+                count[[i for i, q in enumerate(zip(E, D)) if q in ((50.0, 8.0), (9.0, 3.0))]] += 1
+            return count, work
+
+        monkeypatch.setattr(shell, "shell_counts", counts)
+        report = verification_suite(quick=True)[7]
+        # the windows run D-major, so E=9, D=3 is the first of the two
+        assert (report.ok, report.checked, report.detail) == (False, 680, "shell d=3 E=9 D=3")
+        assert calls == [(d, m, 340) for d in (2, 3) for m in ("brute", "fast")]  # one call per counter and d
 
 
 class TestDivisorSieve:

@@ -19,7 +19,7 @@ import pytest
 import expsumlab
 from expsumlab.bounds import GridReport
 from expsumlab.cli import _shell_grid, build_parser, run
-from expsumlab.lattice import hyperbolic_count
+from expsumlab.lattice import divisor_summatory, hyperbolic_count
 from expsumlab.processes import SeedSpec
 
 
@@ -62,17 +62,17 @@ class TestBasicCommands:
         import expsumlab.lattice as lattice_mod
 
         calls = []
-        original = lattice_mod.divisor_summatory
+        original = lattice_mod.divisor_summatories
 
-        def counted(x):
-            calls.append(x)
-            return original(x)
+        def counted(n):
+            calls.append(n.tolist())
+            return original(n)
 
-        monkeypatch.setattr(cli_mod, "divisor_summatory", counted)
-        monkeypatch.setattr(lattice_mod, "divisor_summatory", counted)
+        monkeypatch.setattr(cli_mod, "divisor_summatories", counted)
+        monkeypatch.setattr(lattice_mod, "divisor_summatories", counted)
         code, out = run_capture(["divisor", "--x", "1,10,100,12345.5,1e6,1e10,1e12"], capsys)
         assert code == 0
-        assert len(calls) == 7
+        assert calls == [[1, 10, 100, 12345, 10**6, 10**10, 10**12]]  # one kernel call for every x
         # the rows printed when the error term summed D(x) a second time
         assert out == (
             "x,summatory,error\n"
@@ -84,6 +84,34 @@ class TestBasicCommands:
             "10000000000,231802823220,622.56477117538452\n"
             "1000000000000,27785452449086,3354.3873901367188\n"
         )
+
+    def test_divisor_rows_keep_input_order(self, capsys, monkeypatch):
+        import expsumlab.cli as cli_mod
+        import expsumlab.lattice as lattice_mod
+
+        calls = []
+        original = lattice_mod.divisor_summatories
+
+        def counted(n):
+            calls.append(n.tolist())
+            return original(n)
+
+        monkeypatch.setattr(cli_mod, "divisor_summatories", counted)
+        code, out = run_capture(["divisor", "--x", "1e12,10,1000.5,10,3"], capsys)
+        assert code == 0
+        assert calls == [[3, 10, 10, 1000, 10**12]]
+        rows = [(r["x"], int(r["summatory"])) for r in parse_csv(out)]
+        assert rows == [
+            ("1000000000000", divisor_summatory(1e12)),
+            ("10", 27),
+            ("1000.5", divisor_summatory(1000.5)),
+            ("10", 27),
+            ("3", 5),
+        ]
+
+    @pytest.mark.parametrize("xs,code", [("5,0.5", 1), ("1e19,abc", 2), ("abc,1e19", 1), ("10,inf", 2)])
+    def test_divisor_first_bad_x_decides_the_exit(self, xs, code, capsys):
+        assert run(["divisor", "--x", xs]) == code
 
     def test_shell_both_rows_agree(self, capsys):
         code, out = run_capture(["shell", "--d", "3", "--D", "4", "--mode", "both"], capsys)
@@ -366,6 +394,21 @@ class TestExitCodes:
         # the O(sqrt x) sum would run over 2^31 divisors; refuse at once
         assert run(["divisor", "--x", "1e19"]) == 2
         assert "2^62" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["shell", "--d", "2", "--D", "10", "--E", "1e12", "--mode", "brute"],  # about 5e11 rows
+            ["shell", "--d", "3", "--D", "1e6", "--E", "1e18", "--mode", "both"],
+            ["hyperbolic", "--d", "2", "--x", "1e20"],
+        ],
+    )
+    def test_shell_rows_past_guard_exit_two(self, argv, capsys):
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("numeric guard:") and "search rows" in err
 
     def test_shell_sup_past_guard_exits_two(self, capsys):
         # the sweep would enumerate about 10^12 differences; refuse at once

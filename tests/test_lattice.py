@@ -10,32 +10,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsumlab import FrequencySpectrum, GuardError, even_moment, lattice
+from expsumlab import FrequencySpectrum, GuardError, even_moment, shell
 from expsumlab.lattice import (
     EULER_GAMMA,
     GreenRuzsaSpec,
-    ShellQuery,
     _DIVISOR_BLOCK,
-    _first_above,
     _isqrt,
-    _last_j,
     _quotient_sums,
-    _strict_window,
-    _sweep_counts,
-    _window_count,
     diophantine_count,
     divisor_error,
     divisor_summatories,
     divisor_summatory,
     domination_check,
     greenruzsa_generate,
-    hyperbolic_count,
     representation_count,
+    sparsity_count,
+)
+from expsumlab.shell import (
+    ShellQuery,
+    _bisect,
+    _fast_counts,
+    _first_above,
+    _last_js,
+    _root_offsets,
+    _strict_window,
+    _sweep_counts,
+    _window_arrays,
+    hyperbolic_count,
     shell_count_brute,
     shell_count_fast,
+    shell_counts,
     shell_power_law_bound,
     shell_sup_ratio,
-    sparsity_count,
 )
 
 
@@ -325,6 +331,45 @@ class TestShellCounts:
             ShellQuery(2, 0.5, 1.0)
 
 
+def scalar_first_above(d: int, b: int, t: int, lo: int, hi: int) -> tuple[int, int]:
+    """Smallest x in [lo, hi) with f_b(x) > t, or hi, and the probes taken.
+
+    f_0(x) = x^d and f_b(x) = (x+b)^d - x^d: the scalar binary search on
+    Python ints that the array bisection replaced, kept as its oracle.
+    """
+    probes = 0
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        probes += 1
+        if ((mid + b) ** d - mid**d if b else mid**d) > t:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, probes
+
+
+def array_first_above(d, rows):
+    """(x, probes) per row (b, t, lo, hi) of one d, by one array search per kind of row.
+
+    Rows with b >= 1 go through `_first_above`; rows with b = 0 through
+    `_bisect` on the exact pivot floor(t^{1/d}), as the brute counter does.
+    """
+    out = [None] * len(rows)
+    for zero in (True, False):
+        picked = [i for i, row in enumerate(rows) if (row[0] == 0) == zero]
+        if not picked:
+            continue
+        b, t, lo, hi = (np.array(col, dtype=np.int64) for col in zip(*(rows[i] for i in picked)))
+        if zero:
+            pivot = np.where(t < 0, -1, _root_offsets(d, 0, np.maximum(t, 0)))
+            x, probes = _bisect(lo, hi, np.greater, pivot)
+        else:
+            x, probes = _first_above(d, b, t, lo, hi)
+        for i, xi, pi in zip(picked, x.tolist(), probes.tolist()):
+            out[i] = (xi, pi)
+    return out
+
+
 class TestFirstAbove:
     @staticmethod
     def f(d, b, x):
@@ -332,27 +377,159 @@ class TestFirstAbove:
 
     @given(
         st.integers(2, 7),
-        st.integers(0, 6),
-        st.integers(0, 80),
-        st.integers(0, 80),
-        st.integers(0, 170),
-        st.integers(-2, 2),
+        st.lists(
+            st.tuples(
+                st.integers(0, 6),
+                st.integers(0, 80),
+                st.integers(0, 80),
+                st.integers(0, 170),
+                st.integers(-2, 2),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
     )
-    @settings(max_examples=400, deadline=None)
-    def test_matches_linear_scan(self, d, b, lo, width, pivot, delta):
-        # t near f(pivot): the answer falls before, inside or past [lo, hi)
-        hi = lo + width
-        t = self.f(d, b, pivot) + delta
-        expected = next((x for x in range(lo, hi) if self.f(d, b, x) > t), hi)
-        x, probes = _first_above(d, b, t, lo, hi)
-        assert x == expected
-        assert width.bit_length() - 1 <= probes <= width.bit_length()
+    @settings(max_examples=200, deadline=None)
+    def test_matches_linear_scan(self, d, draws):
+        # t near f(pivot): the answer falls before, inside or past [lo, hi);
+        # every row of one array search matches the scalar oracle and a scan
+        rows = []
+        for b, lo, width, pivot, delta in draws:
+            rows.append((b, self.f(d, b, pivot) + delta, lo, lo + width))
+        got = array_first_above(d, rows)
+        for (b, t, lo, hi), (x, probes) in zip(rows, got):
+            assert (x, probes) == scalar_first_above(d, b, t, lo, hi)
+            assert x == next((v for v in range(lo, hi) if self.f(d, b, v) > t), hi)
+            assert (hi - lo).bit_length() - 1 <= probes <= (hi - lo).bit_length()
+
+    @given(st.integers(2, 9), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle_near_2_63(self, d, data):
+        # t up to 2^63 - 1 and midpoints whose v_b passes 2^63 or 2^64: the
+        # comparisons stay exact, without int64 wrap-around
+        rows = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            b = data.draw(st.integers(1, shell._floor_root(2**63 - 1, d)))
+            t = data.draw(st.integers(2**62, 2**63 - 1))
+            lo = data.draw(st.integers(1, 2**20))
+            rows.append((b, t, lo, lo + data.draw(st.integers(0, 2**40))))
+        got = array_first_above(d, rows)
+        assert got == [scalar_first_above(d, *row) for row in rows]
 
     @pytest.mark.parametrize("b", [0, 1, 4])
     def test_empty_and_full_ranges(self, b):
-        assert _first_above(3, b, 10, 7, 7) == (7, 0)
-        assert _first_above(3, b, -1, 5, 21) == (5, 5)  # every x is above t
-        assert _first_above(3, b, 10**9, 5, 21) == (21, 4)  # none is
+        assert array_first_above(3, [(b, 10, 7, 7)]) == [(7, 0)]
+        assert array_first_above(3, [(b, -1, 5, 21)]) == [(5, 5)]  # every x is above t
+        assert array_first_above(3, [(b, 10**9, 5, 21)]) == [(21, 4)]  # none is
+        assert scalar_first_above(3, b, 10**9, 5, 21) == (21, 4)
+
+
+class TestRootOffsets:
+    @given(
+        st.integers(1, 9),
+        st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 2**63 - 1)), min_size=1, max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_exact(self, d, draws):
+        # the largest m with (y+m)^d - y^d <= c, against Python ints
+        draws = [(y if d * y ** (d - 1) < 2**63 else 0, c) for y, c in draws]
+        y, c = (np.array(col, dtype=np.int64) for col in zip(*draws))
+        got = _root_offsets(d, y, c).tolist()
+        for (yi, ci), m in zip(draws, got):
+            assert (yi + m) ** d - yi**d <= ci < (yi + m + 1) ** d - yi**d
+
+    @pytest.mark.parametrize("v", [0, 1, 2**53 + 1, 2**62, 2**63 - 1, 2**63, 10**20, 3**80])
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_floor_roots_past_int64(self, v, d):
+        if v ** (1 / d) >= 2**52:
+            with pytest.raises(ValueError, match="2\\^52"):
+                shell._floor_root(v, d)
+            return
+        r = shell._floor_root(v, d)
+        assert r**d <= v < (r + 1) ** d
+
+
+def counts_of(queries, method):
+    """`shell_counts` over ShellQuery objects of one d, as (count, work) lists."""
+    count, work = shell_counts(queries[0].d, [q.E for q in queries], [q.D for q in queries], method)
+    return count.tolist(), work.tolist()
+
+
+class TestShellKernels:
+    def grid(self, d, D, cap):
+        return [ShellQuery(d, float(e), float(D)) for e in range(D, min(D * D, cap) + 1)]
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_row_block_does_not_matter(self, monkeypatch, block):
+        # windows share blocks, and a window's rows span several of them
+        queries = {d: self.grid(d, 8, 64) for d in (2, 3, 5)}
+        queries[7] = [ShellQuery(7, 2.0**63 - 1024, 1024.0), ShellQuery(7, 1e6, 10.0)]
+        expected = {(d, m): counts_of(q, m) for d, q in queries.items() for m in ("brute", "fast")}
+        monkeypatch.setattr(shell, "_ROW_BLOCK", block)
+        for (d, method), counts in expected.items():
+            assert counts_of(queries[d], method) == counts
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 64])
+    def test_row_blocks_skip_empty_windows(self, monkeypatch, block):
+        monkeypatch.setattr(shell, "_ROW_BLOCK", block)
+        rows = np.array([0, 3, 0, 0, 5, 1, 0], dtype=np.int64)
+        blocks = list(shell._row_blocks(rows))
+        assert all(len(w) <= block for w, _ in blocks)
+        got = [(int(w), int(y)) for ws, ys in blocks for w, y in zip(ws, ys)]
+        assert got == [(w, y) for w, n in enumerate(rows.tolist()) for y in range(1, n + 1)]
+        assert list(shell._row_blocks(np.zeros(3, dtype=np.int64))) == []
+
+    def test_batch_matches_one_row_faces(self):
+        queries = self.grid(3, 30, 900) + [ShellQuery(3, 1e12 + 0.5, 1e4), ShellQuery(3, 7.5, 1.0)]
+        for method, face in (("brute", shell_count_brute), ("fast", shell_count_fast)):
+            count, work = counts_of(queries, method)
+            assert list(zip(count, work)) == [
+                (r.count, r.work) for r in map(face, queries)
+            ]
+
+    @pytest.mark.parametrize(
+        "d,brute,fast",
+        [(5, (0, 365327), (0, 143555)), (7, (2, 17622), (2, 8269))],
+    )
+    def test_pinned_at_the_2_63_edge(self, d, brute, fast):
+        # E + D = 2^63 exactly: the window's top is 2^63 - 1
+        q = ShellQuery(d, 2.0**63 - 1024, 1024.0)
+        assert _strict_window(q.E, q.D)[1] == 2**63 - 1
+        got_brute, got_fast = shell_count_brute(q), shell_count_fast(q)
+        assert ((got_brute.count, got_brute.work), (got_fast.count, got_fast.work)) == (brute, fast)
+
+    def test_empty_call_and_bad_queries(self):
+        assert [a.tolist() for a in shell_counts(3, [], [], "brute")] == [[], []]
+        with pytest.raises(ValueError, match="same length"):
+            shell_counts(3, [5.0, 6.0], [1.0], "fast")
+        # every query is checked as a ShellQuery, with its errors
+        with pytest.raises(ValueError, match="at least 1"):
+            shell_counts(3, [5.0, 0.5], [1.0, 1.0], "fast")
+        with pytest.raises(GuardError, match="E \\+ D"):
+            shell_counts(3, [5.0, 2.0**63], [1.0, 1.0], "brute")
+        with pytest.raises(ValueError, match="d must be"):
+            shell_counts(1, [5.0], [1.0], "brute")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: shell_count_brute(ShellQuery(2, 1e12, 10.0)),  # about 5e11 rows
+            lambda: shell_count_fast(ShellQuery(2, 2.0**62, 2.0**62)),
+            lambda: shell_counts(2, [4e7, 4e7], [10.0, 10.0], "brute"),  # 2e7 rows twice
+            lambda: hyperbolic_count(3, 2.0**63),  # past 2^63 the rows run on Python ints
+            lambda: hyperbolic_count(2, 1e300),
+        ],
+    )
+    def test_row_guard_refuses_at_once(self, call):
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match="search rows"):
+            call()
+        assert time.perf_counter() - start < 1.0
+
+    def test_row_limits_stay_near_ten_seconds(self):
+        assert shell._ROW_LIMIT == 2**25 and shell._OBJECT_ROW_LIMIT == 2**18
+        lo, hi = _window_arrays([(1, 2**64)])
+        assert hi.dtype == object
 
 
 class TestShellSupRatio:
@@ -402,7 +579,7 @@ class TestShellSupRatio:
             windows.extend(zip(lo.tolist(), hi.tolist()))
             return _sweep_counts(d, lo, hi, last_js)
 
-        monkeypatch.setattr(lattice, "_sweep_counts", recorded)
+        monkeypatch.setattr(shell, "_sweep_counts", recorded)
         best = counts.index(max(counts))
         assert shell_sup_ratio(d, D, e_samples) == (counts[best], counts[best] / D ** (2 / d), grid[best])
         assert windows == [_strict_window(e, D) for e in grid]  # the same grid, point by point
@@ -418,7 +595,7 @@ class TestShellSupRatio:
     @pytest.mark.parametrize("block", [1, 3, 64])
     def test_many_blocks(self, monkeypatch, block):
         expected = [shell_sup_ratio(d, D, 300) for d, D in ((2, 40.0), (3, 200.0))]
-        monkeypatch.setattr(lattice, "_SWEEP_BLOCK", block)
+        monkeypatch.setattr(shell, "_SWEEP_BLOCK", block)
         assert [shell_sup_ratio(d, D, 300) for d, D in ((2, 40.0), (3, 200.0))] == expected
 
     @given(st.integers(2, 5), st.lists(st.integers(1, 10**6), min_size=2, max_size=40))
@@ -427,11 +604,13 @@ class TestShellSupRatio:
         lo = np.array(ends[0::2][: len(ends) // 2], dtype=np.int64)
         hi = lo + np.array(ends[1::2], dtype=np.int64) % 5000
         top = int(hi.max())
-        reaching = itertools.takewhile(lambda b: (1 + b) ** d - 1 <= top, itertools.count(1))
-        last_js = [_last_j(d, b, top) for b in reaching]
-        assert sum(last_js) == _window_count(d, 1, top).count
+        n_b = sum(1 for _ in itertools.takewhile(lambda b: (1 + b) ** d - 1 <= top, itertools.count(1)))
+        last_js = _last_js(d, top, n_b).tolist()
+        for b, j in enumerate(last_js, start=1):  # the last j whose difference stays within top
+            assert (j + b) ** d - j**d <= top < (j + 1 + b) ** d - (j + 1) ** d
+        assert sum(last_js) == _fast_counts(d, *_window_arrays([(1, top)]))[0][0]
         got = _sweep_counts(d, lo, hi, last_js)
-        assert got.tolist() == [_window_count(d, int(a), int(b)).count for a, b in zip(lo, hi)]
+        assert got.tolist() == _fast_counts(d, lo, hi)[0].tolist()
 
     def test_is_fast(self):
         # 2,749 bisection counts took 0.67 s here; the sweep takes about 0.012 s
