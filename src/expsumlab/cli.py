@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -158,6 +159,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
 
 
+@functools.cache  # built once per process; parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expsumlab",

@@ -25,6 +25,11 @@ Python integers and words past 63 bits are argsorted.  Frequencies and
 counts stay in int64 only where no sum can wrap and in Python integers
 beyond; the sum of squared counts is one int64 dot product where it cannot
 wrap either.  Negative frequencies are allowed everywhere.
+
+Many small unit spectra, such as the samples of a Monte Carlo rung, are
+counted together (``even_moments``): a row field above the packed word
+keeps each spectrum's runs apart, so one sort makes every profile and, at
+n = 2, one more sort every representation count.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .errors import COUNT_BITS, GuardError, check_count, check_power
 
 _INT64_SAFE = 1 << 62
 _NODE_LIMIT = 1 << 24  # 256 MiB per complex128 grid; an ascent holds about ten
+_BATCH_TERMS = 48  # distinct values from which an n = 2 row is counted faster on its own
 
 _Profile = tuple[np.ndarray, np.ndarray]  # (freqs, coeffs), sorted by frequency
 
@@ -175,6 +181,7 @@ def _sorted_runs(words: np.ndarray, shift: int) -> _Profile:
     of the cumulative sum of the low bits at the run ends, so the total of
     all counts must fit in int64; when shift is 0 that cumulative sum is the
     word count, end + 1.  No argsort and no gather through a permutation.
+    A row field above the offsets (``even_moments``) keeps rows' runs apart.
     """
     words.sort()
     offsets = words >> shift if shift else words
@@ -337,6 +344,59 @@ def even_moment(spectrum: FrequencySpectrum, n: int) -> int:
     else:
         total = sum(c * c for c in counts.tolist())
     return check_count(total, "even moment")
+
+
+def even_moments(rows: np.ndarray, n: int) -> list[int]:
+    """``even_moment`` of the unit spectrum of each row of a 2-D frequency array.
+
+    Where no count can wrap (n <= 2, int64 rows, terms^(2n) below 2^63) and
+    the words fit, rows are counted together by ``_sorted_runs`` on words
+    with a row field above the key offset, so runs never cross rows.  One
+    sort makes every row's profile; at n = 1 its squared run lengths are the
+    moment.  At n = 2, the rows with fewer than _BATCH_TERMS distinct values
+    pack each pair i <= j of their profile, pair sum above the count product
+    (doubled off the diagonal), and one more sort gives every R(m).  Squares
+    are summed per row by ``np.add.reduceat``.  Every other row is counted by
+    ``even_moment``.
+    """
+    samples, size = rows.shape
+    check_power(size, 2 * n, COUNT_BITS)
+    shift = None
+    if n in (1, 2) and rows.dtype == np.int64 and rows.size and size ** (2 * n) < 1 << 63:
+        lo = int(rows.min())
+        bits = (n * (int(rows.max()) - lo)).bit_length()  # an n-sum less n lo, below the row field
+        shift = _word_shift((samples << bits) - 1, 2 * size * size if n == 2 else 1)
+    if shift is None:
+        return [even_moment(FrequencySpectrum.unit(row), n) for row in rows]
+    words = rows - lo
+    words |= np.arange(samples)[:, None] << bits
+    keys, counts = _sorted_runs(words.ravel(), 0)
+    starts = np.searchsorted(keys, np.arange(samples) << bits)
+    if n == 1:
+        counts *= counts
+        return np.add.reduceat(counts, starts).tolist()
+    terms = np.diff(starts, append=len(keys))
+    small = terms < _BATCH_TERMS
+    totals = np.empty(samples, np.int64)
+    if small.any():
+        keep = np.repeat(small, terms)
+        keys, counts, terms = keys[keep], counts[keep], terms[small]
+        # pair (i, j): i repeats once for each j from i to the end of its row
+        index = np.arange(len(keys))
+        reps = np.repeat(np.cumsum(terms), terms) - index
+        i = np.repeat(index, reps)
+        j = np.arange(len(i)) - np.repeat(np.cumsum(reps) - reps - index, reps)
+        words = keys[i] + (keys[j] & ((1 << bits) - 1))
+        words <<= shift
+        weights = counts[i] * counts[j]
+        weights <<= i != j
+        words |= weights
+        keys, counts = _sorted_runs(words, shift)
+        counts *= counts
+        totals[small] = np.add.reduceat(counts, np.searchsorted(keys, np.flatnonzero(small) << bits))
+    for row in np.flatnonzero(~small).tolist():
+        totals[row] = even_moment(FrequencySpectrum.unit(rows[row]), n)
+    return totals.tolist()
 
 
 def even_norm_coeff(spectrum: FrequencySpectrum, n: int) -> float:

@@ -274,7 +274,7 @@ def genericity_experiment(
         else:
             hits = 0
             for i in range(samples):
-                result = majorant_ratio_quadrature(sorted(sample(i)), p, restarts, opt_seed)
+                result = majorant_ratio_quadrature(sorted(sample(i).tolist()), p, restarts, opt_seed)
                 if result.ratio >= threshold:
                     hits += 1
             prob = hits / samples

@@ -39,16 +39,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import COUNT_BITS, GuardError, check_power
-from .expsum import _NODE_LIMIT, FrequencySpectrum, even_moment, lp_norm_quadrature, suggested_nodes
+from .expsum import _NODE_LIMIT, FrequencySpectrum, even_moments, lp_norm_quadrature, suggested_nodes
 from .processes import (
     Pmf,
     ProcessPath,
     SeedSpec,
     TimeGrid,
+    iid_draws,
+    poisson_draws,
     poisson_pmf,
-    sample_iid,
-    sample_poisson_path,
-    walk_positions,
+    walk_draws,
 )
 
 _DP_SUPPORT_LIMIT = 50_000_000
@@ -56,6 +56,9 @@ _TRANSFER_WORK_LIMIT = 1 << 30  # nodes x layers x (n+1)^2: about 20 s of the ex
 _Y_BLOCK = 1 << 13  # y nodes per block; a block's states stay in cache
 _EXACT_TOL = 1e-15  # Poisson aliasing budget per tuple of exact_even_moment
 _WALK_LENGTH_GUARD = 100_000_000  # steps; walk_positions peaks at 16 bytes a step, about 1.6 GB
+# Sampled values counted together.  An n = 2 block packs at most 24 pairs a
+# value; blocks of 2^12 values raised mc-ladder's peak memory by 0.2 MB.
+_BLOCK_VALUES = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -147,18 +150,22 @@ class SignedTimeMultiset:
             raise ValueError("times must be nonnegative")
 
 
-def _sampler(spec: ExperimentSpec) -> Callable[[int], tuple[int, ...]]:
-    """The realized values of sample i, as a function of i.
+def _sampler(spec: ExperimentSpec) -> Callable[[int], np.ndarray]:
+    """The realized values of sample i, as an array, as a function of i.
 
-    The mapped times, and the walk's index array, are built once here for
-    every sample of the experiment.
+    The mapped times, the walk's index array and one generator reset for
+    each sample (``SeedSpec.reset_generator``) are built once here for every
+    sample of the experiment, so sample i draws what ``spec.seed.generator(i)``
+    would.  Values are int64, except i.i.d. values past int64.
     """
+    draw = spec.seed.reset_generator()
     if spec.process == "iid":
-        return lambda i: sample_iid(spec.pmf, len(spec.index_set), spec.seed, i).values
+        cum, support, count = np.cumsum(spec.pmf.probs), np.array(spec.pmf.values), len(spec.index_set)
+        return lambda i: iid_draws(draw(i), cum, support, count)
     times = spec.times()
     if spec.process == "poisson":
-        grid = TimeGrid(times)
-        return lambda i: sample_poisson_path(grid, spec.seed, i).values
+        gaps = np.diff(np.concatenate(([0.0], TimeGrid(times).times)))
+        return lambda i: poisson_draws(draw(i), gaps)
     if any(t != int(t) for t in times):
         raise ValueError("random walk is only defined at integer times")
     n_max = int(times[-1])
@@ -168,7 +175,7 @@ def _sampler(spec: ExperimentSpec) -> Callable[[int], tuple[int, ...]]:
             " (about 1.6 GB at 16 bytes a step)"
         )
     index = np.array(times, dtype=np.int64)
-    return lambda i: tuple(walk_positions(n_max, spec.seed, i)[index].tolist())
+    return lambda i: walk_draws(draw(i), n_max)[index]
 
 
 def _summarize(values: list[float], spec: ExperimentSpec, descriptor: str) -> MomentEstimate:
@@ -190,20 +197,22 @@ def _even_degree(p: float) -> int:
 def mc_even_moment(spec: ExperimentSpec) -> MomentEstimate:
     """Unbiased Monte Carlo estimate of the even moment E||.||_{2n}^{2n}.
 
-    Each sample realizes the process on the mapped times, forms the unit
-    spectrum of the realized values, and evaluates the moment exactly.  With
-    2^128 or more 2n-tuples, OverflowError is raised before any sampling.
+    Each sample realizes the process on the mapped times, and the moment of
+    the unit spectrum of its values is counted exactly.  Samples are drawn
+    one by one and counted in blocks of about _BLOCK_VALUES values by
+    ``even_moments``, which gives each sample's ``even_moment``.  With 2^128
+    or more 2n-tuples, OverflowError is raised before any sampling.
     """
     n = _even_degree(spec.p)
     if not n:
         raise ValueError("mc_even_moment needs an even integer p >= 2")
     check_power(len(spec.index_set), spec.p, COUNT_BITS)
     sample = _sampler(spec)
-
-    def one(i: int) -> float:
-        return float(even_moment(FrequencySpectrum.unit(sample(i)), n))
-
-    values = [one(i) for i in range(spec.samples)]
+    block = max(1, _BLOCK_VALUES // len(spec.index_set))
+    values: list[float] = []
+    for start in range(0, spec.samples, block):
+        rows = np.array([sample(i) for i in range(start, min(start + block, spec.samples))])
+        values.extend(map(float, even_moments(rows, n)))
     return _summarize(values, spec, spec.descriptor() + "/exact-even")
 
 

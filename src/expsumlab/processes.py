@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -50,6 +50,26 @@ class SeedSpec:
         key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
         counter = np.array([0, 0, sample_index, 0], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+    def reset_generator(self) -> Callable[[int], np.random.Generator]:
+        """``generator(i)`` for a loop over samples, from one Philox and one Generator.
+
+        Each call resets the Philox to counter block i with its buffer empty,
+        so the draws equal those of ``generator(i)`` at about a fifth of its
+        cost.  Every call returns the same Generator: a sample's draws must be
+        made before the next call.
+        """
+        gen = self.generator()
+        bits = gen.bit_generator
+        state = bits.state  # buffer_pos 4 and has_uint32 0: nothing buffered
+        counter = state["state"]["counter"]
+
+        def reset(sample_index: int) -> np.random.Generator:
+            counter[2] = sample_index
+            bits.state = state
+            return gen
+
+        return reset
 
     def child(self, stream_index: int) -> "SeedSpec":
         return SeedSpec(self.master_seed, stream_index)
@@ -210,13 +230,15 @@ def sample_iid(pmf: Pmf, count: int, seed: SeedSpec, sample_index: int = 0) -> P
     grid = TimeGrid.indices(count)
     if count == 0:
         return ProcessPath(grid, ())
-    gen = seed.generator(sample_index)
-    cum = np.cumsum(np.asarray(pmf.probs))
-    u = gen.random(count)
-    idx = np.searchsorted(cum, u, side="right")
-    idx = np.minimum(idx, len(cum) - 1)
-    support = np.asarray(pmf.values)
-    return ProcessPath(grid, tuple(support[idx].tolist()))
+    draws = iid_draws(seed.generator(sample_index), np.cumsum(pmf.probs), np.asarray(pmf.values), count)
+    return ProcessPath(grid, tuple(draws.tolist()))
+
+
+def iid_draws(gen: np.random.Generator, cum: np.ndarray, support: np.ndarray, count: int) -> np.ndarray:
+    """``count`` values of ``support`` by inverse CDF on ``cum``, its cumulative probabilities."""
+    idx = np.searchsorted(cum, gen.random(count), side="right")
+    np.minimum(idx, len(cum) - 1, out=idx)
+    return support[idx]
 
 
 def sample_poisson_path(grid: TimeGrid, seed: SeedSpec, sample_index: int = 0) -> ProcessPath:
@@ -228,25 +250,33 @@ def sample_poisson_path(grid: TimeGrid, seed: SeedSpec, sample_index: int = 0) -
     """
     if len(grid) == 0:
         return ProcessPath(grid, ())
-    gen = seed.generator(sample_index)
-    times = np.asarray(grid.times, dtype=np.float64)
-    gaps = np.diff(np.concatenate(([0.0], times)))
-    increments = gen.poisson(gaps)
-    values = np.cumsum(increments)
-    return ProcessPath(grid, tuple(values.tolist()))
+    gaps = np.diff(np.concatenate(([0.0], grid.times)))
+    return ProcessPath(grid, tuple(poisson_draws(seed.generator(sample_index), gaps).tolist()))
+
+
+def poisson_draws(gen: np.random.Generator, gaps: np.ndarray) -> np.ndarray:
+    """N(t) as int64 at the times whose gaps, from 0 on, are ``gaps``: summed Poisson(gap) increments."""
+    values = gen.poisson(gaps)
+    np.cumsum(values, out=values)
+    return values
 
 
 def walk_positions(n_max: int, seed: SeedSpec, sample_index: int = 0) -> np.ndarray:
     """R(0..n_max) of the simple random walk as an int64 array, R(0) = 0.
 
     Step i is 2u - 1 for the i-th draw u in {0, 1} of the sample's Philox
-    stream; every walk in the package is drawn here.  The steps are formed
-    in the draw array and summed straight into the result, so a walk peaks
-    at 16 bytes a step.
+    stream; every walk in the package is drawn by ``walk_draws``.  The steps
+    are formed in the draw array and summed straight into the result, so a
+    walk peaks at 16 bytes a step.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    steps = seed.generator(sample_index).integers(0, 2, size=n_max, dtype=np.int64)
+    return walk_draws(seed.generator(sample_index), n_max)
+
+
+def walk_draws(gen: np.random.Generator, n_max: int) -> np.ndarray:
+    """``walk_positions`` from the draws of ``gen``."""
+    steps = gen.integers(0, 2, size=n_max, dtype=np.int64)
     steps <<= 1
     steps -= 1
     positions = np.empty(n_max + 1, dtype=np.int64)

@@ -570,6 +570,36 @@ def test_readme_examples_parse(capsys):
             pytest.fail(f"README example does not parse: expsumlab {shlex.join(argv)}")
 
 
+def test_cached_parser_prints_what_fresh_parsers_print(capsys, monkeypatch):
+    import expsumlab.cli as cli
+
+    assert build_parser() is build_parser()
+    calls = [
+        ["divisor", "--x", "10,1000"],
+        ["moment", "--process", "poisson", "--p", "4", "--sizes", "4,8", "--samples", "5", "--seed", "3"],
+        ["moment", "--process", "poisson", "--p", "4", "--bogus", "1"],  # a parse failure: exit 1
+        ["moment", "--process", "walk", "--p", "2", "--sizes", "5", "--samples", "3"],
+        ["repcount", "--n", "2", "--d", "2", "--M", "30", "--squares"],
+        ["majorant", "--freqs", "0,1,3", "--p", "4", "--restarts", "1"],
+        ["moment", "--help"],
+        ["divisor", "--x", "10,1000", "--format", "json"],
+    ]
+
+    def outputs():
+        results = []
+        for argv in calls:
+            code = run(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    cached = outputs()
+    assert [code for code, _, _ in cached] == [0, 0, 1, 0, 0, 0, 0, 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert outputs() == cached
+
+
 def _declared_console_script(name):
     """The ``module:attr`` target that pyproject.toml declares for ``name``."""
     try:

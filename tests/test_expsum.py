@@ -304,6 +304,65 @@ class TestEvenMoment:
         assert representation_table(single, 127).counts == {635: 1}
 
 
+def spy_even_moment(monkeypatch):
+    """Count the rows that ``even_moments`` hands to ``even_moment``."""
+    rows = []
+    real = expsum.even_moment
+
+    def spy(spectrum, n):
+        rows.append(spectrum.freqs)
+        return real(spectrum, n)
+
+    monkeypatch.setattr(expsum, "even_moment", spy)
+    return rows
+
+
+def per_row(rows, n):
+    return [even_moment(FrequencySpectrum.unit(row.tolist()), n) for row in rows]
+
+
+class TestEvenMoments:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_even_moment_per_row(self, seed, n, monkeypatch):
+        rng = np.random.default_rng(seed)
+        for samples, size, span in [(1, 1, 0), (1, 9, 3), (7, 5, 0), (13, 30, 6), (5, 60, 40), (9, 70, 10**6)]:
+            rows = rng.integers(-span, span + 1, size=(samples, size))
+            expected = per_row(rows, n)
+            handed = spy_even_moment(monkeypatch)
+            assert expsum.even_moments(rows, n) == expected
+            distinct = [len(set(row.tolist())) for row in rows]
+            routed = {1: 0, 2: sum(t >= expsum._BATCH_TERMS for t in distinct), 3: samples}[n]
+            assert len(handed) == routed
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("n, top", [(1, 2**62 - 1), (2, 2**56 - 1)])
+    def test_word_edge_falls_back_to_each_row(self, n, top, monkeypatch):
+        # two rows of three terms: a 1-bit row field, at n = 2 a 5-bit weight
+        # field (2 * 3^2 = 18), and n (max - min) fills the rest of 63 bits at top
+        for high, handed_rows in [(top, 0), (top + 1, 2)]:
+            rows = np.array([[0, high, 5], [high, high, 1]], np.int64)
+            handed = spy_even_moment(monkeypatch)
+            assert expsum.even_moments(rows, n) == per_row(rows, n)
+            assert len(handed) == handed_rows
+            monkeypatch.undo()
+
+    def test_counts_that_could_wrap_fall_back(self, monkeypatch):
+        # 2^16 terms: terms^4 reaches 2^63, so each row goes to even_moment
+        rows = np.arange(1 << 16, dtype=np.int64).reshape(1, -1) % 3
+        handed = spy_even_moment(monkeypatch)
+        assert expsum.even_moments(rows, 2) == per_row(rows, 2)
+        assert len(handed) == 1
+        wide = np.array([[0, 2**70, 3]], dtype=object)
+        assert expsum.even_moments(wide, 1) == [3]
+        assert expsum.even_moments(wide, 2) == per_row(wide, 2)
+
+    def test_refuses_past_the_count_ceiling(self, monkeypatch):
+        monkeypatch.setattr(expsum, "_sorted_runs", None)
+        with pytest.raises(OverflowError, match="2\\^128"):
+            expsum.even_moments(np.zeros((2, 4), np.int64), 32)  # 4^64 2n-tuples
+
+
 class TestEvenNormCoeff:
     def test_matches_even_moment_on_unit(self):
         for freqs in ([1, 2], [3, 3, 7], [0, 5, 9, 9]):

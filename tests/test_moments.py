@@ -1,5 +1,6 @@
 """Moment expectations: exact formulas, the coincidence engine, Monte Carlo."""
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -33,16 +34,18 @@ from expsumlab import (
     slope_fit,
     suggested_nodes,
 )
+from expsumlab import expsum, moments
 from expsumlab.errors import GuardError
 from expsumlab.majorant import majorant_ratio
 from expsumlab.moments import (
     _WALK_LENGTH_GUARD,
     _even_degree,
     _sampler,
+    _summarize,
     interval_coefficients,
     truncated_poisson_pmf,
 )
-from expsumlab.processes import sample_random_walk
+from expsumlab.processes import TimeGrid, sample_iid, sample_poisson_path, sample_random_walk
 
 SEED = SeedSpec(2024, 3)
 
@@ -431,7 +434,7 @@ class TestMonteCarlo:
             times = spec.times()
             for i in range(3):
                 path = sample_random_walk(int(times[-1]), seed, i).values
-                assert _sampler(spec)(i) == tuple(path[int(t)] for t in times)
+                assert _sampler(spec)(i).tolist() == [path[int(t)] for t in times]
 
     def test_walk_sample_is_fast(self):
         # 128^3 = 2,097,152 steps; a tuple path of them took 1.1 s
@@ -439,7 +442,7 @@ class TestMonteCarlo:
         start = time.perf_counter()
         values = _sampler(spec)(0)
         assert time.perf_counter() - start < 0.2
-        assert len(values) == 128 and all(type(v) is int for v in values)
+        assert values.shape == (128,) and values.dtype == np.int64
 
     def test_walk_guard_states_its_byte_budget(self):
         # 10^8 steps at 16 bytes a step; the refusal comes before any draw
@@ -447,6 +450,64 @@ class TestMonteCarlo:
         spec = ExperimentSpec("walk", (1, 100_000_001), TimeMap("identity"), 2.0, 1, SEED)
         with pytest.raises(GuardError, match="10\\^8 steps \\(about 1.6 GB at 16 bytes a step\\)"):
             _sampler(spec)(0)
+
+
+def public_values(spec, i):
+    """Sample i's values from the public samplers, each with its own generator."""
+    times = spec.times()
+    if spec.process == "poisson":
+        return sample_poisson_path(TimeGrid(times), spec.seed, i).values
+    if spec.process == "iid":
+        return sample_iid(spec.pmf, len(spec.index_set), spec.seed, i).values
+    path = sample_random_walk(int(times[-1]), spec.seed, i).values
+    return tuple(path[int(t)] for t in times)
+
+
+RUNGS = [
+    ExperimentSpec("poisson", tuple(range(1, 13)), TimeMap("identity"), 4.0, 23, SEED),
+    ExperimentSpec("poisson", tuple(range(1, 81)), TimeMap("identity"), 4.0, 9, SEED),  # both routes
+    ExperimentSpec("poisson", tuple(range(1, 21)), TimeMap("power", d=2), 4.0, 23, SEED),
+    ExperimentSpec("poisson", (3, 7), TimeMap("arith", r=2.0), 4.0, 23, SEED),
+    ExperimentSpec("walk", tuple(range(1, 31)), TimeMap("identity"), 4.0, 23, SeedSpec(5, 30)),
+    ExperimentSpec("walk", tuple(range(1, 7)), TimeMap("power", d=2), 4.0, 23, SEED),
+    ExperimentSpec("iid", tuple(range(1, 10)), TimeMap("identity"), 4.0, 23, SEED, Pmf.uniform([-3, 0, 5])),
+    ExperimentSpec("iid", tuple(range(1, 6)), TimeMap("identity"), 4.0, 23, SEED, Pmf.point(-4)),
+    ExperimentSpec("poisson", (4,), TimeMap("identity"), 4.0, 1, SEED),
+    ExperimentSpec("walk", (2, 5, 9), TimeMap("identity"), 4.0, 1, SEED),
+]
+
+
+class TestBatchedRungs:
+    @pytest.mark.parametrize("block", [1, 3, None])
+    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
+    @pytest.mark.parametrize("rung", range(len(RUNGS)))
+    def test_values_match_per_sample_even_moment(self, rung, p, block, monkeypatch):
+        spec = dataclasses.replace(RUNGS[rung], p=p)
+        n = int(p) // 2
+        paths = [public_values(spec, i) for i in range(spec.samples)]
+        expected = [float(even_moment(FrequencySpectrum.unit(path), n)) for path in paths]
+        if block is not None:
+            monkeypatch.setattr(moments, "_BLOCK_VALUES", block * len(spec.index_set))
+        handed = []
+        real = expsum.even_moment
+        monkeypatch.setattr(expsum, "even_moment", lambda s, n: handed.append(s.size) or real(s, n))
+        monkeypatch.setattr(moments, "_summarize", lambda values, spec, descriptor: values)
+        assert mc_even_moment(spec) == expected
+        distinct = [len(set(path)) for path in paths]
+        assert len(handed) == {1: 0, 2: sum(t >= expsum._BATCH_TERMS for t in distinct), 3: spec.samples}[n]
+        monkeypatch.undo()
+        summary = _summarize(expected, spec, spec.descriptor() + "/exact-even")
+        est = mc_even_moment(spec)
+        assert (est.mean.hex(), est.std_error.hex()) == (summary.mean.hex(), summary.std_error.hex())
+
+    @pytest.mark.parametrize("rung", [0, 4, 6])
+    def test_sampler_draws_as_public_samplers(self, rung):
+        spec = RUNGS[rung]
+        sample = _sampler(spec)
+        for i in (0, 1, 2**32, 2**64 - 1, 1):
+            values = sample(i)
+            assert values.dtype == np.int64
+            assert values.tolist() == list(public_values(spec, i))
 
 
 class TestEvenDegree:

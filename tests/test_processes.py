@@ -248,6 +248,40 @@ class TestSeedSpec:
         with pytest.raises(ValueError):
             SeedSpec(1 << 64)
 
+    @staticmethod
+    def draws(gen):
+        return (
+            gen.poisson([0.5, 1.0, 30.0, 2.0]).tolist(),
+            gen.integers(0, 2, size=9, dtype=np.int64).tolist(),
+            gen.random(3).tolist(),
+            gen.poisson(3.0, size=2).tolist(),
+            gen.integers(0, 2, size=4, dtype=np.int64).tolist(),
+            gen.random(2).tolist(),
+        )
+
+    @pytest.mark.parametrize("seed", [SEED, SeedSpec(0), SeedSpec(2**64 - 1, 2**64 - 1)])
+    def test_reset_generator_draws_as_a_fresh_one(self, seed):
+        reset = seed.reset_generator()
+        buffered = []
+        for i in [0, 1, 2**32, 2**64 - 1, 1, 0]:  # each call follows draws at another index
+            gen = reset(i)
+            assert self.draws(gen) == self.draws(seed.generator(i))
+            state = gen.bit_generator.state
+            buffered.append(state["has_uint32"] == 1 and state["buffer_pos"] < 4)
+        assert any(buffered[:-1])  # some reset found half-words and words left over
+        assert reset(0) is reset(1)
+
+    def test_generators_share_no_state(self):
+        first, second = SEED.generator(5), SEED.generator(5)
+        assert first.bit_generator is not second.bit_generator
+        first.random(7)
+        assert self.draws(second) == self.draws(SEED.generator(5))
+        one, other = SEED.reset_generator(), SEED.reset_generator()
+        expected = self.draws(SEED.generator(3))
+        gen = one(3)
+        other(9).random(4)
+        assert self.draws(gen) == expected
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             TimeGrid((1.0, 1.0))
