@@ -10,7 +10,9 @@ The bounds covered: Gaussian-like concentration of N(m) around m, the mode
 bounds sup_t P[N(t)=a] <= 1/sqrt(2 pi a) and sup_a P[N(t)=a] at a = floor(t),
 Robbins' two-sided Stirling refinement, mode bounds for positive integer
 combinations of independent Poisson variables and for sums of process
-increments, and the transfer of |x-y| windows across the sqrt(t log t) scale.
+increments, both read off the coincidence DP's strided convolution, and the
+transfer of |x-y| windows across the sqrt(t log t) scale.  At a = 0 the
+increments are also checked against exp(-|union of the intervals|).
 ``verification_suite`` runs all of them on grids, together with the exact
 oracles of the lattice counters, and is the one place the ``verify``
 subcommand gets its checks from.
@@ -33,11 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .lattice import divisor_summatories
-from .moments import (
-    SignedTimeMultiset,
-    coincidence_probability_poisson,
-    interval_coefficients,
-)
+from .moments import _signed_sum_pmf, interval_coefficients
 from .processes import SeedSpec, poisson_pmf
 
 _E50 = math.exp(50.0)
@@ -58,10 +56,6 @@ class BoundCheck:
 def _holds(exact, bound):
     """exact <= bound up to 1e-12 of max(1, bound); elementwise on arrays."""
     return exact <= bound + 1e-12 * np.maximum(1.0, bound)
-
-
-def _check(exact: float, bound: float) -> BoundCheck:
-    return BoundCheck(exact, bound, bool(_holds(exact, bound)), bound - exact)
 
 
 def _checks(exact: np.ndarray, bound: np.ndarray) -> list[BoundCheck]:
@@ -219,25 +213,21 @@ def robbins_check(n: int) -> tuple[BoundCheck, BoundCheck]:
     return _checks(lower, ratio)[0], _checks(ratio, upper)[0]
 
 
-def _combo_exact_probability(means: Sequence[float], coeffs: Sequence[int], a: int) -> float:
-    # P[sum_i c_i X_i = a] for independent Poisson X_i; exact because any
-    # configuration overshooting a can never come back down.
-    dist = np.zeros(a + 1, dtype=np.float64)
-    dist[0] = 1.0
-    for mu, c in zip(means, coeffs):
-        kmax = a // c
-        v = np.zeros(c * kmax + 1, dtype=np.float64)
-        v[::c] = poisson_pmf(mu, np.arange(kmax + 1))
-        dist = np.convolve(dist, v)[: a + 1]
-    return float(dist[a])
+def _combo_check(means: Sequence[float], coeffs: Sequence[int], a: int, mode: int) -> BoundCheck:
+    """P[sum_i c_i X_i = a] against the mode bound min{1, 1/sqrt(2 pi mode)}.
+
+    The X_i are independent Poisson(means[i]) and c_i >= 1.  Exact: a count
+    past a // c_i would overshoot a, so each pmf can stop there.
+    """
+    pmfs = [poisson_pmf(mu, np.arange(a // c + 1)) for mu, c in zip(means, coeffs)]
+    dist, _ = _signed_sum_pmf(pmfs, coeffs)
+    bound = 1.0 if mode == 0 else 1.0 / math.sqrt(2.0 * math.pi * mode)  # below 1 from mode 1 on
+    exact = float(dist[a]) if a < len(dist) else 0.0
+    return _checks(np.array([exact]), np.array([bound]))[0]
 
 
 def combo_pmf_bound_check(means: Sequence[float], coeffs: Sequence[int], a: int) -> BoundCheck:
-    """P[sum_i c_i N_i = a] against min{1, 1/sqrt(2 pi floor(max mean))}.
-
-    The probability is computed by exact truncated convolution: the target a
-    caps every variable, so the truncation discards nothing.
-    """
+    """P[sum_i c_i N_i = a] against min{1, 1/sqrt(2 pi floor(max mean))}."""
     if len(means) != len(coeffs) or not means:
         raise ValueError("means and coeffs must be equal-length and nonempty")
     if any(mu <= 0 for mu in means):
@@ -246,10 +236,7 @@ def combo_pmf_bound_check(means: Sequence[float], coeffs: Sequence[int], a: int)
         raise ValueError("coefficients must be positive integers")
     if a < 0:
         raise ValueError("a must be nonnegative")
-    exact = _combo_exact_probability(means, coeffs, a)
-    floor_mu = math.floor(max(means))
-    bound = 1.0 if floor_mu == 0 else min(1.0, 1.0 / math.sqrt(2.0 * math.pi * floor_mu))
-    return _check(exact, bound)
+    return _combo_check(means, coeffs, a, math.floor(max(means)))
 
 
 def interval_sum_bound_check(intervals: Sequence[tuple[float, float]], a: int) -> BoundCheck:
@@ -257,7 +244,7 @@ def interval_sum_bound_check(intervals: Sequence[tuple[float, float]], a: int) -
 
     The intervals are decomposed into elementary pieces with integer
     multiplicities (shared with the coincidence engine), then the exact
-    truncated DP of the combination check is run.  The bound uses
+    convolution of the combination check is run.  The bound uses
     floor((k_m - j_m)/(2n)) for the widest interval m among n intervals.
     """
     if not intervals:
@@ -267,18 +254,19 @@ def interval_sum_bound_check(intervals: Sequence[tuple[float, float]], a: int) -
             raise ValueError("intervals must satisfy 0 <= j < k")
     if a < 0:
         raise ValueError("a must be nonnegative")
-    lengths, coeffs = interval_coefficients(
-        [k for _, k in intervals], [j for j, _ in intervals]
-    )
-    if not coeffs:
-        exact = 1.0 if a == 0 else 0.0
-    else:
-        exact = _combo_exact_probability(lengths, coeffs, a)
-    n = len(intervals)
+    lengths, coeffs = interval_coefficients([k for _, k in intervals], [j for j, _ in intervals])
     widest = max(k - j for j, k in intervals)
-    floor_w = math.floor(widest / (2 * n))
-    bound = 1.0 if floor_w == 0 else min(1.0, 1.0 / math.sqrt(2.0 * math.pi * floor_w))
-    return _check(exact, bound)
+    return _combo_check(lengths, coeffs, a, math.floor(widest / (2 * len(intervals))))
+
+
+def _union_length(intervals: Sequence[tuple[float, float]]) -> float:
+    """The length of the union of the intervals [j, k], by one sweep in order of j."""
+    total, end = 0.0, -math.inf
+    for j, k in sorted(intervals):
+        if k > end:
+            total += k - max(j, end)
+            end = k
+    return total
 
 
 def _transfer_holds(x: np.ndarray, y: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -460,7 +448,6 @@ def verification_suite(quick: bool = False, seed: SeedSpec | None = None) -> lis
     reports.append(_report("combo_pmf_bound", failures, trials))
 
     gen = seed.generator(2)
-    trials = 30 if quick else 100
     failures = []
     for i in range(trials):
         n = int(gen.integers(1, 4))
@@ -473,15 +460,9 @@ def verification_suite(quick: bool = False, seed: SeedSpec | None = None) -> lis
         chk = interval_sum_bound_check(intervals, a)
         if not chk.holds:
             failures.append(f"interval_sum intervals={intervals} a={a}")
-        if a == 0:
-            other = coincidence_probability_poisson(
-                SignedTimeMultiset(
-                    tuple(k for _, k in intervals), tuple(j for j, _ in intervals)
-                ),
-                1e-9,
-            )
-            if abs(chk.exact - other) > 1e-8:
-                failures.append(f"interval_vs_coincidence intervals={intervals}")
+        # at a = 0 every increment over the union must vanish: exp(-|union|)
+        if a == 0 and abs(chk.exact - math.exp(-_union_length(intervals))) > 1e-8:
+            failures.append(f"interval_vs_coincidence intervals={intervals}")
     reports.append(_report("interval_sum_bound", failures, trials))
 
     d_cap = 100 if quick else 400

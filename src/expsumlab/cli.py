@@ -17,8 +17,10 @@ whose default is 20240.  ``--samples`` (``moment`` and ``majorant``) falls
 back to the config file, then to 200.  A flag that the chosen mode would
 ignore exits 1: ``--samples`` or ``--nodes`` with ``moment --mode exact``
 (which computes each mean exactly), ``--nodes`` wherever no quadrature
-runs, ``--pmf`` unless the process is iid, and ``majorant --freqs`` with
-``--genericity`` or ``--samples`` without it.
+runs, ``--pmf`` unless the process is iid, ``shell --E`` with ``--mode sup``
+and ``--e-samples`` with ``--E``, ``majorant --freqs`` with ``--genericity``
+and ``--samples``, ``--process``, ``--map``, ``--sizes`` or ``--epsilon``
+without it.
 One exception: ``majorant`` at even p does not read ``--restarts``, nor
 ``--seed`` with ``--freqs``, since the even-p ratio is exactly 1 and no
 search runs.  ``--restarts`` is still validated (at least 1) and echoed in
@@ -183,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=str, required=True, help="comma list with --mode sup, else one value")
     p.add_argument("--E", type=float, default=None, help="single E (default: grid over [D, D^2])")
     p.add_argument("--mode", choices=("both", "brute", "fast", "sup"), default="both")
-    p.add_argument("--e-samples", type=int, default=2048, dest="e_samples")
+    p.add_argument("--e-samples", type=int, default=None, dest="e_samples", help="default 2048")
     _add_common(p)
 
     p = sub.add_parser("divisor", help="divisor summatory function and its error term")
@@ -213,10 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=4.0)
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--genericity", action="store_true")
-    p.add_argument("--process", choices=("poisson", "walk", "iid"), default="poisson")
-    p.add_argument("--map", dest="time_map", default="identity")
-    p.add_argument("--sizes", type=str, default="8,16,32,64")
-    p.add_argument("--epsilon", type=float, default=0.2)
+    p.add_argument("--process", choices=("poisson", "walk"), default=None, help="default poisson")
+    p.add_argument("--map", dest="time_map", default=None, help="default identity")
+    p.add_argument("--sizes", type=str, default=None, help="default 8,16,32,64")
+    p.add_argument("--epsilon", type=float, default=None, help="default 0.2")
     p.add_argument("--samples", type=int, default=None, help="genericity samples per size")
     _add_common(p)
 
@@ -243,14 +245,30 @@ def _reject_ignored_flags(args) -> None:
             raise ValueError(f"--nodes is unused: --mode {args.mode} at p={args.p:g} runs no quadrature")
         if args.pmf is not None and args.process != "iid":
             raise ValueError(f"--pmf is unused: --process {args.process} draws no i.i.d. values")
+    elif args.subcommand == "shell":
+        if args.E is not None and args.mode == "sup":
+            raise ValueError("--E is unused with --mode sup, which sweeps its own E grid")
+        if args.E is not None and args.e_samples is not None:
+            raise ValueError("--e-samples is unused with --E, which counts one E")
     elif args.subcommand == "majorant":
         if args.genericity and args.freqs is not None:
             raise ValueError("--freqs is unused with --genericity, which draws its own sets")
-        if not args.genericity and args.samples is not None:
-            raise ValueError("--samples is unused without --genericity")
+        given = (args.samples, args.process, args.time_map, args.sizes, args.epsilon)
+        for flag, value in zip(("--samples", "--process", "--map", "--sizes", "--epsilon"), given):
+            if not args.genericity and value is not None:
+                raise ValueError(f"{flag} is unused without --genericity")
+
+
+# Set after _reject_ignored_flags, which must see only the flags given.
+_LATE_DEFAULTS = {
+    "shell": {"e_samples": 2048},
+    "majorant": {"process": "poisson", "time_map": "identity", "sizes": "8,16,32,64", "epsilon": 0.2},
+}
 
 
 def _resolve_settings(args) -> None:
+    late = _LATE_DEFAULTS.get(args.subcommand, {})
+    vars(args).update((name, value) for name, value in late.items() if getattr(args, name) is None)
     config = _config_values(args.config)
     if args.seed is None:
         env = os.environ.get("EXPSUM_SEED")

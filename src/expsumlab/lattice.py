@@ -71,15 +71,17 @@ def divisor_floor(x: float) -> int:
 def divisor_summatories(n: np.ndarray) -> np.ndarray:
     """D(n) = 2 * sum_{a <= s} floor(n/a) - s^2, s = isqrt(n), per entry of n.
 
-    ``n`` is a nondecreasing int64 array of values in [1, 2^62).  Entries
+    ``n`` is a nondecreasing int64 array of values in [1, 2^62).  A call whose
+    isqrt(n) add up to 2^31 or more, tens of seconds of quotients, raises
+    GuardError before any tile; one entry at the 2^62 edge passes.  Entries
     sharing s form one group, summed in tiles of rows x a-block with at most
     2^16 quotients.  Every tile is written into one scratch block allocated
     per call, so memory stays flat and a large n does not wait on a fresh
     allocation (and its page faults) per tile.  A tile sums in int64 where
-    (block length) * (largest n // first a) < 2^63 bounds every row;
-    otherwise the quotients split into 31-bit limbs, whose sums stay below
-    2^47.  The result is int64 where every sum over a stays below 2^61, and
-    an object array of Python ints past that.
+    (block length) * (largest n // first a) < 2^63 bounds every row; otherwise
+    the quotients split into 31-bit limbs, whose sums stay below 2^47.  The
+    result is int64 where every sum over a stays below 2^61, and an object
+    array of Python ints past that.
     """
     n = np.asarray(n)
     if n.dtype != np.int64 or n.ndim != 1:
@@ -91,6 +93,8 @@ def divisor_summatories(n: np.ndarray) -> np.ndarray:
     if n[-1] >= 2**62:
         raise GuardError("divisor summatory needs x < 2^62 (over 2^31 divisors past it)")
     s = _isqrt(n)
+    if int(s.sum()) >= 1 << 31:
+        raise GuardError("divisor summatories need sum of isqrt(x) < 2^31 over one call")
     high = np.zeros(len(n), dtype=np.int64)  # sum over a = high * 2^31 + low
     low = np.zeros(len(n), dtype=np.int64)
     ramp = np.arange(min(int(s[-1]), _DIVISOR_BLOCK), dtype=np.int64)

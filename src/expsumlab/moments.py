@@ -21,11 +21,11 @@ Two routes are implemented and cross-checked against each other:
   walk and i.i.d. draws, below |A|^{2n} tol for Poisson.  A float64 rounding
   term is stated with the Poisson engine.
 
-The coincidence DP, coincidence_probability_poisson, gives one
-P[sum of process values = sum of process values] by decomposing [0, max t]
-into elementary intervals with independent Poisson increments and running a
-truncated distribution DP; the inequality oracles in :mod:`expsumlab.bounds`
-use it.
+The coincidence DP, coincidence_probability_poisson, gives one P[sum of
+process values = sum of process values] from the independent Poisson
+increments over elementary intervals, whose truncated pmfs _signed_sum_pmf
+convolves.  The combination checks of :mod:`expsumlab.bounds` share that
+convolution, and the tests check the exact engine against the DP.
 """
 
 from __future__ import annotations
@@ -328,24 +328,28 @@ def coincidence_probability_poisson(s: SignedTimeMultiset, tol: float) -> float:
         coeffs = [-c for c in coeffs]
     budget = tol / len(coeffs)
     pmfs = [truncated_poisson_pmf(lam, budget) for lam in lengths]
-    support = sum(abs(c) * (len(p) - 1) for c, p in zip(coeffs, pmfs))
-    if support > _DP_SUPPORT_LIMIT:
+    if sum(abs(c) * (len(p) - 1) for c, p in zip(coeffs, pmfs)) > _DP_SUPPORT_LIMIT:
         raise GuardError("coincidence DP support exceeds the desk-scale guard")
-    dist = np.ones(1, dtype=np.float64)
-    lo = 0
+    dist, lo = _signed_sum_pmf(pmfs, coeffs)
+    return min(1.0, max(0.0, float(dist[-lo])))  # the value 0: lo <= 0 <= lo + len(dist) - 1
+
+
+def _signed_sum_pmf(pmfs: Sequence[np.ndarray], coeffs: Sequence[int]) -> tuple[np.ndarray, int]:
+    """The pmf of sum_i c_i X_i for independent X_i, and its lowest value lo.
+
+    pmfs[i] is P[X_i = k] for k = 0..K_i; it enters strided by |c_i| != 0,
+    reversed when c_i < 0.  Entry j of the result is P[sum = lo + j].
+    """
+    dist, lo = np.ones(1, dtype=np.float64), 0
     for pmf, c in zip(pmfs, coeffs):
         k = len(pmf) - 1
-        stride = abs(c)
-        v = np.zeros(stride * k + 1, dtype=np.float64)
-        v[::stride] = pmf
+        v = np.zeros(abs(c) * k + 1, dtype=np.float64)
+        v[:: abs(c)] = pmf
         if c < 0:
             v = v[::-1]
             lo += c * k
         dist = np.convolve(dist, v)
-    idx = -lo
-    if 0 <= idx < len(dist):
-        return min(1.0, max(0.0, float(dist[idx])))
-    return 0.0
+    return dist, lo
 
 
 # ---------------------------------------------------------------------------

@@ -191,32 +191,22 @@ def poisson_pmf(mean: float | np.ndarray, a: int | np.ndarray) -> float | np.nda
 
     ``a`` is an int, or an ndarray of nonnegative integer values for the pmf
     at each entry (ValueError otherwise); ``mean`` may also be an ndarray,
-    broadcast against ``a``.
-    Evaluated in log space so huge means neither overflow nor lose the tiny
-    tail values; underflow saturates to 0.  mean = 0 is the point mass at 0.
+    broadcast against ``a``.  Two scalars give the one-entry array call's
+    float, or 0.0 for a < 0.  Evaluated in log space so huge means neither
+    overflow nor lose the tiny tail values; underflow saturates to 0.
+    mean = 0 is the point mass at 0.
     """
-    if isinstance(a, np.ndarray) or isinstance(mean, np.ndarray):
-        if np.any(np.asarray(mean) < 0):
-            raise ValueError("mean must be nonnegative")
-        a = np.asarray(a)
-        logfact = _log_factorials(a)
-        if not isinstance(mean, np.ndarray):
-            if mean == 0.0:
-                return np.where(a == 0, 1.0, 0.0)
-            return np.exp(-mean + a * math.log(mean) - logfact)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_p = -mean + a * np.log(mean) - logfact
-        return np.where(mean == 0.0, np.where(a == 0, 1.0, 0.0), np.exp(log_p))
-    if mean < 0:
+    if np.any(np.asarray(mean) < 0):
         raise ValueError("mean must be nonnegative")
-    if a < 0:
-        return 0.0
-    if mean == 0.0:
-        return 1.0 if a == 0 else 0.0
-    log_p = -mean + a * math.log(mean) - math.lgamma(a + 1)
-    if log_p < -745.0:  # exp underflows to 0 below this
-        return 0.0
-    return math.exp(log_p)
+    if not isinstance(a, np.ndarray) and not isinstance(mean, np.ndarray):
+        return 0.0 if a < 0 else float(poisson_pmf(mean, np.array([a]))[0])
+    a = np.asarray(a)
+    logfact = _log_factorials(a)
+    if not isinstance(mean, np.ndarray) and mean != 0.0:
+        return np.exp(-mean + a * math.log(mean) - logfact)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = -mean + a * np.log(mean) - logfact
+    return np.where(mean == 0.0, np.where(a == 0, 1.0, 0.0), np.exp(log_p))
 
 
 def sample_iid(pmf: Pmf, count: int, seed: SeedSpec, sample_index: int = 0) -> ProcessPath:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from expsumlab import SeedSpec, SignedTimeMultiset, coincidence_probability_poisson, poisson_pmf
 from expsumlab import bounds, processes, shell
+from expsumlab.moments import interval_coefficients
 from expsumlab.bounds import (
     _check_mode,
     _RAW_BLOCK,
@@ -21,6 +22,7 @@ from expsumlab.bounds import (
     _sup_over_t_bound,
     _transfer_holds,
     _transfer_triples,
+    _union_length,
     combo_pmf_bound_check,
     divisor_sieve,
     interval_sum_bound_check,
@@ -244,6 +246,11 @@ class TestComboBound:
         assert chk.exact == pytest.approx(poisson_pmf(7.0, 7), rel=1e-12)
         assert chk.bound == pytest.approx(1 / math.sqrt(2 * math.pi * 4), rel=1e-14)
 
+    def test_unreachable_target(self):
+        # 3 N takes no value in 7..8
+        assert combo_pmf_bound_check([1.0], [3], 7).exact == 0.0
+        assert combo_pmf_bound_check([1.0, 2.0], [3, 3], 8).exact == 0.0
+
     def test_mass_sums_to_one(self):
         means, coeffs = [1.5, 0.7], [2, 1]
         # beyond a = 60 the remaining mass is far below 1e-9
@@ -271,6 +278,33 @@ class TestIntervalSum:
     def test_disjoint_additivity(self):
         chk = interval_sum_bound_check([(0.0, 1.0), (2.0, 3.0)], 1)
         assert chk.exact == pytest.approx(2 * math.exp(-2.0), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "intervals, length",
+        [
+            ([(0.0, 10.0), (2.0, 3.0)], 10.0),  # nested
+            ([(2.0, 3.0), (0.0, 10.0)], 10.0),  # nested, the inner one given first
+            ([(3.0, 6.5), (1.0, 4.0)], 5.5),  # overlapping
+            ([(1.0, 2.0), (2.0, 5.0)], 4.0),  # touching
+            ([(7.0, 7.25), (0.5, 1.0), (3.0, 4.5)], 2.25),  # disjoint
+            ([(0.0, 2.0), (1.0, 3.0), (1.5, 2.5), (5.0, 6.0), (6.0, 6.5)], 4.5),  # all four
+        ],
+    )
+    def test_union_length(self, intervals, length):
+        assert _union_length(intervals) == length
+        chk = interval_sum_bound_check(intervals, 0)
+        assert chk.exact == pytest.approx(math.exp(-length), rel=1e-12)
+
+    def test_union_length_matches_elementary_intervals(self):
+        # the pieces with a nonzero coefficient are exactly the union's pieces
+        gen = SeedSpec(98).generator(0)
+        for _ in range(200):
+            intervals = []
+            for _ in range(int(gen.integers(1, 6))):
+                j = float(gen.uniform(0, 8))
+                intervals.append((j, j + float(gen.uniform(0.1, 6))))
+            lengths, _ = interval_coefficients([k for _, k in intervals], [j for j, _ in intervals])
+            assert _union_length(intervals) == pytest.approx(math.fsum(lengths), rel=1e-13)
 
     def test_agrees_with_coincidence_engine(self):
         gen = SeedSpec(99).generator(0)
@@ -630,7 +664,7 @@ class TestInjectedFailures:
         ],
     )
     def test_interval_cross_check(self, monkeypatch, seed, detail):
-        monkeypatch.setattr(bounds, "coincidence_probability_poisson", lambda *args: 1.0)
+        monkeypatch.setattr(bounds, "_union_length", lambda intervals: 0.0)
         report = verification_suite(seed=SeedSpec(seed))[6]
         assert (report.ok, report.detail) == (False, detail)
 

@@ -242,6 +242,12 @@ class TestBasicCommands:
             ["moment", "--process", "poisson", "--pmf", "1:1", "--p", "4", "--sizes", "4", "--samples", "2"],
             ["moment", "--process", "poisson", "--p", "4", "--mode", "even", "--nodes", "9", "--sizes", "4"],
             ["moment", "--process", "poisson", "--p", "4", "--nodes", "9", "--sizes", "4"],
+            ["shell", "--d", "3", "--D", "50", "--mode", "sup", "--E", "50"],
+            ["shell", "--d", "3", "--D", "50", "--E", "50", "--e-samples", "7"],
+            ["majorant", "--freqs", "1,2,4", "--p", "4", "--epsilon", "9"],
+            ["majorant", "--freqs", "1,2,4", "--p", "4", "--sizes", "3"],
+            ["majorant", "--freqs", "1,2,4", "--p", "4", "--process", "walk"],
+            ["majorant", "--freqs", "1,2,4", "--p", "4", "--map", "power:2"],
         ],
     )
     def test_ignored_flags_exit_one(self, argv, capsys):
@@ -249,6 +255,20 @@ class TestBasicCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: --")
+
+    def test_majorant_has_no_iid_process(self, capsys):
+        # genericity has no --pmf to draw i.i.d. values from
+        assert run(["majorant", "--genericity", "--process", "iid", "--sizes", "4", "--samples", "2"]) == 1
+        assert "invalid choice: 'iid'" in capsys.readouterr().err
+
+    def test_late_defaults_print_the_same_rows(self, capsys):
+        # the flags refused where unused take their defaults only after that check
+        given = ["--e-samples", "2048"]
+        for argv in (["shell", "--d", "3", "--D", "20", "--mode", "sup"], ["shell", "--d", "3", "--D", "50"]):
+            assert run_capture(argv, capsys) == run_capture(argv + given, capsys)
+        argv = ["majorant", "--genericity", "--p", "4", "--samples", "2", "--restarts", "1"]
+        given = ["--process", "poisson", "--map", "identity", "--sizes", "8,16,32,64", "--epsilon", "0.2"]
+        assert run_capture(argv, capsys) == run_capture(argv + given, capsys)
 
     def test_config_samples_stay_a_fallback(self, tmp_path, capsys):
         cfg = tmp_path / "lab.cfg"
@@ -394,6 +414,13 @@ class TestExitCodes:
         # the O(sqrt x) sum would run over 2^31 divisors; refuse at once
         assert run(["divisor", "--x", "1e19"]) == 2
         assert "2^62" in capsys.readouterr().err
+
+    def test_divisor_call_past_guard_exits_two(self, capsys):
+        # each x is below 2^62, but the three sums would run over 6e9 divisors
+        start = time.perf_counter()
+        assert run(["divisor", "--x", "4e18,4e18,4e18"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "2^31" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

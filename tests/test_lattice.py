@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsumlab import FrequencySpectrum, GuardError, even_moment, shell
+from expsumlab import FrequencySpectrum, GuardError, even_moment, lattice, shell
 from expsumlab.lattice import (
     EULER_GAMMA,
     GreenRuzsaSpec,
@@ -252,6 +252,26 @@ class TestDivisorKernel:
                 divisor_summatories(np.array(bad))
         with pytest.raises(GuardError, match="2\\^62"):
             divisor_summatories(np.array([1, 2**62], dtype=np.int64))
+
+    def test_refuses_a_call_past_2_31_quotients(self, monkeypatch):
+        # 2^31 - 1 roots in all passes; one more is refused before any tile
+        edge = [(2**31 - 1) ** 2]
+        for n in ([4 * 10**18] * 3, [2**61, 2**61], [1] + edge):
+            start = time.perf_counter()
+            with pytest.raises(GuardError, match="2\\^31"):
+                divisor_summatories(np.array(n, dtype=np.int64))
+            assert time.perf_counter() - start < 1.0
+
+        class Tiled(Exception):
+            pass
+
+        def tile(*args):
+            raise Tiled
+
+        monkeypatch.setattr(lattice, "_quotient_sums", tile)
+        for n in (edge, [2**62 - 1]):
+            with pytest.raises(Tiled):
+                divisor_summatories(np.array(n, dtype=np.int64))
 
 
 class TestShellCounts:

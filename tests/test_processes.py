@@ -62,6 +62,21 @@ class TestPoissonPmf:
         with pytest.raises(ValueError):
             poisson_pmf(np.array([1.0, -0.5]), 2)
 
+    @given(st.floats(0.0, 1e4), st.integers(-3, 20_000))
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_is_the_one_entry_array_call(self, mean, a):
+        got = poisson_pmf(mean, a)
+        assert type(got) is float
+        if a < 0:
+            assert got == 0.0
+        else:
+            assert got.hex() == poisson_pmf(mean, np.array([a]))[0].hex()
+
+    def test_scalar_rejects_negative_mean(self):
+        for a in (-1, 0, 3):
+            with pytest.raises(ValueError):
+                poisson_pmf(-0.5, a)
+
     @given(st.floats(0.01, 50), st.integers(0, 120))
     @settings(max_examples=50, deadline=None)
     def test_in_unit_interval(self, mean, a):
