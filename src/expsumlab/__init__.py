@@ -18,7 +18,6 @@ from .expsum import (
     even_norm_coeff,
     lp_norm_quadrature,
     representation_table,
-    sup_norm_upper,
     suggested_nodes,
 )
 from .moments import (
@@ -34,7 +33,6 @@ from .moments import (
     exact_even_moment_walk,
     exact_second_moment_iid,
     exact_second_moment_poisson,
-    heuristic_exponent,
     mc_even_moment,
     mc_general_moment,
     slope_fit,
@@ -73,7 +71,6 @@ __all__ = [
     "exact_even_moment_walk",
     "exact_second_moment_iid",
     "exact_second_moment_poisson",
-    "heuristic_exponent",
     "lp_norm_quadrature",
     "mc_even_moment",
     "mc_general_moment",
@@ -84,6 +81,5 @@ __all__ = [
     "sample_random_walk",
     "slope_fit",
     "suggested_nodes",
-    "sup_norm_upper",
     "__version__",
 ]

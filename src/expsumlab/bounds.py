@@ -17,12 +17,11 @@ increments are also checked against exp(-|union of the intervals|).
 oracles of the lattice counters, and is the one place the ``verify``
 subcommand gets its checks from.
 
-The grids are array passes over one core per bound, which the scalar checks
-also call with one point: the concentration tails per m, one mode-pmf vector
-P[N(n) = n] = n^n e^{-n}/n! shared by the pmf_sup_over_t and Robbins grids,
-the pmf_sup_over_a values and their mode scans, and the window-transfer
-implications on the drawn triples, which are decoded from blocks of raw
-Philox words.  ``_holds`` is the one verdict rule.
+Each inequality grid is one array pass over one core per bound: the
+concentration tails per m, one mode-pmf vector P[N(n) = n] = n^n e^{-n}/n!
+shared by the pmf_sup_over_t and Robbins grids, the pmf_sup_over_a values
+and their mode scans, and the window-transfer implications on triples drawn
+as arrays.  ``_holds`` is the one verdict rule.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ from .processes import SeedSpec, poisson_pmf
 
 _E50 = math.exp(50.0)
 _SCAN_BLOCK = 1 << 16
-_RAW_BLOCK = 1 << 12  # Philox words decoded per block by _transfer_triples
-_DOUBLE = 2.0**-53
 _STIRLING_FROM = 1 << 14  # _mode_pmf reads the Stirling series from here on
 
 
@@ -58,16 +55,12 @@ def _holds(exact, bound):
     return exact <= bound + 1e-12 * np.maximum(1.0, bound)
 
 
-def _checks(exact: np.ndarray, bound: np.ndarray) -> list[BoundCheck]:
-    holds = _holds(exact, bound)
-    return [
-        BoundCheck(e, b, h, b - e)
-        for e, b, h in zip(exact.tolist(), bound.tolist(), holds.tolist())
-    ]
-
-
 def _concentration_tails(m: int, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P[|N(m) - m| > lam*sqrt(m)] and its bound 2 e^{-lam^2/4}, per lam."""
+    """P[|N(m) - m| > lam*sqrt(m)] and its bound 2 e^{-lam^2/4}, per lam in (0, sqrt(m)].
+
+    Lower tails come from a forward cumulative sum of the pmf on [0, 2m + 64],
+    upper tails from a reverse one, both adding their smallest terms first.
+    """
     root = math.sqrt(m)
     pmf = poisson_pmf(float(m), np.arange(2 * m + 65))
     lower = np.cumsum(pmf)  # lower[a] = P[N <= a]
@@ -77,28 +70,6 @@ def _concentration_tails(m: int, lams: np.ndarray) -> tuple[np.ndarray, np.ndarr
     above = np.floor(m + dev).astype(np.int64) + 1  # smallest a > m + dev
     exact = upper[above] + np.where(below >= 0, lower[np.maximum(below, 0)], 0.0)
     return exact, 2.0 * np.exp(-lams * lams / 4.0)
-
-
-def poisson_concentration_checks(m: int, lams: Sequence[float]) -> list[BoundCheck]:
-    """P[|N(m) - m| > lam*sqrt(m)] against the bound 2 e^{-lam^2/4}, per lam.
-
-    Every lam reads one pmf vector p(0..A), A = 2m + 64: lower tails from a
-    forward cumulative sum, upper tails from a reverse one, both adding their
-    smallest terms first.  Past 2m the term ratio m/a is below 1/2, so p(A) <
-    2^-63 p(2m+1) is below 1e-18 of every upper tail (each starts at or below
-    2m+1), and so is the dropped remainder, which is at most p(A).
-    """
-    if m < 1 or m != int(m):
-        raise ValueError("m must be a positive integer")
-    root = math.sqrt(m)
-    if not all(0.0 < lam <= root for lam in lams):
-        raise ValueError("lam must lie in (0, sqrt(m)]")
-    return _checks(*_concentration_tails(int(m), np.asarray(lams, dtype=np.float64)))
-
-
-def poisson_concentration_check(m: int, lam: float) -> BoundCheck:
-    """P[|N(m) - m| > lam*sqrt(m)] against 2 e^{-lam^2/4}; see the grid form."""
-    return poisson_concentration_checks(m, [lam])[0]
 
 
 def _mode_pmf(n: np.ndarray) -> np.ndarray:
@@ -119,28 +90,18 @@ def _mode_pmf(n: np.ndarray) -> np.ndarray:
 
 
 def _sup_over_t_bound(a: np.ndarray) -> np.ndarray:
+    """1/sqrt(2 pi a), per a; sup_t P[N(t) = a] sits at t = a, where it is _mode_pmf(a)."""
     return 1.0 / np.sqrt(2.0 * math.pi * a)
 
 
 def _robbins_bounds(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(2 pi n)^{-1/2} e^{-1/(12n)} and (2 pi n)^{-1/2} e^{-1/(12n+1)}, per n."""
+    """(2 pi n)^{-1/2} e^{-1/(12n)} and (2 pi n)^{-1/2} e^{-1/(12n+1)}, per n.
+
+    Robbins' refinement of Stirling's formula puts n^n/(n! e^n) = P[N(n) = n]
+    between the two.
+    """
     base = -0.5 * np.log(2.0 * math.pi * n)
     return np.exp(base - 1.0 / (12.0 * n)), np.exp(base - 1.0 / (12.0 * n + 1.0))
-
-
-def _positive_integer(n: int, name: str) -> np.ndarray:
-    if n < 1 or n != int(n):
-        raise ValueError(f"{name} must be a positive integer")
-    return np.array([n], dtype=np.float64)
-
-
-def pmf_sup_over_t(a: int) -> BoundCheck:
-    """sup_t P[N(t) = a] = a^a e^{-a} / a! against 1/sqrt(2 pi a).
-
-    The supremum over the mean sits at t = a.
-    """
-    points = _positive_integer(a, "a")
-    return _checks(_mode_pmf(points), _sup_over_t_bound(points))[0]
 
 
 def _sup_over_a(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,15 +113,6 @@ def _sup_over_a(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     _check_mode(t, k)
     bound = np.minimum(1.0, 1.0 / np.sqrt(2.0 * math.pi * np.maximum(k, 1.0)))
     return k, poisson_pmf(t, k), np.where(k == 0, 1.0, bound)
-
-
-def pmf_sup_over_a(t: float) -> tuple[int, float, float]:
-    """(argmax, value, bound) of a -> P[N(t) = a]; the mode floor(t) is scanned."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    k = math.floor(t)  # inf and NaN raise here
-    _, value, bound = _sup_over_a(np.array([t], dtype=np.float64))
-    return k, float(value[0]), float(bound[0])
 
 
 def _check_mode(t, k) -> None:
@@ -201,18 +153,6 @@ def _check_mode(t, k) -> None:
         raise RuntimeError("pmf mode scan found a larger value than floor(t)")
 
 
-def robbins_check(n: int) -> tuple[BoundCheck, BoundCheck]:
-    """Both sides of Robbins' refinement of Stirling's formula.
-
-    (2 pi n)^{-1/2} e^{-1/(12n)} <= n^n/(n! e^n) <= (2 pi n)^{-1/2} e^{-1/(12n+1)},
-    evaluated in log space; the middle term is P[N(n) = n].
-    """
-    points = _positive_integer(n, "n")
-    ratio = _mode_pmf(points)
-    lower, upper = _robbins_bounds(points)
-    return _checks(lower, ratio)[0], _checks(ratio, upper)[0]
-
-
 def _combo_check(means: Sequence[float], coeffs: Sequence[int], a: int, mode: int) -> BoundCheck:
     """P[sum_i c_i X_i = a] against the mode bound min{1, 1/sqrt(2 pi mode)}.
 
@@ -223,7 +163,7 @@ def _combo_check(means: Sequence[float], coeffs: Sequence[int], a: int, mode: in
     dist, _ = _signed_sum_pmf(pmfs, coeffs)
     bound = 1.0 if mode == 0 else 1.0 / math.sqrt(2.0 * math.pi * mode)  # below 1 from mode 1 on
     exact = float(dist[a]) if a < len(dist) else 0.0
-    return _checks(np.array([exact]), np.array([bound]))[0]
+    return BoundCheck(exact, bound, bool(_holds(exact, bound)), bound - exact)
 
 
 def combo_pmf_bound_check(means: Sequence[float], coeffs: Sequence[int], a: int) -> BoundCheck:
@@ -270,7 +210,12 @@ def _union_length(intervals: Sequence[tuple[float, float]]) -> float:
 
 
 def _transfer_holds(x: np.ndarray, y: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both window-transfer implications per triple (x, y, C), x, y >= 1."""
+    """Both window-transfer implications per triple (x, y, C), x, y >= 1.
+
+    (a) x > e^50 and |x-y| <= C sqrt(x log x)  implies |x-y| <= 2C sqrt(y log y);
+    (b) y > e^50 and |x-y| >= 2C sqrt(x log x) implies |x-y| >= C sqrt(y log y).
+    Either implication is vacuously true when its hypothesis fails.
+    """
     gap = np.abs(x - y)
     fx = np.sqrt(x * np.log(x))
     fy = np.sqrt(y * np.log(y))
@@ -279,65 +224,20 @@ def _transfer_holds(x: np.ndarray, y: np.ndarray, C: np.ndarray) -> tuple[np.nda
     return impl_a, impl_b
 
 
-def sqrt_log_transfer_check(x: float, y: float, C: float) -> tuple[bool, bool]:
-    """Verify both window-transfer implications on one triple.
-
-    (a) x > e^50 and |x-y| <= C sqrt(x log x)  implies |x-y| <= 2C sqrt(y log y);
-    (b) y > e^50 and |x-y| >= 2C sqrt(x log x) implies |x-y| >= C sqrt(y log y).
-    Either implication is vacuously true when its hypothesis fails.
-    """
-    if x < 1 or y < 1:
-        raise ValueError("x and y must be at least 1")
-    if not (1.0 <= C <= 10.0):
-        raise ValueError("C must lie in [1, 10]")
-    impl_a, impl_b = _transfer_holds(*(np.array([v], dtype=np.float64) for v in (x, y, C)))
-    return bool(impl_a[0]), bool(impl_b[0])
-
-
-def _raw_words(bit_generator: np.random.BitGenerator):
-    """The bit generator's 64-bit words in order, read _RAW_BLOCK at a time."""
-    while True:
-        yield from bit_generator.random_raw(_RAW_BLOCK).tolist()
-
-
 def _transfer_triples(gen: np.random.Generator, trials: int) -> tuple[np.ndarray, ...]:
     """The suite's (x, y, C) draws, as three arrays.
 
-    x = e^U with U uniform on [50, 80] and C uniform on [1, 10]; y is drawn
-    the same way as x one time in three, and otherwise sits at a random
-    multiple in [0, 3] of C sqrt(x log x) on either side of x.  A uniform on
-    [lo, hi] is lo + (hi - lo) * gen.random(), which is gen.uniform(lo, hi)
-    bit for bit.
-
-    The draws decode the generator's raw words as numpy does, so the triples
-    are those of scalar gen.random() and gen.integers(0, 3) calls: a double
-    is (w >> 11) * 2^-53; integers(0, 3) takes a 32-bit u, the low half of a
-    fresh word or else the high half left by the last such draw, and returns
-    (3u) >> 32, drawing again when (3u) mod 2^32 is 0 (Lemire's rejection).
+    x = e^U with U uniform on [50, 80] and C uniform on [1, 10].  One time in
+    three y is drawn the same way as x; otherwise it sits at a uniform multiple
+    in [0, 3] of C sqrt(x log x) on either side of x, with either side equally
+    likely.  That offset is under 3e-9 x, so y > 1 either way.
     """
-    words = _raw_words(gen.bit_generator)
-    half = None  # the high half of the word the last integers(0, 3) split
-    xs, ys, cs = np.empty(trials), np.empty(trials), np.empty(trials)
-    for i in range(trials):
-        x = math.exp(50.0 + 30.0 * ((next(words) >> 11) * _DOUBLE))
-        c = 1.0 + 9.0 * ((next(words) >> 11) * _DOUBLE)
-        while True:
-            if half is None:
-                word = next(words)
-                u, half = word & 0xFFFFFFFF, word >> 32
-            else:
-                u, half = half, None
-            product = 3 * u
-            if product & 0xFFFFFFFF:
-                break
-        if product >> 32 == 0:
-            y = math.exp(50.0 + 30.0 * ((next(words) >> 11) * _DOUBLE))
-        else:
-            u = 3.0 * ((next(words) >> 11) * _DOUBLE)
-            sign = 1.0 if (next(words) >> 11) * _DOUBLE < 0.5 else -1.0
-            y = max(1.0, x + sign * u * c * math.sqrt(x * math.log(x)))
-        xs[i], ys[i], cs[i] = x, y, c
-    return xs, ys, cs
+    x = np.exp(50.0 + 30.0 * gen.random(trials))
+    c = 1.0 + 9.0 * gen.random(trials)
+    far = gen.integers(0, 3, trials) == 0
+    offset = 3.0 * gen.random(trials) * c * np.sqrt(x * np.log(x))
+    near = x + np.where(gen.random(trials) < 0.5, offset, -offset)
+    return x, np.where(far, np.exp(50.0 + 30.0 * gen.random(trials)), near), c
 
 
 # ---------------------------------------------------------------------------

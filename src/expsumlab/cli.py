@@ -15,7 +15,9 @@ key=value config file passed with ``--config``, whose only keys are ``seed``
 and ``samples``.  Without any of them the seed is 0, except for ``verify``,
 whose default is 20240.  ``--samples`` (``moment`` and ``majorant``) falls
 back to the config file, then to 200.  A flag that the chosen mode would
-ignore exits 1: ``--samples`` or ``--nodes`` with ``moment --mode exact``
+ignore exits 1: ``--seed`` on ``shell``, ``divisor``, ``hyperbolic``,
+``repcount``, ``slope``, and ``greenruzsa`` without ``--sparsity``, which draw
+nothing, ``--samples`` or ``--nodes`` with ``moment --mode exact``
 (which computes each mean exactly), ``--nodes`` wherever no quadrature
 runs, ``--pmf`` unless the process is iid, ``shell --E`` with ``--mode sup``
 and ``--e-samples`` with ``--E``, ``majorant --freqs`` with ``--genericity``
@@ -237,6 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _reject_ignored_flags(args) -> None:
     """Raise ValueError for a flag given on the command line that the mode would not read."""
+    draws = args.subcommand in ("moment", "majorant", "verify") or getattr(args, "sparsity", None) is not None
+    if args.seed is not None and not draws:
+        raise ValueError(f"--seed is unused: {args.subcommand} draws no random numbers here")
     if args.subcommand == "moment":
         if args.mode == "exact" and (args.samples is not None or args.nodes is not None):
             raise ValueError("--mode exact samples nothing: drop --samples and --nodes")

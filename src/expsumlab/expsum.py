@@ -465,11 +465,3 @@ def lp_norm_quadrature(spectrum: FrequencySpectrum, p: float, nodes: int) -> flo
     if math.isinf(mean):
         raise OverflowError(f"the p={p:g} quadrature mean exceeds the float64 range")
     return mean
-
-
-def sup_norm_upper(spectrum: FrequencySpectrum) -> float:
-    """sum_j |a_j|, an upper bound for the sup norm.
-
-    For unit coefficients this is the exact sup norm (attained at y = 0).
-    """
-    return math.fsum(abs(c) for c in spectrum.coefficients.tolist())

@@ -535,15 +535,6 @@ def exact_even_moment(spec: ExperimentSpec) -> MomentEstimate:
 # growth-rate utilities
 # ---------------------------------------------------------------------------
 
-def heuristic_exponent(p: float, alpha: float) -> float:
-    """Predicted growth exponent p - 1 + alpha for a process with X(j) ~ j^{1-alpha}."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError("alpha must lie in [0, 1]")
-    return p - 1.0 + alpha
-
-
 @dataclass(frozen=True)
 class SlopeFit:
     slope: float

@@ -14,8 +14,9 @@ from expsumlab import bounds, processes, shell
 from expsumlab.moments import interval_coefficients
 from expsumlab.bounds import (
     _check_mode,
-    _RAW_BLOCK,
     _STIRLING_FROM,
+    _concentration_tails,
+    _holds,
     _mode_pmf,
     _robbins_bounds,
     _sup_over_a,
@@ -26,12 +27,6 @@ from expsumlab.bounds import (
     combo_pmf_bound_check,
     divisor_sieve,
     interval_sum_bound_check,
-    pmf_sup_over_a,
-    pmf_sup_over_t,
-    poisson_concentration_check,
-    poisson_concentration_checks,
-    robbins_check,
-    sqrt_log_transfer_check,
     verification_suite,
 )
 
@@ -51,48 +46,62 @@ def suite_lams(m: int) -> list[float]:
     return [i / 10.0 for i in range(1, int(10 * root) + 1) if i / 10.0 <= root]
 
 
+def tail_check(m: int, lam: float) -> tuple[float, float, bool]:
+    """(exact, bound, holds) of the concentration core at one lam."""
+    exact, bound = _concentration_tails(m, np.array([lam]))
+    return float(exact[0]), float(bound[0]), bool(_holds(exact, bound)[0])
+
+
+def sup_over_a(t: float) -> tuple[int, float, float]:
+    """(mode, value, bound) of the pmf_sup_over_a core at one t."""
+    k, value, bound = _sup_over_a(np.array([t]))
+    return int(k[0]), float(value[0]), float(bound[0])
+
+
+def robbins_holds(n) -> np.ndarray:
+    """Both sides of Robbins' bounds hold, per n."""
+    n = np.asarray(n, dtype=np.float64)
+    ratio = _mode_pmf(n)
+    lower, upper = _robbins_bounds(n)
+    return _holds(lower, ratio) & _holds(ratio, upper)
+
+
+def transfer(x: float, y: float, c: float) -> tuple[bool, bool]:
+    """Both window-transfer implications at one triple."""
+    impl_a, impl_b = _transfer_holds(*(np.array([v], dtype=np.float64) for v in (x, y, c)))
+    return bool(impl_a[0]), bool(impl_b[0])
+
+
 class TestConcentration:
     def test_m25_lam2(self):
-        chk = poisson_concentration_check(25, 2.0)
-        assert chk.bound == pytest.approx(2 * math.exp(-1.0), rel=1e-14)
-        assert chk.holds
-        assert chk.exact < chk.bound
+        exact, bound, holds = tail_check(25, 2.0)
+        assert bound == pytest.approx(2 * math.exp(-1.0), rel=1e-14)
+        assert holds
+        assert exact < bound
         oracle = oracle_tail_probability(25, 2.0 * 5.0, 400)
-        assert chk.exact == pytest.approx(oracle, rel=1e-10)
+        assert exact == pytest.approx(oracle, rel=1e-10)
 
     def test_m4_lam1_vacuous(self):
-        chk = poisson_concentration_check(4, 1.0)
-        assert chk.bound == pytest.approx(2 * math.exp(-0.25), rel=1e-14)
-        assert chk.bound > 1.0 >= chk.exact
-        assert chk.holds
+        exact, bound, holds = tail_check(4, 1.0)
+        assert bound == pytest.approx(2 * math.exp(-0.25), rel=1e-14)
+        assert bound > 1.0 >= exact
+        assert holds
 
     def test_m100_lam10_deep_tail(self):
-        chk = poisson_concentration_check(100, 10.0)
-        assert chk.bound == pytest.approx(2 * math.exp(-25.0), rel=1e-14)
-        assert chk.holds
+        exact, bound, holds = tail_check(100, 10.0)
+        assert bound == pytest.approx(2 * math.exp(-25.0), rel=1e-14)
+        assert holds
         oracle = oracle_tail_probability(100, 100.0, 800)
-        assert chk.exact == pytest.approx(oracle, rel=1e-8)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            poisson_concentration_check(4, 2.5)
-        with pytest.raises(ValueError):
-            poisson_concentration_check(0, 0.5)
-
-    def test_grid_domain(self):
-        assert poisson_concentration_checks(4, []) == []
-        with pytest.raises(ValueError):
-            poisson_concentration_checks(4, [1.0, 2.5])
-        with pytest.raises(ValueError):
-            poisson_concentration_checks(4, [0.0])
+        assert exact == pytest.approx(oracle, rel=1e-8)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 25, 99, 100, 200])
     def test_grid_equals_scalar_bit_for_bit(self, m):
+        # the suite's whole lam grid in one pass against one lam per pass
         lams = suite_lams(m)
-        grid = poisson_concentration_checks(m, lams)
-        scalar = [poisson_concentration_check(m, lam) for lam in lams]
-        assert [c.exact.hex() for c in grid] == [c.exact.hex() for c in scalar]
-        assert grid == scalar
+        exact, bound = _concentration_tails(m, np.array(lams))
+        for i, lam in enumerate(lams):
+            one_exact, one_bound = _concentration_tails(m, np.array([lam]))
+            assert (one_exact[0].hex(), one_bound[0].hex()) == (exact[i].hex(), bound[i].hex())
 
     @pytest.mark.parametrize("m, lam", [(1, 1.0), (25, 2.0), (100, 10.0), (200, math.sqrt(200))])
     def test_matches_40_digit_tail_sum(self, m, lam):
@@ -104,66 +113,61 @@ class TestConcentration:
                 for a in range(2 * m + 400)  # the rest is below 2^-399 of the upper tail
                 if abs(a - m) > dev
             )
-        assert poisson_concentration_check(m, lam).exact == pytest.approx(float(tail), rel=1e-12)
+        assert tail_check(m, lam)[0] == pytest.approx(float(tail), rel=1e-12)
 
     @given(st.integers(1, 60), st.floats(0.05, 1.0))
     @settings(max_examples=40, deadline=None)
     def test_always_holds_on_domain(self, m, frac):
         lam = frac * math.sqrt(m)
-        assert poisson_concentration_check(m, lam).holds
+        assert tail_check(m, lam)[2]
 
 
 class TestPmfSup:
     def test_over_t_small(self):
-        chk = pmf_sup_over_t(1)
-        assert chk.exact == pytest.approx(math.exp(-1.0), rel=1e-14)
-        assert chk.bound == pytest.approx(1 / math.sqrt(2 * math.pi), rel=1e-14)
-        assert chk.holds
-        chk = pmf_sup_over_t(2)
-        assert chk.exact == pytest.approx(4 * math.exp(-2.0) / 2, rel=1e-14)
-        assert chk.bound == pytest.approx(1 / math.sqrt(4 * math.pi), rel=1e-14)
+        a = np.array([1.0, 2.0])
+        exact, bound = _mode_pmf(a), _sup_over_t_bound(a)
+        assert exact[0] == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert bound[0] == pytest.approx(1 / math.sqrt(2 * math.pi), rel=1e-14)
+        assert exact[1] == pytest.approx(4 * math.exp(-2.0) / 2, rel=1e-14)
+        assert bound[1] == pytest.approx(1 / math.sqrt(4 * math.pi), rel=1e-14)
+        assert _holds(exact, bound).all()
 
     def test_over_t_large_ratio(self):
-        chk = pmf_sup_over_t(10**6)
-        assert chk.holds
+        a = np.array([1e6])
+        exact, bound = _mode_pmf(a), _sup_over_t_bound(a)
+        assert _holds(exact, bound)[0]
         # the ratio approaches 1 like e^{-1/(12a)}; at this scale the log-space
         # evaluation carries ~1e-8 noise, so only the trend is assertable
-        ratio = chk.exact / chk.bound
+        ratio = exact[0] / bound[0]
         assert 1.0 - 1e-6 < ratio <= 1.0 + 1e-12
 
     def test_over_a_half(self):
-        argmax, value, bound = pmf_sup_over_a(0.5)
+        argmax, value, bound = sup_over_a(0.5)
         assert argmax == 0
         assert value == pytest.approx(math.exp(-0.5), rel=1e-14)
         assert bound == 1.0
 
     def test_over_a_midrange(self):
-        argmax, value, bound = pmf_sup_over_a(4.7)
+        argmax, value, bound = sup_over_a(4.7)
         assert argmax == 4
         assert value == pytest.approx(math.exp(-4.7) * 4.7**4 / 24, rel=1e-13)
         assert bound == pytest.approx(1 / math.sqrt(8 * math.pi), rel=1e-14)
 
     def test_over_a_integer_tie(self):
-        argmax, value, bound = pmf_sup_over_a(6.0)
+        argmax, value, bound = sup_over_a(6.0)
         assert argmax == 6
         # pmf ties at a = 5 and a = 6 when t = 6
         assert poisson_pmf(6.0, 5) == pytest.approx(value, rel=1e-13)
         assert value <= bound + 1e-12
 
     def test_over_a_zero(self):
-        assert pmf_sup_over_a(0.0) == (0, 1.0, 1.0)
-
-    def test_over_a_non_finite(self):
-        with pytest.raises(OverflowError):
-            pmf_sup_over_a(math.inf)
-        with pytest.raises(ValueError):
-            pmf_sup_over_a(math.nan)
+        assert sup_over_a(0.0) == (0, 1.0, 1.0)
 
     @pytest.mark.parametrize("t", [45357.0, 1e5, 6294988.990221888])
     def test_over_a_large_t_within_float_noise(self, t):
         # the log-space pmf is noisy at relative 1e-10..1e-8 here, which a
         # fixed 1e-10 slack mistook for a second mode
-        argmax, value, bound = pmf_sup_over_a(t)
+        argmax, value, bound = sup_over_a(t)
         assert argmax == math.floor(t)
         assert value <= bound
 
@@ -185,31 +189,31 @@ class TestPmfSup:
     def test_over_a_scan_is_fast_at_large_t(self):
         # the scan evaluated math.lgamma once per entry: 2.3 s at this t
         start = time.perf_counter()
-        assert pmf_sup_over_a(6294988.99)[0] == 6294988
+        assert sup_over_a(6294988.99)[0] == 6294988
         assert time.perf_counter() - start < 0.1
 
 
 class TestRobbins:
     def test_n1_explicit(self):
-        lower, upper = robbins_check(1)
+        one = np.array([1.0])
+        lower, upper = _robbins_bounds(one)
         base = 1 / math.sqrt(2 * math.pi)
-        assert lower.exact == pytest.approx(base * math.exp(-1 / 12), rel=1e-14)
-        assert lower.bound == pytest.approx(math.exp(-1.0), rel=1e-14)
-        assert upper.bound == pytest.approx(base * math.exp(-1 / 13), rel=1e-14)
-        assert lower.holds and upper.holds
+        assert lower[0] == pytest.approx(base * math.exp(-1 / 12), rel=1e-14)
+        assert _mode_pmf(one)[0] == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert upper[0] == pytest.approx(base * math.exp(-1 / 13), rel=1e-14)
+        assert robbins_holds(one)[0]
 
     @pytest.mark.parametrize("n", [10, 170, 1000, 10**4])
     def test_holds_across_scales(self, n):
-        lower, upper = robbins_check(n)
-        assert lower.holds and upper.holds
+        assert robbins_holds([n])[0]
 
     def test_no_false_violations_from_a_million(self):
         # n log n - n - lgamma(n + 1) cancels about n log n ulps: summed that
         # way, 51 of the 2,000 n from 10^6 and 1,477 of those from 10^7 failed
         gen = np.random.default_rng(106)
-        for n in [10**6, 10**7, *gen.integers(10**6, 10**7, size=2000, endpoint=True).tolist()]:
-            lower, upper = robbins_check(n)
-            assert lower.holds and upper.holds and pmf_sup_over_t(n).holds
+        n = np.array([10**6, 10**7, *gen.integers(10**6, 10**7, size=2000, endpoint=True).tolist()], float)
+        assert robbins_holds(n).all()
+        assert _holds(_mode_pmf(n), _sup_over_t_bound(n)).all()
 
     @pytest.mark.parametrize(
         "n", [1, 2, 170, 10**4, _STIRLING_FROM - 1, _STIRLING_FROM, 10**6, 10**7, 10**12]
@@ -332,23 +336,55 @@ class TestSqrtLogTransfer:
     def test_window_inside(self):
         x = math.exp(60)
         y = x + math.sqrt(x * math.log(x))
-        ia, ib = sqrt_log_transfer_check(x, y, 1.0)
+        ia, ib = transfer(x, y, 1.0)
         assert ia and ib
 
     def test_vacuous_below_threshold(self):
-        ia, ib = sqrt_log_transfer_check(10.0, 1e6, 2.0)
+        ia, ib = transfer(10.0, 1e6, 2.0)
         assert ia  # antecedent of (a) fails: x is tiny
         # (b): y < e^50, antecedent also fails
         assert ib
 
+    def test_falsified_outside_the_domain(self):
+        # at C = 1e14 the window C sqrt(x log x) of x = e^60 reaches y = 1,
+        # where 2C sqrt(y log y) is 0; with x and y swapped (b) fails instead
+        x = math.exp(60.0)
+        assert transfer(x, 1.0, 1e14) == (False, True)
+        assert transfer(1.0, x, 1e14) == (True, False)
+
     def test_grid_never_falsified(self):
         gen = SeedSpec(123).generator(0)
-        for _ in range(2000):
-            x = math.exp(gen.uniform(50, 80))
-            y = math.exp(gen.uniform(50, 80))
-            c = gen.uniform(1, 10)
-            ia, ib = sqrt_log_transfer_check(x, y, c)
-            assert ia and ib
+        x = np.exp(gen.uniform(50, 80, 2000))
+        y = np.exp(gen.uniform(50, 80, 2000))
+        c = gen.uniform(1, 10, 2000)
+        impl_a, impl_b = _transfer_holds(x, y, c)
+        assert impl_a.all() and impl_b.all()
+
+
+class TestTransferTriples:
+    """The suite's array-drawn (x, y, C) triples follow their stated distribution."""
+
+    @pytest.mark.parametrize("seed", [20240, 501])
+    def test_distribution(self, seed):
+        trials = 10_000
+        x, y, c = _transfer_triples(SeedSpec(seed).generator(0), trials)
+        assert ((math.exp(50.0) <= x) & (x <= math.exp(80.0))).all()
+        assert ((1.0 <= c) & (c <= 10.0)).all()
+        assert (y >= 1.0).all()
+        replay = SeedSpec(seed).generator(0)
+        replay.random(2 * trials)  # the x and C draws
+        far = replay.integers(0, 3, trials) == 0
+        assert abs(far.mean() - 1 / 3) < 0.02  # 4 standard errors
+        assert ((math.exp(50.0) <= y[far]) & (y[far] <= math.exp(80.0))).all()
+        # a near y sits within 3C sqrt(x log x) of x, up to the rounding of x + offset
+        gap, window = np.abs(y - x)[~far], (3.0 * c * np.sqrt(x * np.log(x)) + 2.0 * np.spacing(x))[~far]
+        assert (gap <= window).all()
+        assert abs(np.mean(y[~far] > x[~far]) - 0.5) < 0.025  # either side equally likely
+
+    @pytest.mark.parametrize("seed", [20240, 501, 777, 7])
+    def test_quick_suite_ok(self, seed):
+        reports = verification_suite(quick=True, seed=SeedSpec(seed))
+        assert [r.name for r in reports if not r.ok] == []
 
 
 class TestVerificationSuite:
@@ -422,66 +458,7 @@ def inline_lgamma_pmf(mean, a: np.ndarray) -> np.ndarray:
     return np.exp(-mean + a * np.log(mean) - logfact)
 
 
-def reference_triples(seed: SeedSpec, trials: int) -> list[tuple[float, float, float]]:
-    """The sqrt_log_transfer draws as a loop over gen.uniform."""
-    gen = seed.generator(0)
-    triples = []
-    for _ in range(trials):
-        x = math.exp(gen.uniform(50.0, 80.0))
-        c = gen.uniform(1.0, 10.0)
-        if gen.integers(0, 3) == 0:
-            y = math.exp(gen.uniform(50.0, 80.0))
-        else:
-            u = gen.uniform(0.0, 3.0)
-            sign = 1.0 if gen.random() < 0.5 else -1.0
-            y = max(1.0, x + sign * u * c * math.sqrt(x * math.log(x)))
-        triples.append((x, y, c))
-    return triples
-
-
-class CraftedWords:
-    """Stands in for a Generator whose bit generator returns the given words."""
-
-    def __init__(self, words: list[int]):
-        self.bit_generator = self
-        self.words = np.array(words, dtype=np.uint64)
-        self.served = []
-
-    def random_raw(self, size: int) -> np.ndarray:
-        self.served.append(size)
-        assert len(self.served) == 1 and size >= len(self.words)
-        return np.concatenate((self.words, np.zeros(size - len(self.words), np.uint64)))
-
-
 class TestGridsMatchScalarChecks:
-    SAMPLED = [1, 2, 3, 17, 170, 171, 999, 1000, 4096, 7777, 9999, 10_000]
-
-    def test_pmf_sup_over_t(self):
-        exact = _mode_pmf(FULL_GRID)
-        bound = _sup_over_t_bound(FULL_GRID)
-        for a in self.SAMPLED:
-            chk = pmf_sup_over_t(a)
-            assert chk.exact.hex() == exact[a - 1].hex()
-            assert chk.bound.hex() == bound[a - 1].hex()
-
-    def test_robbins(self):
-        ratio = _mode_pmf(FULL_GRID)
-        lower, upper = _robbins_bounds(FULL_GRID)
-        for n in self.SAMPLED:
-            low, high = robbins_check(n)
-            assert low.bound.hex() == high.exact.hex() == ratio[n - 1].hex()
-            assert low.exact.hex() == lower[n - 1].hex()
-            assert high.bound.hex() == upper[n - 1].hex()
-
-    def test_pmf_sup_over_a(self):
-        ts = np.arange(1, 1001) / 10.0
-        ks, values, bounds_ = _sup_over_a(ts)
-        for i in (0, 1, 8, 9, 10, 59, 499, 998, 999):
-            k, value, bound = pmf_sup_over_a(float(ts[i]))
-            assert k == int(ks[i])
-            assert value.hex() == values[i].hex()
-            assert bound.hex() == bounds_[i].hex()
-
     def test_mode_scan_rows_match_single_scans(self):
         # one row shifted off the mode makes the whole pass raise
         ts = np.arange(1, 1001) / 10.0
@@ -494,48 +471,6 @@ class TestGridsMatchScalarChecks:
                 _check_mode(ts, shifted)
             with pytest.raises(RuntimeError, match="larger value"):
                 _check_mode(float(ts[i]), float(shifted[i]))
-
-    @pytest.mark.parametrize("seed", [20240, 501])
-    def test_sqrt_log_transfer(self, seed):
-        x, y, c = _transfer_triples(SeedSpec(seed).generator(0), 10_000)
-        impl_a, impl_b = _transfer_holds(x, y, c)
-        for i in range(0, 10_000, 97):
-            assert sqrt_log_transfer_check(float(x[i]), float(y[i]), float(c[i])) == (
-                bool(impl_a[i]),
-                bool(impl_b[i]),
-            )
-        # vacuous and falsified triples through the same pass
-        xs = np.array([10.0, math.exp(60.0), math.exp(60.0)])
-        ys = np.array([1e6, math.exp(60.0) * 3.0, 1.0])
-        cs = np.array([2.0, 1.0, 1.0])
-        impl_a, impl_b = _transfer_holds(xs, ys, cs)
-        for i in range(3):
-            assert sqrt_log_transfer_check(xs[i], ys[i], cs[i]) == (bool(impl_a[i]), bool(impl_b[i]))
-
-    @pytest.mark.parametrize("seed", [20240, 501, 7, 777])
-    def test_triples_equal_uniform_draws(self, seed):
-        # 1,000 trials end inside the first 4,096-word block, 10,000 cross eight
-        for trials in (1000, 10_000):
-            x, y, c = _transfer_triples(SeedSpec(seed).generator(0), trials)
-            got = list(zip(x.tolist(), y.tolist(), c.tolist()))
-            assert got == reference_triples(SeedSpec(seed), trials)
-
-    def test_draw_of_three_rejects_a_zero_product(self):
-        # integers(0, 3) maps u to (3u) >> 32 and draws again where 3u = 0 mod
-        # 2^32, which is u = 0; the high half of a split word is the next u
-        double = 1 << 63  # a word whose double is exactly 0.5
-        words = [
-            double, double, (0x55555555 << 32) | 0, double,  # u = 0, then the high half: 0
-            double, double, 0, (7 << 32) | 0xAAAAAAAB, double, 0,  # u = 0, 0, then 2
-            double, double, 0,  # the buffered high half 7 gives 0
-        ]
-        gen = CraftedWords(words + [0] * 8)
-        x, y, c = _transfer_triples(gen, 3)
-        half = math.exp(50.0 + 30.0 * 0.5)
-        assert x.tolist() == [half] * 3 and c.tolist() == [5.5] * 3
-        offset = 1.5 * 5.5 * math.sqrt(half * math.log(half))
-        assert y.tolist() == [half, half + offset, math.exp(50.0)]
-        assert gen.served == [_RAW_BLOCK]
 
 
 class TestGridsMatchLoopFormulas:
@@ -581,8 +516,9 @@ class TestGridsMatchLoopFormulas:
     @pytest.mark.parametrize("m", [1, 37, 200])
     def test_concentration_bound(self, m):
         lams = suite_lams(m)
-        for lam, chk in zip(lams, poisson_concentration_checks(m, lams)):
-            assert chk.bound == pytest.approx(2.0 * math.exp(-lam * lam / 4.0), rel=4 * self.EPS)
+        _, bounds_ = _concentration_tails(m, np.array(lams))
+        for lam, bound in zip(lams, bounds_.tolist()):
+            assert bound == pytest.approx(2.0 * math.exp(-lam * lam / 4.0), rel=4 * self.EPS)
 
 
 class TestInjectedFailures:
@@ -637,16 +573,19 @@ class TestInjectedFailures:
             "pmf_sup_over_t a=777",
             "robbins n=5000",
             "pmf_sup_over_a t=42.5",
-            "sqrt_log_transfer x=1.72111e+28 y=1.72111e+28 C=6.268",
+            "sqrt_log_transfer x=1.49961e+32 y=6.196e+29 C=8.811",
         ]
 
     def test_transfer_reports_the_first_triple(self, monkeypatch):
         monkeypatch.setattr(
             bounds, "_transfer_holds", lambda x, y, c: (np.ones(len(x), bool), np.zeros(len(x), bool))
         )
-        for quick in (False, True):
-            report = verification_suite(quick=quick)[4]
-            assert report.detail == "sqrt_log_transfer x=2.83155e+34 y=2.83155e+34 C=1.004"
+        # C and y come from later draws, whose positions depend on the trial count
+        for quick, detail in (
+            (False, "sqrt_log_transfer x=2.83155e+34 y=2.39094e+24 C=7.159"),
+            (True, "sqrt_log_transfer x=2.83155e+34 y=2.83155e+34 C=8.142"),
+        ):
+            assert verification_suite(quick=quick)[4].detail == detail
 
     @pytest.mark.parametrize(
         "seed, detail",

@@ -248,6 +248,13 @@ class TestBasicCommands:
             ["majorant", "--freqs", "1,2,4", "--p", "4", "--sizes", "3"],
             ["majorant", "--freqs", "1,2,4", "--p", "4", "--process", "walk"],
             ["majorant", "--freqs", "1,2,4", "--p", "4", "--map", "power:2"],
+            # --seed where nothing is drawn
+            ["shell", "--d", "3", "--D", "20", "--seed", "5"],
+            ["divisor", "--x", "10", "--seed", "5"],
+            ["hyperbolic", "--d", "3", "--x", "1000", "--seed", "5"],
+            ["repcount", "--n", "2", "--d", "2", "--M", "5", "--seed", "5"],
+            ["slope", "--input", "moments.csv", "--seed", "5"],
+            ["greenruzsa", "--base", "7", "--digits", "2", "--seed", "5"],
         ],
     )
     def test_ignored_flags_exit_one(self, argv, capsys):
@@ -255,6 +262,18 @@ class TestBasicCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: --")
+
+    def test_seed_from_env_or_config_stays_allowed(self, tmp_path, capsys, monkeypatch):
+        # only an explicit --seed is refused; EXPSUM_SEED and --config apply to every subcommand
+        argv = ["divisor", "--x", "10,1000"]
+        code, plain = run_capture(argv, capsys)
+        assert code == 0
+        monkeypatch.setenv("EXPSUM_SEED", "5")
+        assert run_capture(argv, capsys) == (0, plain)
+        monkeypatch.delenv("EXPSUM_SEED")
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("seed = 5\n")
+        assert run_capture(argv + ["--config", str(cfg)], capsys) == (0, plain)
 
     def test_majorant_has_no_iid_process(self, capsys):
         # genericity has no --pmf to draw i.i.d. values from

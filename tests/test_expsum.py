@@ -22,7 +22,6 @@ from expsumlab import (
     lp_norm_quadrature,
     representation_table,
     suggested_nodes,
-    sup_norm_upper,
 )
 from expsumlab import expsum
 from expsumlab.expsum import _convolve, _merge
@@ -520,22 +519,6 @@ class TestQuadrature:
         for nodes in ((1 << 24) + 1, 10**18):
             with pytest.raises(GuardError):
                 lp_norm_quadrature(spectrum, 3.0, nodes)
-
-
-class TestSupNorm:
-    def test_unit_spectrum(self):
-        assert sup_norm_upper(FrequencySpectrum.unit([3, 8, 9, 12, 20])) == 5.0
-
-    def test_sign_pair(self):
-        spectrum = FrequencySpectrum.from_pairs([(0, 1.0), (1, -1.0)])
-        assert sup_norm_upper(spectrum) == 2.0
-        # crude grid confirms the bound is attained near y = 1/2
-        ys = np.linspace(0, 1, 4001, endpoint=False)
-        vals = np.abs(np.exp(2j * np.pi * 0 * ys) - np.exp(2j * np.pi * 1 * ys))
-        assert np.max(vals) == pytest.approx(2.0, abs=1e-5)
-
-    def test_single_small_term(self):
-        assert sup_norm_upper(FrequencySpectrum.from_pairs([(2, 0.5)])) == 0.5
 
 
 class TestSpectrumArrays:

@@ -26,7 +26,6 @@ from expsumlab import (
     exact_even_moment_walk,
     exact_second_moment_iid,
     exact_second_moment_poisson,
-    heuristic_exponent,
     lp_norm_quadrature,
     mc_even_moment,
     mc_general_moment,
@@ -557,13 +556,6 @@ class TestEvenDegree:
 
 
 class TestGrowthUtilities:
-    def test_heuristic_examples(self):
-        assert heuristic_exponent(4, 0.0) == pytest.approx(3.0)
-        assert heuristic_exponent(4, 0.5) == pytest.approx(3.5)
-        assert heuristic_exponent(6, 1.0) == pytest.approx(6.0)
-        with pytest.raises(ValueError):
-            heuristic_exponent(4, 1.5)
-
     def test_exact_power_slope(self):
         fit = slope_fit([(2, 8.0), (4, 64.0), (8, 512.0)])
         assert fit.slope == pytest.approx(3.0, abs=1e-12)
