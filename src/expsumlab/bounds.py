@@ -1,27 +1,24 @@
 """Executable inequality oracles for the Poisson process.
 
-Each operation computes an exact probabilistic quantity on one side and the
-corresponding analytic bound on the other, returning both together with the
-verdict.  The concentration tails of one mean m come from one pmf vector on
-[0, 2m + 64]: past 2m each term is under half the one before, so the end
-term, and the remainder it bounds, is below 1e-18 of every tail reported.
+Each core computes an exact probabilistic quantity and the analytic bound it
+is checked against.  The bounds covered: Gaussian-like concentration of N(m)
+around m, the mode bounds sup_t P[N(t)=a] <= 1/sqrt(2 pi a) and sup_a
+P[N(t)=a] at a = floor(t), Robbins' two-sided Stirling refinement, mode
+bounds for positive integer combinations of independent Poisson variables
+and for sums of process increments, and the transfer of |x-y| windows across
+the sqrt(t log t) scale.  ``verification_suite`` runs all of them on grids,
+together with the exact oracles of the lattice counters, and is the one
+place the ``verify`` subcommand gets its checks from.
 
-The bounds covered: Gaussian-like concentration of N(m) around m, the mode
-bounds sup_t P[N(t)=a] <= 1/sqrt(2 pi a) and sup_a P[N(t)=a] at a = floor(t),
-Robbins' two-sided Stirling refinement, mode bounds for positive integer
-combinations of independent Poisson variables and for sums of process
-increments, both read off the coincidence DP's strided convolution, and the
-transfer of |x-y| windows across the sqrt(t log t) scale.  At a = 0 the
-increments are also checked against exp(-|union of the intervals|).
-``verification_suite`` runs all of them on grids, together with the exact
-oracles of the lattice counters, and is the one place the ``verify``
-subcommand gets its checks from.
-
-Each inequality grid is one array pass over one core per bound: the
-concentration tails per m, one mode-pmf vector P[N(n) = n] = n^n e^{-n}/n!
-shared by the pmf_sup_over_t and Robbins grids, the pmf_sup_over_a values
-and their mode scans, and the window-transfer implications on triples drawn
-as arrays.  ``_holds`` is the one verdict rule.
+Each grid is one array pass over one core per bound: the concentration tails
+per m, whose pmf vector on [0, 2m + 64] leaves a remainder below 1e-18 of
+every tail reported (past 2m each term is under half the one before); one
+mode-pmf vector P[N(n) = n] = n^n e^{-n}/n! shared by the pmf_sup_over_t and
+Robbins grids; the pmf_sup_over_a values and their mode scans; the
+window-transfer implications; and ``_combo_pmf``, the strided convolution of
+the coincidence DP, per combination or interval sum against ``_mode_bound``.
+At a = 0 the interval sums are also checked against exp(-|union|).  The
+random grids are drawn as arrays.  ``_holds`` is the one verdict rule.
 """
 
 from __future__ import annotations
@@ -40,14 +37,6 @@ from .processes import SeedSpec, poisson_pmf
 _E50 = math.exp(50.0)
 _SCAN_BLOCK = 1 << 16
 _STIRLING_FROM = 1 << 14  # _mode_pmf reads the Stirling series from here on
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    exact: float
-    bound: float
-    holds: bool
-    slack: float
 
 
 def _holds(exact, bound):
@@ -104,6 +93,11 @@ def _robbins_bounds(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(base - 1.0 / (12.0 * n)), np.exp(base - 1.0 / (12.0 * n + 1.0))
 
 
+def _mode_bound(k: np.ndarray) -> np.ndarray:
+    """min{1, 1/sqrt(2 pi k)} per integer mode k >= 0: 1 at k = 0, below 1 from k = 1 on."""
+    return np.where(k == 0, 1.0, 1.0 / np.sqrt(2.0 * math.pi * np.maximum(k, 1.0)))
+
+
 def _sup_over_a(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per t >= 0: the mode k = floor(t), P[N(t) = k] and min{1, 1/sqrt(2 pi k)}.
 
@@ -111,8 +105,7 @@ def _sup_over_a(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     k = np.floor(t)
     _check_mode(t, k)
-    bound = np.minimum(1.0, 1.0 / np.sqrt(2.0 * math.pi * np.maximum(k, 1.0)))
-    return k, poisson_pmf(t, k), np.where(k == 0, 1.0, bound)
+    return k, poisson_pmf(t, k), _mode_bound(k)
 
 
 def _check_mode(t, k) -> None:
@@ -153,50 +146,14 @@ def _check_mode(t, k) -> None:
         raise RuntimeError("pmf mode scan found a larger value than floor(t)")
 
 
-def _combo_check(means: Sequence[float], coeffs: Sequence[int], a: int, mode: int) -> BoundCheck:
-    """P[sum_i c_i X_i = a] against the mode bound min{1, 1/sqrt(2 pi mode)}.
+def _combo_pmf(means: Sequence[float], coeffs: Sequence[int], a: int) -> float:
+    """P[sum_i c_i X_i = a] for independent X_i ~ Poisson(means[i]) and integers c_i >= 1.
 
-    The X_i are independent Poisson(means[i]) and c_i >= 1.  Exact: a count
-    past a // c_i would overshoot a, so each pmf can stop there.
+    A count past a // c_i would overshoot a, so each pmf stops there.
     """
     pmfs = [poisson_pmf(mu, np.arange(a // c + 1)) for mu, c in zip(means, coeffs)]
     dist, _ = _signed_sum_pmf(pmfs, coeffs)
-    bound = 1.0 if mode == 0 else 1.0 / math.sqrt(2.0 * math.pi * mode)  # below 1 from mode 1 on
-    exact = float(dist[a]) if a < len(dist) else 0.0
-    return BoundCheck(exact, bound, bool(_holds(exact, bound)), bound - exact)
-
-
-def combo_pmf_bound_check(means: Sequence[float], coeffs: Sequence[int], a: int) -> BoundCheck:
-    """P[sum_i c_i N_i = a] against min{1, 1/sqrt(2 pi floor(max mean))}."""
-    if len(means) != len(coeffs) or not means:
-        raise ValueError("means and coeffs must be equal-length and nonempty")
-    if any(mu <= 0 for mu in means):
-        raise ValueError("means must be positive")
-    if any(c < 1 or c != int(c) for c in coeffs):
-        raise ValueError("coefficients must be positive integers")
-    if a < 0:
-        raise ValueError("a must be nonnegative")
-    return _combo_check(means, coeffs, a, math.floor(max(means)))
-
-
-def interval_sum_bound_check(intervals: Sequence[tuple[float, float]], a: int) -> BoundCheck:
-    """P[sum_i (N(k_i) - N(j_i)) = a] against the widest-interval mode bound.
-
-    The intervals are decomposed into elementary pieces with integer
-    multiplicities (shared with the coincidence engine), then the exact
-    convolution of the combination check is run.  The bound uses
-    floor((k_m - j_m)/(2n)) for the widest interval m among n intervals.
-    """
-    if not intervals:
-        raise ValueError("need at least one interval")
-    for j, k in intervals:
-        if not (0 <= j < k):
-            raise ValueError("intervals must satisfy 0 <= j < k")
-    if a < 0:
-        raise ValueError("a must be nonnegative")
-    lengths, coeffs = interval_coefficients([k for _, k in intervals], [j for j, _ in intervals])
-    widest = max(k - j for j, k in intervals)
-    return _combo_check(lengths, coeffs, a, math.floor(widest / (2 * len(intervals))))
+    return float(dist[a]) if a < len(dist) else 0.0
 
 
 def _union_length(intervals: Sequence[tuple[float, float]]) -> float:
@@ -252,16 +209,10 @@ class GridReport:
     detail: str
 
 
-def _report(name: str, failures: list[str], checked: int) -> GridReport:
-    ok = not failures
-    detail = "ok" if ok else failures[0]
-    return GridReport(name, ok, checked, detail)
-
-
 def _grid_report(name: str, holds: np.ndarray, describe) -> GridReport:
-    """Report of a grid checked in one array pass; ``describe`` names a point."""
+    """Report of a grid checked in one array pass; ``describe`` names its first failing point."""
     bad = np.flatnonzero(~holds)
-    return _report(name, [describe(int(bad[0]))] if bad.size else [], len(holds))
+    return GridReport(name, not bad.size, len(holds), describe(int(bad[0])) if bad.size else "ok")
 
 
 def divisor_sieve(top: int) -> np.ndarray:
@@ -335,45 +286,55 @@ def verification_suite(quick: bool = False, seed: SeedSpec | None = None) -> lis
         )
     )
 
+    # Each trial uses the first n of three columns drawn per quantity.
     gen = seed.generator(1)
     trials = 30 if quick else 100
-    failures = []
-    for i in range(trials):
-        n = int(gen.integers(1, 4))
-        means = [float(gen.uniform(0.1, 5.0)) for _ in range(n)]
-        coeffs = [int(gen.integers(1, 4)) for _ in range(n)]
-        a = int(gen.integers(0, 11))
-        if not combo_pmf_bound_check(means, coeffs, a).holds:
-            failures.append(f"combo means={means} coeffs={coeffs} a={a}")
-    reports.append(_report("combo_pmf_bound", failures, trials))
+    n = gen.integers(1, 4, trials)
+    means, coeffs = gen.uniform(0.1, 5.0, (trials, 3)), gen.integers(1, 4, (trials, 3))
+    a = gen.integers(0, 11, trials)
+    combos = [(means[i, : n[i]].tolist(), coeffs[i, : n[i]].tolist(), int(a[i])) for i in range(trials)]
+    exact = np.array([_combo_pmf(*combo) for combo in combos])
+    holds = _holds(exact, _mode_bound(np.floor([max(combo[0]) for combo in combos])))
+    reports.append(
+        _grid_report("combo_pmf_bound", holds, lambda i: "combo means={} coeffs={} a={}".format(*combos[i]))
+    )
 
     gen = seed.generator(2)
-    failures = []
-    for i in range(trials):
-        n = int(gen.integers(1, 4))
-        intervals = []
-        for _ in range(n):
-            j = float(gen.uniform(0.0, 10.0))
-            k = j + float(gen.uniform(0.1, 10.0))
-            intervals.append((j, k))
-        a = int(gen.integers(0, 9))
-        chk = interval_sum_bound_check(intervals, a)
-        if not chk.holds:
-            failures.append(f"interval_sum intervals={intervals} a={a}")
-        # at a = 0 every increment over the union must vanish: exp(-|union|)
-        if a == 0 and abs(chk.exact - math.exp(-_union_length(intervals))) > 1e-8:
-            failures.append(f"interval_vs_coincidence intervals={intervals}")
-    reports.append(_report("interval_sum_bound", failures, trials))
+    n = gen.integers(1, 4, trials)
+    j = gen.uniform(0.0, 10.0, (trials, 3))
+    k = j + gen.uniform(0.1, 10.0, (trials, 3))
+    a = gen.integers(0, 9, trials)
+    intervals = [list(zip(j[i, : n[i]].tolist(), k[i, : n[i]].tolist())) for i in range(trials)]
+    pieces = [interval_coefficients([hi for _, hi in iv], [lo for lo, _ in iv]) for iv in intervals]
+    exact = np.array([_combo_pmf(*piece, int(a_i)) for piece, a_i in zip(pieces, a)])
+    # the widest interval m among n bounds the sum's mode: floor((k_m - j_m)/(2n))
+    widest = np.array([max(hi - lo for lo, hi in iv) for iv in intervals])
+    below = _holds(exact, _mode_bound(np.floor(widest / (2 * n))))
+    # at a = 0 every increment over the union must vanish: exp(-|union|)
+    union = np.exp(-np.array([_union_length(iv) for iv in intervals]))
+    holds = below & ((a != 0) | (np.abs(exact - union) <= 1e-8))
+    reports.append(
+        _grid_report(
+            "interval_sum_bound",
+            holds,
+            lambda i: f"interval_sum intervals={intervals[i]} a={a[i]}"
+            if not below[i]
+            else f"interval_vs_coincidence intervals={intervals[i]}",
+        )
+    )
 
     d_cap = 100 if quick else 400
-    failures, checked = [], 0
     grid = [(e, D) for D in range(1, 11) for e in range(D, min(D * D, d_cap) + 1)]
     es, ds = [float(e) for e, _ in grid], [float(D) for _, D in grid]
-    for d in (2, 3) if quick else (2, 3, 4, 5):
-        checked += len(grid)
-        differ = shell_counts(d, es, ds, "brute")[0] != shell_counts(d, es, ds, "fast")[0]
-        failures += [f"shell d={d} E={grid[i][0]} D={grid[i][1]}" for i in np.flatnonzero(differ)]
-    reports.append(_report("shell_oracle", failures, checked))
+    dims = (2, 3) if quick else (2, 3, 4, 5)
+    holds = np.concatenate(
+        [shell_counts(d, es, ds, "brute")[0] == shell_counts(d, es, ds, "fast")[0] for d in dims]
+    )
+
+    def window(i: int) -> str:  # d-major, named from the index: a list of every window cost 0.14 MB of peak memory
+        return "shell d={} E={} D={}".format(dims[i // len(grid)], *grid[i % len(grid)])
+
+    reports.append(_grid_report("shell_oracle", holds, window))
 
     top = 2000 if quick else 20_000
     sums = divisor_summatories(np.arange(1, top + 1, dtype=np.int64))

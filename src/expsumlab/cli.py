@@ -14,14 +14,15 @@ Seed precedence: ``--seed`` > the EXPSUM_SEED environment variable > a
 key=value config file passed with ``--config``, whose only keys are ``seed``
 and ``samples``.  Without any of them the seed is 0, except for ``verify``,
 whose default is 20240.  ``--samples`` (``moment`` and ``majorant``) falls
-back to the config file, then to 200.  A flag that the chosen mode would
-ignore exits 1: ``--seed`` on ``shell``, ``divisor``, ``hyperbolic``,
-``repcount``, ``slope``, and ``greenruzsa`` without ``--sparsity``, which draw
-nothing, ``--samples`` or ``--nodes`` with ``moment --mode exact``
-(which computes each mean exactly), ``--nodes`` wherever no quadrature
-runs, ``--pmf`` unless the process is iid, ``shell --E`` with ``--mode sup``
-and ``--e-samples`` with ``--E``, ``majorant --freqs`` with ``--genericity``
-and ``--samples``, ``--process``, ``--map``, ``--sizes`` or ``--epsilon``
+back to the config file, then to 200.  ``moment`` and ``majorant`` read
+their method from p: exact counts and the theorem at even p, quadrature and
+the phase search otherwise.  A flag that the chosen mode would ignore exits
+1: ``--seed`` on ``shell``, ``divisor``, ``hyperbolic``, ``repcount``,
+``slope``, ``greenruzsa`` without ``--sparsity`` and ``moment --mode
+exact``, which draw nothing, ``--samples`` with ``moment --mode exact``,
+``--pmf`` unless the process is iid, ``shell --E`` with ``--mode sup`` and
+``--e-samples`` with ``--E``, ``majorant --freqs`` with ``--genericity`` and
+``--samples``, ``--process``, ``--map``, ``--sizes`` or ``--epsilon``
 without it.
 One exception: ``majorant`` at even p does not read ``--restarts``, nor
 ``--seed`` with ``--freqs``, since the even-p ratio is exactly 1 and no
@@ -61,7 +62,7 @@ from .lattice import (
     diophantine_count,
     sparsity_count,
 )
-from .majorant import genericity_experiment, majorant_ratio, majorant_ratio_quadrature
+from .majorant import genericity_experiment, majorant_ratio
 from .moments import (
     ExperimentSpec,
     TimeMap,
@@ -118,7 +119,11 @@ def _emit(rows: list[dict], args, started: str) -> None:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+    """The integers of a comma list; empty tokens, as after a trailing comma, are skipped."""
+    values = [int(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise ValueError(f"{text!r} lists no integer")
+    return values
 
 
 def _parse_map(text: str) -> TimeMap:
@@ -177,8 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--sizes", type=str, required=True, help="comma list, A = {1..size}")
     p.add_argument("--pmf", type=str, default=None, help="iid pmf as v:p,v:p")
-    p.add_argument("--mode", choices=("auto", "even", "quadrature", "exact"), default="auto")
-    p.add_argument("--nodes", type=int, default=None, help="quadrature nodes (default auto)")
+    p.add_argument("--mode", choices=("auto", "exact"), default="auto")
     p.add_argument("--samples", type=int, default=None, help="Monte Carlo samples")
     _add_common(p)
 
@@ -243,11 +247,8 @@ def _reject_ignored_flags(args) -> None:
     if args.seed is not None and not draws:
         raise ValueError(f"--seed is unused: {args.subcommand} draws no random numbers here")
     if args.subcommand == "moment":
-        if args.mode == "exact" and (args.samples is not None or args.nodes is not None):
-            raise ValueError("--mode exact samples nothing: drop --samples and --nodes")
-        quadrature = args.mode == "quadrature" or (args.mode == "auto" and not _even_degree(args.p))
-        if args.nodes is not None and not quadrature:
-            raise ValueError(f"--nodes is unused: --mode {args.mode} at p={args.p:g} runs no quadrature")
+        if args.mode == "exact" and (args.samples is not None or args.seed is not None):
+            raise ValueError("--mode exact samples nothing: drop --samples and --seed")
         if args.pmf is not None and args.process != "iid":
             raise ValueError(f"--pmf is unused: --process {args.process} draws no i.i.d. values")
     elif args.subcommand == "shell":
@@ -302,13 +303,12 @@ def _cmd_moment(args) -> tuple[list[dict], int]:
             seed=SeedSpec(args.seed, size),
             pmf=pmf,
         )
-        use_even = args.mode == "even" or (args.mode == "auto" and _even_degree(args.p))
         if exact:
             est = exact_even_moment(spec)
-        elif use_even:
+        elif _even_degree(args.p):
             est = mc_even_moment(spec)
         else:
-            est = mc_general_moment(spec, nodes=args.nodes)
+            est = mc_general_moment(spec)
         rows.append(
             {
                 "process": args.process,
@@ -410,6 +410,8 @@ def _cmd_greenruzsa(args) -> tuple[list[dict], int]:
     values = greenruzsa_generate(spec)
     if args.sparsity is None:
         return [{"value": v} for v in values], 0
+    if args.sparsity < 1:
+        raise ValueError("--sparsity must be at least 1")
     gen = SeedSpec(args.seed).generator(0)
     exponent = math.log(3) / math.log(args.base)
     rows = []
@@ -456,8 +458,7 @@ def _cmd_majorant(args) -> tuple[list[dict], int]:
     if not args.freqs:
         raise ValueError("majorant needs --freqs unless --genericity is given")
     freqs = _parse_int_list(args.freqs)
-    search = majorant_ratio if _even_degree(args.p) else majorant_ratio_quadrature
-    result = search(freqs, args.p, args.restarts, SeedSpec(args.seed))
+    result = majorant_ratio(freqs, args.p, args.restarts, SeedSpec(args.seed))
     rows = [
         {
             "freqs": ";".join(str(f) for f in freqs),

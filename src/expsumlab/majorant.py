@@ -157,22 +157,20 @@ def _ascend(grid: _Grid, phases: np.ndarray, base: float) -> np.ndarray:
 
 
 def majorant_ratio(
-    freqs: Sequence[int], p: int, restarts: int = 1, seed: SeedSpec = SeedSpec(0)
+    freqs: Sequence[int], p: float, restarts: int = 1, seed: SeedSpec = SeedSpec(0)
 ) -> MajorantResult:
-    """The even-p majorant ratio, exactly 1 by the majorant property.
+    """The majorant ratio at any p >= 1: by the theorem at even p, by search otherwise.
 
     At p = 2n the coefficients of c^{*n} satisfy |c^{*n}| <= 1^{*n} term by
     term, so no unimodular phase vector beats the all-ones vector.  Returns
     base = best = ``even_norm_coeff`` of the all-ones vector, ratio 1.0 and
-    zero phases, with no search.  ``restarts`` must be at least 1 and is
-    echoed; it and ``seed`` keep the signature of
-    ``majorant_ratio_quadrature`` but are not read.  Non-even p is refused.
+    zero phases, with no search; ``restarts`` must be at least 1 and is
+    echoed, and ``seed`` is not read.  At other p this is
+    ``majorant_ratio_quadrature``.
     """
     n = _even_degree(p)
     if not n:
-        raise ValueError("exact majorant optimization needs an even integer p >= 2")
-    if not freqs:
-        raise ValueError("frequency list must be nonempty")
+        return majorant_ratio_quadrature(freqs, p, restarts, seed)
     check_power(len(freqs), p)
     spectrum = FrequencySpectrum.unit(freqs)
     if restarts < 1:

@@ -55,7 +55,7 @@ _DP_SUPPORT_LIMIT = 50_000_000
 _TRANSFER_WORK_LIMIT = 1 << 30  # nodes x layers x (n+1)^2: about 20 s of the exact engine
 _Y_BLOCK = 1 << 13  # y nodes per block; a block's states stay in cache
 _EXACT_TOL = 1e-15  # Poisson aliasing budget per tuple of exact_even_moment
-_WALK_LENGTH_GUARD = 100_000_000  # steps; walk_positions peaks at 16 bytes a step, about 1.6 GB
+_WALK_LENGTH_GUARD = 100_000_000  # steps; walk_draws peaks at 16 bytes a step, about 1.6 GB
 # Sampled values counted together.  An n = 2 block packs at most 24 pairs a
 # value; blocks of 2^12 values raised mc-ladder's peak memory by 0.2 MB.
 _BLOCK_VALUES = 1 << 10
@@ -216,22 +216,20 @@ def mc_even_moment(spec: ExperimentSpec) -> MomentEstimate:
     return _summarize(values, spec, spec.descriptor() + "/exact-even")
 
 
-def mc_general_moment(spec: ExperimentSpec, nodes: int | None = None) -> MomentEstimate:
+def mc_general_moment(spec: ExperimentSpec) -> MomentEstimate:
     """Monte Carlo estimate for any p >= 1, each sample by quadrature.
 
-    With ``nodes=None`` each sample uses the default node count for its
-    realized spectrum, which is past the exactness threshold for even p.
+    Each sample uses ``suggested_nodes`` for its realized spectrum, which is
+    past the exactness threshold for even p.
     """
     sample = _sampler(spec)
 
     def one(i: int) -> float:
         spectrum = FrequencySpectrum.unit(sample(i))
-        nd = nodes if nodes is not None else suggested_nodes(spectrum, spec.p)
-        return lp_norm_quadrature(spectrum, spec.p, nd)
+        return lp_norm_quadrature(spectrum, spec.p, suggested_nodes(spectrum, spec.p))
 
     values = [one(i) for i in range(spec.samples)]
-    tag = "auto" if nodes is None else str(nodes)
-    return _summarize(values, spec, spec.descriptor() + f"/quadrature:{tag}")
+    return _summarize(values, spec, spec.descriptor() + "/quadrature:auto")
 
 
 def exact_second_moment_poisson(times: Sequence[float]) -> float:

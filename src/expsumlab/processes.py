@@ -251,21 +251,13 @@ def poisson_draws(gen: np.random.Generator, gaps: np.ndarray) -> np.ndarray:
     return values
 
 
-def walk_positions(n_max: int, seed: SeedSpec, sample_index: int = 0) -> np.ndarray:
-    """R(0..n_max) of the simple random walk as an int64 array, R(0) = 0.
-
-    Step i is 2u - 1 for the i-th draw u in {0, 1} of the sample's Philox
-    stream; every walk in the package is drawn by ``walk_draws``.  The steps
-    are formed in the draw array and summed straight into the result, so a
-    walk peaks at 16 bytes a step.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    return walk_draws(seed.generator(sample_index), n_max)
-
-
 def walk_draws(gen: np.random.Generator, n_max: int) -> np.ndarray:
-    """``walk_positions`` from the draws of ``gen``."""
+    """R(0..n_max) of the simple random walk, R(0) = 0, as int64 from the draws of ``gen``.
+
+    Step i is 2u - 1 for the i-th draw u in {0, 1}; every walk in the package
+    is drawn here.  The steps are formed in the draw array and summed straight
+    into the result, so a walk peaks at 16 bytes a step.
+    """
     steps = gen.integers(0, 2, size=n_max, dtype=np.int64)
     steps <<= 1
     steps -= 1
@@ -276,6 +268,8 @@ def walk_draws(gen: np.random.Generator, n_max: int) -> np.ndarray:
 
 
 def sample_random_walk(n_max: int, seed: SeedSpec, sample_index: int = 0) -> ProcessPath:
-    """Simple random walk R(0..n_max), R(0) = 0, i.i.d. fair +/-1 steps."""
-    values = walk_positions(n_max, seed, sample_index)
+    """Simple random walk R(0..n_max), R(0) = 0, i.i.d. fair +/-1 steps from the sample's Philox stream."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    values = walk_draws(seed.generator(sample_index), n_max)
     return ProcessPath(TimeGrid.indices(n_max + 1), tuple(values.tolist()))

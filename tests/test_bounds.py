@@ -15,8 +15,10 @@ from expsumlab.moments import interval_coefficients
 from expsumlab.bounds import (
     _check_mode,
     _STIRLING_FROM,
+    _combo_pmf,
     _concentration_tails,
     _holds,
+    _mode_bound,
     _mode_pmf,
     _robbins_bounds,
     _sup_over_a,
@@ -24,9 +26,7 @@ from expsumlab.bounds import (
     _transfer_holds,
     _transfer_triples,
     _union_length,
-    combo_pmf_bound_check,
     divisor_sieve,
-    interval_sum_bound_check,
     verification_suite,
 )
 
@@ -227,61 +227,63 @@ class TestRobbins:
         assert _mode_pmf(np.array([float(n)]))[0] == pytest.approx(exact, rel=ulps * sys.float_info.epsilon)
 
 
+def interval_pmf(intervals, a: int) -> float:
+    """P[sum_i (N(k_i) - N(j_i)) = a] by the core the suite checks interval sums with."""
+    return _combo_pmf(*interval_coefficients([k for _, k in intervals], [j for j, _ in intervals]), a)
+
+
 class TestComboBound:
     def test_single_poisson_at_mode(self):
-        chk = combo_pmf_bound_check([5.0], [1], 5)
-        assert chk.exact == pytest.approx(poisson_pmf(5.0, 5), rel=1e-12)
-        assert chk.bound == pytest.approx(1 / math.sqrt(2 * math.pi * 5), rel=1e-14)
-        assert chk.holds
+        assert _combo_pmf([5.0], [1], 5) == pytest.approx(poisson_pmf(5.0, 5), rel=1e-12)
+        assert _mode_bound(np.array([5.0]))[0] == pytest.approx(1 / math.sqrt(2 * math.pi * 5), rel=1e-14)
 
     def test_zero_target_forces_zeros(self):
-        chk = combo_pmf_bound_check([1.0, 1.0], [2, 1], 0)
-        assert chk.exact == pytest.approx(math.exp(-2.0), rel=1e-12)
+        exact = _combo_pmf([1.0, 1.0], [2, 1], 0)
+        assert exact == pytest.approx(math.exp(-2.0), rel=1e-12)
         # floor(max mean) = 1, so the mode bound is 1/sqrt(2 pi), not 1
-        assert chk.bound == pytest.approx(1 / math.sqrt(2 * math.pi), rel=1e-14)
-        assert chk.holds
+        bound = _mode_bound(np.array([1.0]))
+        assert bound[0] == pytest.approx(1 / math.sqrt(2 * math.pi), rel=1e-14)
+        assert _holds(exact, bound)[0]
 
     def test_sub_unit_means_bound_is_one(self):
-        chk = combo_pmf_bound_check([0.4, 0.9], [1, 3], 1)
-        assert chk.bound == 1.0
+        # floor(0.9) = 0: the bound at mode 0 is 1, which every probability meets
+        bound = _mode_bound(np.array([math.floor(0.9)]))
+        assert bound[0] == 1.0
+        assert _holds(_combo_pmf([0.4, 0.9], [1, 3], 1), bound)[0]
 
     def test_poisson_additivity(self):
-        chk = combo_pmf_bound_check([3.0, 4.0], [1, 1], 7)
-        assert chk.exact == pytest.approx(poisson_pmf(7.0, 7), rel=1e-12)
-        assert chk.bound == pytest.approx(1 / math.sqrt(2 * math.pi * 4), rel=1e-14)
+        assert _combo_pmf([3.0, 4.0], [1, 1], 7) == pytest.approx(poisson_pmf(7.0, 7), rel=1e-12)
+        assert _mode_bound(np.array([4.0]))[0] == pytest.approx(1 / math.sqrt(2 * math.pi * 4), rel=1e-14)
 
     def test_unreachable_target(self):
         # 3 N takes no value in 7..8
-        assert combo_pmf_bound_check([1.0], [3], 7).exact == 0.0
-        assert combo_pmf_bound_check([1.0, 2.0], [3, 3], 8).exact == 0.0
+        assert _combo_pmf([1.0], [3], 7) == 0.0
+        assert _combo_pmf([1.0, 2.0], [3, 3], 8) == 0.0
 
     def test_mass_sums_to_one(self):
         means, coeffs = [1.5, 0.7], [2, 1]
         # beyond a = 60 the remaining mass is far below 1e-9
-        total = sum(
-            combo_pmf_bound_check(means, coeffs, a).exact for a in range(61)
-        )
+        total = sum(_combo_pmf(means, coeffs, a) for a in range(61))
         assert total == pytest.approx(1.0, abs=1e-9)
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            combo_pmf_bound_check([1.0, 2.0], [1], 2)
+    def test_mode_bound_array(self):
+        # one call per grid: 1 at mode 0, 1/sqrt(2 pi k) from mode 1 on, which is below 1
+        k = np.array([0.0, 1.0, 2.0, 0.0, 40.0])
+        expected = [1.0 if v == 0 else 1 / math.sqrt(2 * math.pi * v) for v in k.tolist()]
+        assert _mode_bound(k).tolist() == pytest.approx(expected, rel=1e-15)
+        assert (_mode_bound(k[1:3]) < 1.0).all()
 
 
 class TestIntervalSum:
     def test_single_interval(self):
-        chk = interval_sum_bound_check([(0.0, 4.0)], 4)
-        assert chk.exact == pytest.approx(poisson_pmf(4.0, 4), rel=1e-12)
-        assert chk.bound == pytest.approx(1 / math.sqrt(2 * math.pi * 2), rel=1e-14)
+        assert interval_pmf([(0.0, 4.0)], 4) == pytest.approx(poisson_pmf(4.0, 4), rel=1e-12)
 
     def test_nested_intervals_zero_sum(self):
         # the sum is zero iff every increment over the union [0, 10] vanishes
-        chk = interval_sum_bound_check([(0.0, 10.0), (2.0, 3.0)], 0)
-        assert chk.exact == pytest.approx(math.exp(-10.0), rel=1e-10)
+        assert interval_pmf([(0.0, 10.0), (2.0, 3.0)], 0) == pytest.approx(math.exp(-10.0), rel=1e-10)
 
     def test_disjoint_additivity(self):
-        chk = interval_sum_bound_check([(0.0, 1.0), (2.0, 3.0)], 1)
-        assert chk.exact == pytest.approx(2 * math.exp(-2.0), rel=1e-12)
+        assert interval_pmf([(0.0, 1.0), (2.0, 3.0)], 1) == pytest.approx(2 * math.exp(-2.0), rel=1e-12)
 
     @pytest.mark.parametrize(
         "intervals, length",
@@ -296,8 +298,7 @@ class TestIntervalSum:
     )
     def test_union_length(self, intervals, length):
         assert _union_length(intervals) == length
-        chk = interval_sum_bound_check(intervals, 0)
-        assert chk.exact == pytest.approx(math.exp(-length), rel=1e-12)
+        assert interval_pmf(intervals, 0) == pytest.approx(math.exp(-length), rel=1e-12)
 
     def test_union_length_matches_elementary_intervals(self):
         # the pieces with a nonzero coefficient are exactly the union's pieces
@@ -318,18 +319,13 @@ class TestIntervalSum:
             for _ in range(n):
                 j = float(gen.uniform(0, 8))
                 intervals.append((j, j + float(gen.uniform(0.1, 6))))
-            chk = interval_sum_bound_check(intervals, 0)
             other = coincidence_probability_poisson(
                 SignedTimeMultiset(
                     tuple(k for _, k in intervals), tuple(j for j, _ in intervals)
                 ),
                 1e-9,
             )
-            assert chk.exact == pytest.approx(other, abs=1e-8)
-
-    def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            interval_sum_bound_check([(2.0, 2.0)], 0)
+            assert interval_pmf(intervals, 0) == pytest.approx(other, abs=1e-8)
 
 
 class TestSqrtLogTransfer:
@@ -442,11 +438,24 @@ FIRST_FAILURES = {
     "pmf_sup_over_t": "pmf_sup_over_t a=1",
     "robbins": "robbins n=1",
     "pmf_sup_over_a": "pmf_sup_over_a t=0.1",
-    "combo_pmf_bound": "combo means=[2.546235781877093, 1.5829188694498704] coeffs=[1, 3] a=7",
-    "interval_sum_bound": (
-        "interval_sum intervals=[(0.7608953040542132, 8.920759953203088), "
-        "(6.02551691576234, 14.040881476920813)] a=4"
-    ),
+}
+# The combination and interval trials draw each quantity over (trials, 3), so
+# their first trial depends on the trial count.
+FIRST_TRIALS = {
+    False: {
+        "combo_pmf_bound": "combo means=[1.2251215474069426, 4.624596666515395] coeffs=[2, 2] a=8",
+        "interval_sum_bound": (
+            "interval_sum intervals=[(2.726042276468019, 3.975996624873126), "
+            "(0.25910700297259504, 2.4060533081847346)] a=2"
+        ),
+    },
+    True: {
+        "combo_pmf_bound": "combo means=[3.7907552963024, 4.67320725396618] coeffs=[1, 3] a=0",
+        "interval_sum_bound": (
+            "interval_sum intervals=[(6.522764711271921, 15.103632574201395), "
+            "(5.937912363756205, 6.535864525569822)] a=7"
+        ),
+    },
 }
 
 
@@ -528,7 +537,7 @@ class TestInjectedFailures:
         monkeypatch.setattr(bounds, "_holds", lambda exact, bound: np.zeros(np.shape(exact), bool))
         for quick in (False, True):
             details = {r.name: r.detail for r in verification_suite(quick=quick) if not r.ok}
-            assert details == FIRST_FAILURES
+            assert details == {**FIRST_FAILURES, **FIRST_TRIALS[quick]}
 
     def test_failures_past_the_first_point(self, monkeypatch):
         tails, sup_t, robbins, sup_a, transfer = (
@@ -592,13 +601,13 @@ class TestInjectedFailures:
         [
             (
                 20240,
-                "interval_vs_coincidence intervals=[(7.148021939261918, 11.708641716472588), "
-                "(5.11921856220861, 13.473148354420708), (9.274255480023232, 17.684635646185274)]",
+                "interval_vs_coincidence intervals=[(3.007948672004722, 8.162561921444512), "
+                "(0.04917833485084899, 5.8633538919068675), (9.7212692187843, 12.202773182825803)]",
             ),
             (
                 501,
-                "interval_vs_coincidence intervals=[(4.3721472940475214, 4.505788062469775), "
-                "(7.301583585490839, 8.380392646000566)]",
+                "interval_vs_coincidence intervals=[(8.620173263623336, 17.371627897635403), "
+                "(5.393277565364068, 11.636660910596238)]",
             ),
         ],
     )

@@ -228,7 +228,7 @@ class TestBasicCommands:
         assert all(r["samples"] == "0" and r["std_error"] == "0" for r in rows)
         assert rows[1]["descriptor"] == "walk/identity/p=4/|A|=8/exact"
 
-    @pytest.mark.parametrize("flag", [["--samples", "5"], ["--nodes", "64"]])
+    @pytest.mark.parametrize("flag", [["--samples", "5"], ["--seed", "5"]])
     def test_moment_exact_rejects_sampling_flags(self, flag, capsys):
         argv = ["moment", "--process", "poisson", "--p", "4", "--sizes", "8", "--mode", "exact"]
         assert run(argv + flag) == 1
@@ -240,8 +240,8 @@ class TestBasicCommands:
             ["majorant", "--freqs", "1,2", "--p", "4", "--samples", "5"],
             ["majorant", "--genericity", "--freqs", "1,2", "--p", "4", "--sizes", "4", "--samples", "2"],
             ["moment", "--process", "poisson", "--pmf", "1:1", "--p", "4", "--sizes", "4", "--samples", "2"],
-            ["moment", "--process", "poisson", "--p", "4", "--mode", "even", "--nodes", "9", "--sizes", "4"],
-            ["moment", "--process", "poisson", "--p", "4", "--nodes", "9", "--sizes", "4"],
+            ["moment", "--process", "walk", "--p", "6", "--mode", "exact", "--sizes", "4", "--seed", "5"],
+            ["moment", "--process", "walk", "--pmf", "1:1", "--p", "3", "--sizes", "4"],
             ["shell", "--d", "3", "--D", "50", "--mode", "sup", "--E", "50"],
             ["shell", "--d", "3", "--D", "50", "--E", "50", "--e-samples", "7"],
             ["majorant", "--freqs", "1,2,4", "--p", "4", "--epsilon", "9"],
@@ -396,6 +396,37 @@ class TestExitCodes:
         # only moment and majorant draw samples
         assert run(["divisor", "--x", "10", "--samples", "5"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--mode", "even"], ["--mode", "quadrature"], ["--nodes", "64"], ["--mode", "exact", "--seed", "5"]],
+    )
+    def test_moment_method_comes_from_p(self, flags, capsys):
+        # only auto and exact remain; argparse refusals print usage, so only the code is checked
+        assert run(["moment", "--process", "poisson", "--p", "3", "--sizes", "8"] + flags) == 1
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moment", "--process", "poisson", "--p", "4", "--sizes", ","],
+            ["majorant", "--genericity", "--p", "3", "--sizes", ","],
+            ["majorant", "--freqs", ",", "--p", "4"],
+            ["majorant", "--freqs", ",", "--p", "3"],
+            ["greenruzsa", "--base", "7", "--digits", "2", "--sparsity", "0"],
+            ["greenruzsa", "--base", "7", "--digits", "2", "--sparsity", "-3"],
+        ],
+    )
+    def test_no_rows_asked_for_exits_one(self, argv, capsys):
+        # an empty list or a sample count below 1 is refused, not answered with no rows
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+    def test_trailing_comma_is_skipped(self, capsys):
+        argv = ["moment", "--process", "poisson", "--p", "4", "--samples", "3", "--sizes"]
+        assert run_capture(argv + ["4,8,"], capsys) == run_capture(argv + ["4,8"], capsys)
 
     def test_missing_required(self, capsys):
         assert run(["shell", "--d", "3"]) == 1

@@ -79,9 +79,18 @@ class TestMajorantRatio:
         for lo, hi in zip(values, values[1:]):
             assert hi >= lo
 
-    def test_rejects_odd_p(self):
-        with pytest.raises(ValueError):
-            majorant_ratio([1, 2], 3)
+    @pytest.mark.parametrize("p", [1, 2.5, 3])
+    def test_non_even_p_is_the_search(self, p):
+        # one entry point: away from even p the ratio is the quadrature search's, field for field
+        gen = SEED.generator(4)
+        for _ in range(3):
+            freqs = sorted(set(int(v) for v in gen.integers(0, 20, size=4)))
+            assert majorant_ratio(freqs, p, 2, SEED) == majorant_ratio_quadrature(freqs, p, 2, SEED)
+
+    @pytest.mark.parametrize("p", [0, -2, 0.5])
+    def test_rejects_p_below_one(self, p):
+        with pytest.raises(ValueError, match="^p must be at least 1$"):
+            majorant_ratio([0, 1], p)
 
     def test_rejects_zero_restarts(self):
         # validated at even p too, where no restart runs

@@ -35,7 +35,6 @@ from expsumlab import (
 )
 from expsumlab import expsum, moments
 from expsumlab.errors import GuardError
-from expsumlab.majorant import majorant_ratio
 from expsumlab.moments import (
     _WALK_LENGTH_GUARD,
     _even_degree,
@@ -550,9 +549,6 @@ class TestEvenDegree:
             mc_even_moment(spec)
         with pytest.raises(ValueError, match="^exact_even_moment needs an even integer p >= 2$"):
             exact_even_moment(spec)
-        for p in (3, 0, -2):
-            with pytest.raises(ValueError, match="^exact majorant optimization needs an even integer p >= 2$"):
-                majorant_ratio([0, 1], p)
 
 
 class TestGrowthUtilities:

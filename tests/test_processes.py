@@ -20,7 +20,7 @@ from expsumlab import (
     sample_random_walk,
 )
 from expsumlab import processes
-from expsumlab.processes import _LOG_FACTORIAL_LIMIT, walk_positions
+from expsumlab.processes import _LOG_FACTORIAL_LIMIT, walk_draws
 
 SEED = SeedSpec(1234, 7)
 
@@ -244,9 +244,10 @@ class TestRandomWalk:
         for index in (0, 5):
             draws = seed.generator(index).integers(0, 2, size=n_max, dtype=np.int64)
             reference = np.concatenate(([0], np.cumsum(draws * 2 - 1)))
-            got = walk_positions(n_max, seed, index)
+            got = walk_draws(seed.generator(index), n_max)
             assert got.dtype == np.int64
             assert np.array_equal(got, reference)
+            assert sample_random_walk(n_max, seed, index).values == tuple(reference.tolist())
 
 
 class TestSeedSpec:
