@@ -77,11 +77,15 @@ def divisor_summatories(n: np.ndarray) -> np.ndarray:
     sharing s form one group, summed in tiles of rows x a-block with at most
     2^16 quotients.  Every tile is written into one scratch block allocated
     per call, so memory stays flat and a large n does not wait on a fresh
-    allocation (and its page faults) per tile.  A tile sums in int64 where
-    (block length) * (largest n // first a) < 2^63 bounds every row; otherwise
-    the quotients split into 31-bit limbs, whose sums stay below 2^47.  The
-    result is int64 where every sum over a stays below 2^61, and an object
-    array of Python ints past that.
+    allocation (and its page faults) per tile.  A tile whose largest n is
+    below 2^53 divides in float64, which gives n // a exactly there, and
+    sums its rows in float64, exact while every row total stays below 2^53;
+    a tile past either bound divides again by int64 ``floor_divide``
+    (`_quotient_sums`).  That tile sums in int64 where (block length) *
+    (largest n // first a) < 2^63 bounds every row; otherwise the quotients
+    split into 31-bit limbs, whose sums stay below 2^47.  The result is int64
+    where every sum over a stays below 2^61, and an object array of Python
+    ints past that.
     """
     n = np.asarray(n)
     if n.dtype != np.int64 or n.ndim != 1:
@@ -143,11 +147,25 @@ def _quotient_sums(
 
     ``a`` holds at most 2^16 increasing divisors; ``q`` and ``spare`` are
     scratch of the tile's shape, rows x len(a), so no tile allocates it.
-    Returned as limbs (high, low) of the sum high * 2^31 + low.  One int64
-    sum per row where len(a) * (largest n // a[0]) < 2^63 bounds it;
-    otherwise the quotients split into 31-bit limbs, whose sums stay below
-    2^47.
+    Returned as limbs (high, low) of the sum high * 2^31 + low.
+
+    Where the largest n is below 2^53 the quotients are taken by float
+    division into ``q``'s memory: fl(n/a) lies within n 2^-53 / a < 1/a of
+    n/a, so it never rounds up to the next integer and its floor is n // a.
+    The rows are then summed in float64; the quotients are nonnegative
+    integers, so a row total below 2^53 means no partial sum was rounded.
+    A tile whose float total reaches 2^53, or whose n does not fit below
+    2^53 (one row, as every group from isqrt(n) = 2^16 on has one row per
+    tile), is counted again by integer division: one int64 sum per row where
+    len(a) * (largest n // a[0]) < 2^63 bounds it, otherwise 31-bit limbs,
+    whose sums stay below 2^47.
     """
+    if col[-1, 0] < 2**53:
+        floats = np.divide(col, a, out=q.view(np.float64))
+        total = np.floor(floats, out=floats).sum(axis=1)
+        if total.max() < 2**53:
+            total = total.astype(np.int64)
+            return total >> _LIMB, total & _LOW
     np.floor_divide(col, a, out=q)
     if len(a) * (int(col[-1, 0]) // int(a[0])) < 2**63:
         total = q.sum(axis=1)

@@ -39,11 +39,14 @@ exact correction); the fast rows, the sweep's last j per b and R_d(x) test
 differences (x+b)^d - x^d is `_differences`: the sweep's blocks and the sup
 grid's realized differences.
 
-Real-valued E, D are honored exactly: integer quantities are compared with
-the real bounds through exact rational thresholds, so boundary lattice points
-are never misclassified by float rounding.  Powers are taken in int64 where
-no Horner value can pass 2^63 and as Python ints otherwise, so nothing
-wraps; counts above 128 bits raise instead of wrapping.
+Real-valued E, D are honored exactly: each query becomes the integer window
+strictly inside (E - D, E + D), its ends taken from the exact integer ratios
+of E and D (`_strict_window`), so boundary lattice points are never
+misclassified by float rounding.  A query whose E + D passes 2^63 is
+refused by that window's integer top (`_query_window`), so no rational is
+built.  Powers are taken in int64 where no Horner value can pass 2^63 and
+as Python ints otherwise, so nothing wraps; counts above 128 bits raise
+instead of wrapping.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,20 +64,19 @@ from .errors import GuardError, check_count
 
 @dataclass(frozen=True)
 class ShellQuery:
-    """Parameters of one shell count: |k^d - j^d - E| < D, j < k in N."""
+    """Parameters of one shell count: |k^d - j^d - E| < D, j < k in N.
+
+    Checked on creation by `_query_window`, as `shell_counts` checks each
+    of its queries: d an integer >= 2, E and D at least 1, and E + D at
+    most 2^63, exactly.
+    """
 
     d: int
     E: float
     D: float
 
     def __post_init__(self):
-        if self.d < 2 or self.d != int(self.d):
-            raise ValueError("d must be an integer >= 2")
-        if self.E < 1 or self.D < 1:
-            raise ValueError("E and D must be at least 1")
-        # exactly: the float sum rounds 2^63 + 1 down to 2^63
-        if self.E + self.D > 2**63 or Fraction(self.E) + Fraction(self.D) > 2**63:
-            raise GuardError("E + D exceeds the supported range")
+        _query_window(self.d, self.E, self.D)
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,11 @@ def shell_counts(
     """(count, work) int64 arrays over the shell queries (d, E[i], D[i]), in one kernel call.
 
     ``method`` is "brute" (`_brute_counts`, rows (query, j)) or "fast"
-    (`_fast_counts`, rows (query, k - j)).  Each query is checked as a
-    `ShellQuery` and counted on its strict window E - D < k^d - j^d < E + D;
-    the windows go straight into int64 arrays, so a call holds no Python
-    object per query.  A call past 2^25 search rows raises GuardError before
-    any search.
+    (`_fast_counts`, rows (query, k - j)).  Each query is checked by
+    `_query_window`, as a `ShellQuery` is, and counted on its strict window
+    E - D < k^d - j^d < E + D; the windows go straight into int64 arrays, so
+    a call holds no Python object per query.  A call past 2^25 search rows
+    raises GuardError before any search.
     """
     kernel = {"brute": _brute_counts, "fast": _fast_counts}[method]
     if len(E) != len(D):
@@ -138,8 +139,31 @@ def shell_counts(
 
 
 def _query_window(d: int, E: float, D: float) -> tuple[int, int]:
-    q = ShellQuery(d, E, D)
-    return _strict_window(q.E, q.D)
+    """The strict window of the shell query (d, E, D), once the query is checked.
+
+    Refuses, in this order: a d that is not an integer >= 2 (ValueError); E
+    or D below 1 (ValueError); a float sum E + D past 2^63, which also
+    catches an infinite E or D (GuardError); and a window top at or past
+    2^63 (GuardError).  The top is ceil(E + D) - 1, so the last test is
+    E + D > 2^63 exactly, where the float sum may round down to 2^63.  A
+    NaN E or D is refused with ValueError by its integer ratio.
+    """
+    if d < 2 or d != int(d):
+        raise ValueError("d must be an integer >= 2")
+    if E < 1 or D < 1:
+        raise ValueError("E and D must be at least 1")
+    E, D = _python_number(E), _python_number(D)  # an int64 sum could wrap
+    if E + D > 2**63:
+        raise GuardError("E + D exceeds the supported range")
+    lo, hi = _strict_window(E, D)
+    if hi >= 2**63:
+        raise GuardError("E + D exceeds the supported range")
+    return lo, hi
+
+
+def _python_number(v):
+    """A numpy scalar as the Python int or float it equals, exactly; other values as they are."""
+    return v.item() if isinstance(v, np.generic) else v
 
 
 def _window_arrays(windows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -394,7 +418,7 @@ def shell_sup_ratio(d: int, D: float, e_samples: int) -> tuple[int, float, float
     each of the B values of b = k - j that reach it searches all G windows,
     and building one grid point and its window costs about 48 steps.  A step
     is about 37 ns on a 2-vCPU Xeon; work past 2^28 steps (about 10 s) raises
-    GuardError, and so does a d, E, D that `ShellQuery` refuses at the
+    GuardError, and so does a d, E, D that `_query_window` refuses at the
     largest grid E.  A lower bound on the work (the pairs j < k <= top^{1/d},
     and the grid points known before the grid is built) is checked first;
     the slowest refusal measured, at d = 3 and D = 1.5e6, takes 0.65 s.
@@ -403,14 +427,15 @@ def shell_sup_ratio(d: int, D: float, e_samples: int) -> tuple[int, float, float
         raise ValueError("e_samples must be positive")
     if D < 1:
         raise ValueError("D must be at least 1")
-    lo_e = math.ceil(Fraction(D))
-    hi_e = math.floor(Fraction(D) * Fraction(D))
+    D = _python_number(D)
+    num, den = D.as_integer_ratio()
+    lo_e = -(-num // den)  # ceil(D) and floor(D^2), exactly
+    hi_e = num * num // (den * den)
     if lo_e > hi_e:
         raise ValueError(f"no integer E lies in [D, D^2] for D = {D}")
     integral = hi_e - lo_e + 1 <= e_samples
     top_e = float(hi_e) if integral else float(D) * float(D)  # the largest grid E
-    ShellQuery(d, top_e, D)  # refuses a bad d, or E + D > 2^63 at the largest E
-    top = _strict_window(top_e, D)[1]
+    top = _query_window(d, top_e, D)[1]  # refuses a bad d, or E + D > 2^63 at the largest E
     n_b = _floor_root(top + 1, d) - 1  # b with (1 + b)^d - 1 <= top
     m = _floor_root(top, d)  # every pair j < k <= m differs by less than top
     # the j = 1 differences in [lo_e, hi_e] are distinct grid points

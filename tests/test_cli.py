@@ -743,3 +743,27 @@ def test_console_entry_point(tmp_path):
         installed = run_in_fresh_process([script, "divisor", "--x", "10"])
         assert installed.returncode == 0, installed.stderr.decode()
         assert installed.stdout == proc.stdout
+
+
+def test_exact_counts_import_no_fractions():
+    """The shell and divisor commands check their windows on integers: neither
+    `fractions` nor the `decimal` it pulls in (about 0.4 MB) is imported."""
+    script = """
+import contextlib, io, sys
+from expsumlab.cli import run
+
+commands = [
+    ["verify", "--quick"],
+    ["shell", "--d", "3", "--D", "100", "--mode", "both"],
+    ["shell", "--d", "3", "--D", "10,20,50", "--mode", "sup"],
+    ["divisor", "--x", "10,1e7"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert [run(argv) for argv in commands] == [0] * len(commands)
+loaded = sorted({"fractions", "decimal"} & set(sys.modules))
+assert not loaded, f"imported {loaded}"
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr[-2000:]

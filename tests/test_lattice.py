@@ -162,6 +162,37 @@ class TestDivisor:
         assert got[1] > 2**63
         assert got == [sum(m // a for a in range(1, _DIVISOR_BLOCK + 1)) for m in (n - 1, n)]
 
+    @staticmethod
+    def one_tile(col, a):
+        """`_quotient_sums` on one tile, as (sums, route): the route is read off
+        what the kernel left in its scratch, float quotients, int64 quotients
+        or their high limbs."""
+        col = np.array(col, dtype=np.int64)[:, None]
+        a = np.array(a, dtype=np.int64)
+        q, spare = np.empty((2, len(col), len(a)), dtype=np.int64)
+        high, low = _quotient_sums(col, a, q, spare)
+        quotients = col // a
+        left = {"float": q.view(np.float64), "int": q, "limbs": q << 31 | spare}
+        (route,) = [name for name, got in left.items() if np.array_equal(got, quotients)]
+        return [(h << 31) + l for h, l in zip(high.tolist(), low.tolist())], route
+
+    @pytest.mark.parametrize("n,route", [(2**53 - 1, "float"), (2**53, "int"), (2**53 + 1, "int")])
+    def test_float_quotients_below_2_53(self, n, route):
+        # from 2^53 on, fl(n/a) may round up to the next integer
+        a = list(range(2**20, 2**20 + 1000))
+        assert self.one_tile([n], a) == ([sum(n // v for v in a)], route)
+
+    def test_float_total_reaching_2_53_falls_back(self):
+        # n + n // 3 is 2^53 - 2 at n = 3 * 2^51 - 1 and 2^53 at 3 * 2^51
+        n = 3 * 2**51
+        assert self.one_tile([n - 1], [1, 3]) == ([2**53 - 2], "float")
+        assert self.one_tile([n], [1, 3]) == ([2**53], "int")
+        # one row's total sends the whole tile to integer division
+        assert self.one_tile([1000, n], [1, 3]) == ([1333, 2**53], "int")
+        # a full first block at n = 2^52 sums to about 11.7 * 2^52
+        a = range(1, _DIVISOR_BLOCK + 1)
+        assert self.one_tile([2**52], a) == ([sum(2**52 // v for v in a)], "limbs")
+
     def test_block_is_two_to_the_sixteen(self):
         # 2^16 quotients stay in cache; x = 10^14 then sums without limbs
         assert _DIVISOR_BLOCK == 2**16
@@ -522,7 +553,7 @@ class TestShellKernels:
         assert [a.tolist() for a in shell_counts(3, [], [], "brute")] == [[], []]
         with pytest.raises(ValueError, match="same length"):
             shell_counts(3, [5.0, 6.0], [1.0], "fast")
-        # every query is checked as a ShellQuery, with its errors
+        # every query is checked by the same helper as a ShellQuery, with its errors
         with pytest.raises(ValueError, match="at least 1"):
             shell_counts(3, [5.0, 0.5], [1.0, 1.0], "fast")
         with pytest.raises(GuardError, match="E \\+ D"):
@@ -676,6 +707,38 @@ class TestShellSupRatio:
             shell_sup_ratio(3, 1.2, 10)  # [1.2, 1.44] holds no integer
         with pytest.raises(GuardError, match="supported range"):
             shell_sup_ratio(3, 4e9, 2048)  # E + D > 2^63 at E = D^2
+
+
+class TestQueryChecks:
+    def test_numpy_scalars_count_as_python_numbers(self):
+        E, D = list(range(100, 105)), [5.0] * 5
+        for method in ("brute", "fast"):
+            want = [a.tolist() for a in shell_counts(3, E, D, method)]
+            assert [a.tolist() for a in shell_counts(3, np.arange(100, 105), D, method)] == want
+            assert [a.tolist() for a in shell_counts(3, np.float32(E), np.int64(D), method)] == want
+        q = ShellQuery(np.int64(3), np.float32(100.5), np.int64(5))
+        assert shell_count_brute(q) == shell_count_brute(ShellQuery(3, 100.5, 5))
+        with pytest.raises(GuardError, match="E \\+ D"):
+            ShellQuery(3, np.int64(2**63 - 5), np.int64(10))  # the int64 sum would wrap
+        for D in (np.int64(20), np.float32(20)):
+            assert shell_sup_ratio(3, D, 64) == shell_sup_ratio(3, 20.0, 64)
+
+    def test_non_finite_queries(self):
+        with pytest.raises(ValueError):
+            ShellQuery(3, math.nan, 1.0)
+        with pytest.raises(ValueError):
+            shell_counts(3, [5.0], [math.nan], "fast")
+        with pytest.raises(GuardError, match="E \\+ D"):
+            ShellQuery(3, math.inf, 1.0)
+
+    def test_exact_sum_past_2_63_where_the_float_sum_is_not(self):
+        # 2^63 - 1024 + 1024.5 rounds to 2^63 in floats; the window top is 2^63
+        assert (2.0**63 - 1024) + 1024.5 == 2.0**63
+        with pytest.raises(GuardError, match="E \\+ D"):
+            ShellQuery(3, 2.0**63 - 1024, 1024.5)
+        with pytest.raises(GuardError, match="E \\+ D"):
+            shell_counts(7, [2.0**63 - 1024], [1024.5], "fast")
+        ShellQuery(3, 2.0**63 - 1024, 1024.0)  # top 2^63 - 1, accepted
 
 
 class TestStrictWindow:
