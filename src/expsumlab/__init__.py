@@ -23,7 +23,6 @@ from .expsum import (
 from .moments import (
     ExperimentSpec,
     MomentEstimate,
-    SignedTimeMultiset,
     SlopeFit,
     TimeMap,
     coincidence_probability_poisson,
@@ -31,7 +30,6 @@ from .moments import (
     exact_even_moment_iid,
     exact_even_moment_poisson,
     exact_even_moment_walk,
-    exact_second_moment_iid,
     exact_second_moment_poisson,
     mc_even_moment,
     mc_general_moment,
@@ -43,7 +41,6 @@ from .processes import (
     SeedSpec,
     TimeGrid,
     poisson_pmf,
-    sample_iid,
     sample_poisson_path,
     sample_random_walk,
 )
@@ -58,7 +55,6 @@ __all__ = [
     "ProcessPath",
     "RepresentationTable",
     "SeedSpec",
-    "SignedTimeMultiset",
     "SlopeFit",
     "TimeGrid",
     "TimeMap",
@@ -69,14 +65,12 @@ __all__ = [
     "exact_even_moment_iid",
     "exact_even_moment_poisson",
     "exact_even_moment_walk",
-    "exact_second_moment_iid",
     "exact_second_moment_poisson",
     "lp_norm_quadrature",
     "mc_even_moment",
     "mc_general_moment",
     "poisson_pmf",
     "representation_table",
-    "sample_iid",
     "sample_poisson_path",
     "sample_random_walk",
     "slope_fit",

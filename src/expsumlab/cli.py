@@ -53,7 +53,6 @@ from . import __version__
 from .bounds import verification_suite
 from .errors import GuardError
 from .lattice import (
-    GreenRuzsaSpec,
     divisor_error,
     divisor_floor,
     divisor_summatories,
@@ -326,12 +325,11 @@ def _cmd_moment(args) -> tuple[list[dict], int]:
 
 
 def _shell_grid(D: float, cap: int) -> list[float]:
-    lo = math.ceil(D)
-    hi = math.floor(D * D)
+    from .shell import _e_range, _geometric  # the shell counts load only with a shell or hyperbolic command
+
+    lo, hi = _e_range(D)
     if hi - lo + 1 <= cap:
         return [float(e) for e in range(lo, hi + 1)]
-    from .shell import _geometric  # the shell counts load only with a shell or hyperbolic command
-
     grid = np.clip(np.rint(_geometric(lo, hi, cap)), lo, hi)
     return sorted({float(lo), float(hi), *grid.tolist()})
 
@@ -406,8 +404,7 @@ def _cmd_repcount(args) -> tuple[list[dict], int]:
 
 
 def _cmd_greenruzsa(args) -> tuple[list[dict], int]:
-    spec = GreenRuzsaSpec(args.base, args.digits)
-    values = greenruzsa_generate(spec)
+    values = greenruzsa_generate(args.base, args.digits)
     if args.sparsity is None:
         return [{"value": v} for v in values], 0
     if args.sparsity < 1:

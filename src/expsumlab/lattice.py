@@ -1,8 +1,7 @@
 """Exact lattice-point counting.
 
 Covers the divisor summatory function (hyperbola method), representation
-counts of sums of d-th powers, Green-Ruzsa digit sets, and the
-interval-domination comparison for decreasing weights.  The thin shells
+counts of sums of d-th powers, and Green-Ruzsa digit sets.  The thin shells
 around the power-difference surface k^d - j^d = E and the symmetric
 two-sided count R_d(x) live in `expsumlab.shell`; their public names are
 also reachable here, and load that module on first use, so a run that
@@ -14,8 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +24,7 @@ EULER_GAMMA = 0.5772156649015329
 
 _SHELL_NAMES = frozenset(
     ("CountResult", "ShellQuery", "hyperbolic_count", "shell_count_brute", "shell_count_fast",
-     "shell_counts", "shell_power_law_bound", "shell_sup_ratio")
+     "shell_counts", "shell_sup_ratio")
 )
 
 
@@ -174,16 +172,10 @@ def _quotient_sums(
     return np.right_shift(q, _LIMB, out=q).sum(axis=1), low
 
 
-def divisor_error(x: float, summatory: int | None = None) -> float:
-    """Error term D(x) - x log x - (2*gamma - 1) x of the divisor sum.
-
-    `summatory` is D(x) when the caller already has it; otherwise it is
-    computed here.
-    """
+def divisor_error(x: float, summatory: int) -> float:
+    """Error term D(x) - x log x - (2*gamma - 1) x of the divisor sum, given D(x) as ``summatory``."""
     if x < 1:
         raise ValueError("x must be at least 1")
-    if summatory is None:
-        summatory = divisor_summatory(x)
     return summatory - x * math.log(x) - (2 * EULER_GAMMA - 1) * x
 
 
@@ -214,32 +206,24 @@ def diophantine_count(n: int, d: int, M: int) -> int:
 # Green-Ruzsa digit sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GreenRuzsaSpec:
-    """Base-D digit set with k digits drawn from {0, 1, 3}; |set| = 3^k."""
+def greenruzsa_generate(base: int, digits: int) -> list[int]:
+    """All integers whose ``digits`` base-``base`` digits lie in {0, 1, 3}, sorted.
 
-    base: int
-    digits: int
-
-    def __post_init__(self):
-        if self.base < 5:
-            raise ValueError("base must be at least 5")
-        if self.digits < 1:
-            raise ValueError("digits must be at least 1")
-
-
-def greenruzsa_generate(spec: GreenRuzsaSpec) -> list[int]:
-    """All integers whose base-D digits (k of them) lie in {0, 1, 3}, sorted.
-
-    Base >= 5 separates the digit choices, so all 3^k values are distinct.
+    Base >= 5 separates the digit choices, so all 3^k values are distinct,
+    k = digits.  A base below 5 or no digits raises ValueError, and 3^k past
+    2^24 raises GuardError.
     """
-    if 3**spec.digits > 2**24:
+    if base < 5:
+        raise ValueError("base must be at least 5")
+    if digits < 1:
+        raise ValueError("digits must be at least 1")
+    if 3**digits > 2**24:
         raise GuardError("3^k exceeds the guard 2^24")
     values = [0]
     power = 1
-    for _ in range(spec.digits):
+    for _ in range(digits):
         values = [v + digit * power for v in values for digit in (0, 1, 3)]
-        power *= spec.base
+        power *= base
     values.sort()
     return values
 
@@ -251,50 +235,3 @@ def sparsity_count(sorted_set: Sequence[int], center: int, radius: int) -> int:
     lo = bisect_left(sorted_set, center - radius)
     hi = bisect_right(sorted_set, center + radius)
     return hi - lo
-
-
-# ---------------------------------------------------------------------------
-# interval domination for decreasing weights
-# ---------------------------------------------------------------------------
-
-def domination_check(
-    phi: Callable[[float], float],
-    A: Sequence[int],
-    b: int,
-    d: int,
-) -> tuple[float, float, bool]:
-    """Compare sum_{j<k in A} phi(k^d - j^d) against the packed interval.
-
-    The right side replaces A by the interval {b, ..., b + |A| - 1}; for a
-    positive decreasing phi with 0 < b <= min(A) the left side never exceeds
-    the right.  Returns (lhs, rhs, lhs <= rhs up to 1e-12 relative slack).
-    """
-    a = sorted(set(int(v) for v in A))
-    if len(a) != len(A):
-        raise ValueError("A must have distinct elements")
-    if not a:
-        raise ValueError("A must be nonempty")
-    if d < 2 or d != int(d):
-        raise ValueError("d must be an integer >= 2")
-    if not (0 < b <= a[0]):
-        raise ValueError("b must satisfy 0 < b <= min(A)")
-    args: list[int] = []
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            args.append(a[j] ** d - a[i] ** d)
-    rhs_args: list[int] = []
-    top = b + len(a) - 1
-    for j in range(b, top + 1):
-        for k in range(j + 1, top + 1):
-            rhs_args.append(k**d - j**d)
-    queried = sorted(set(args + rhs_args))
-    vals = {q: float(phi(q)) for q in queried}
-    for q in queried:
-        if not vals[q] > 0:
-            raise ValueError("phi must be positive on the queried domain")
-    for q1, q2 in zip(queried, queried[1:]):
-        if vals[q2] > vals[q1] * (1 + 1e-12):
-            raise ValueError("phi must be decreasing on the queried domain")
-    lhs = math.fsum(vals[q] for q in args)
-    rhs = math.fsum(vals[q] for q in rhs_args)
-    return lhs, rhs, lhs <= rhs + 1e-12 * rhs

@@ -10,10 +10,9 @@ Two routes are implemented and cross-checked against each other:
 * Monte Carlo: sample a path, evaluate the realized exponential sum's norm
   exactly (even p) or by quadrature (general p), average.  Per-sample seeding
   makes estimates bitwise reproducible.
-* Exact: closed forms at p = 2 for the Poisson and i.i.d. processes, and
-  every even p for all three processes by one transfer matrix over y.  The
-  moment E||.||_{2n}^{2n} is the integral over y in [0, 1] of
-  E|sum_j e(y X(t_j))|^{2n}.  For fixed y that expectation is a state
+* Exact: the Poisson closed form at p = 2, and every even p for all three
+  processes by one transfer matrix over y.  The moment E||.||_{2n}^{2n} is
+  the integral over y in [0, 1] of E|sum_j e(y X(t_j))|^{2n}.  For fixed y that expectation is a state
   machine on (n+1)^2 states, run over the distinct times with the
   increments' characteristic functions; a rectangle rule in y, one numpy
   vector per state, integrates it.  The rule's only error is aliasing, a
@@ -33,7 +32,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,9 +41,9 @@ from .errors import COUNT_BITS, GuardError, check_power
 from .expsum import _NODE_LIMIT, FrequencySpectrum, even_moments, lp_norm_quadrature, suggested_nodes
 from .processes import (
     Pmf,
-    ProcessPath,
     SeedSpec,
     TimeGrid,
+    check_walk_length,
     iid_draws,
     poisson_draws,
     poisson_pmf,
@@ -55,7 +54,6 @@ _DP_SUPPORT_LIMIT = 50_000_000
 _TRANSFER_WORK_LIMIT = 1 << 30  # nodes x layers x (n+1)^2: about 20 s of the exact engine
 _Y_BLOCK = 1 << 13  # y nodes per block; a block's states stay in cache
 _EXACT_TOL = 1e-15  # Poisson aliasing budget per tuple of exact_even_moment
-_WALK_LENGTH_GUARD = 100_000_000  # steps; walk_draws peaks at 16 bytes a step, about 1.6 GB
 # Sampled values counted together.  An n = 2 block packs at most 24 pairs a
 # value; blocks of 2^12 values raised mc-ladder's peak memory by 0.2 MB.
 _BLOCK_VALUES = 1 << 10
@@ -138,18 +136,6 @@ class ExperimentSpec:
         return f"{self.process}/{self.time_map.label()}/p={self.p:g}/|A|={len(self.index_set)}"
 
 
-@dataclass(frozen=True)
-class SignedTimeMultiset:
-    """The evaluation times entering a coincidence event, signed by side."""
-
-    plus: tuple[float, ...]
-    minus: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(t < 0 for t in (*self.plus, *self.minus)):
-            raise ValueError("times must be nonnegative")
-
-
 def _sampler(spec: ExperimentSpec) -> Callable[[int], np.ndarray]:
     """The realized values of sample i, as an array, as a function of i.
 
@@ -169,11 +155,7 @@ def _sampler(spec: ExperimentSpec) -> Callable[[int], np.ndarray]:
     if any(t != int(t) for t in times):
         raise ValueError("random walk is only defined at integer times")
     n_max = int(times[-1])
-    if n_max > _WALK_LENGTH_GUARD:
-        raise GuardError(
-            f"walk horizon {n_max} exceeds the desk-scale guard of 10^8 steps"
-            " (about 1.6 GB at 16 bytes a step)"
-        )
+    check_walk_length(n_max)  # refused here, before the first sample is drawn
     index = np.array(times, dtype=np.int64)
     return lambda i: walk_draws(draw(i), n_max)[index]
 
@@ -240,17 +222,6 @@ def exact_second_moment_poisson(times: Sequence[float]) -> float:
     return float(np.sum(np.exp(-np.abs(t[:, None] - t[None, :]))))
 
 
-def exact_second_moment_iid(pmf: Pmf, size: int) -> float:
-    """Closed form size + (size^2 - size) * sum_k mu_k^2 for i.i.d. draws.
-
-    Valid for the i.i.d. sampler only; a general stationary process obeys the
-    matching inequality but not the equality.
-    """
-    if size < 1:
-        raise ValueError("size must be positive")
-    return size + (size * size - size) * pmf.collision_mass()
-
-
 # ---------------------------------------------------------------------------
 # coincidence probabilities via elementary-interval decomposition
 # ---------------------------------------------------------------------------
@@ -301,7 +272,7 @@ def truncated_poisson_pmf(lam: float, tail_budget: float) -> np.ndarray:
     return poisson_pmf(lam, np.arange(_poisson_cutoff(lam, tail_budget) + 1))
 
 
-def coincidence_probability_poisson(s: SignedTimeMultiset, tol: float) -> float:
+def coincidence_probability_poisson(plus: Sequence[float], minus: Sequence[float], tol: float) -> float:
     """P[sum over plus of N(t) equals sum over minus of N(t)], within tol.
 
     The signed combination of truncated independent Poisson increments is
@@ -316,9 +287,11 @@ def coincidence_probability_poisson(s: SignedTimeMultiset, tol: float) -> float:
     + log K!), eps = 2^-52, the result lies within tol + R * result of the
     true probability.  A tol below R * result is accepted but buys nothing.
     """
+    if any(t < 0 for t in (*plus, *minus)):
+        raise ValueError("times must be nonnegative")
     if not (0.0 < tol <= 1e-3):
         raise ValueError("tol must lie in (0, 1e-3]")
-    lengths, coeffs = interval_coefficients(s.plus, s.minus)
+    lengths, coeffs = interval_coefficients(plus, minus)
     if not coeffs:
         return 1.0
     if coeffs[0] < 0:

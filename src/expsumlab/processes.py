@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
+from .errors import GuardError
+
 _U64 = 1 << 64
+_WALK_LENGTH_GUARD = 100_000_000  # steps; walk_draws peaks at 16 bytes a step, about 1.6 GB
 
 
 @dataclass(frozen=True)
@@ -117,10 +120,6 @@ class Pmf:
     def probs(self) -> tuple[float, ...]:
         return tuple(p for _, p in self.entries)
 
-    def collision_mass(self) -> float:
-        """Sum of squared probabilities (the two-draw coincidence mass)."""
-        return math.fsum(p * p for p in self.probs)
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -209,23 +208,12 @@ def poisson_pmf(mean: float | np.ndarray, a: int | np.ndarray) -> float | np.nda
     return np.where(mean == 0.0, np.where(a == 0, 1.0, 0.0), np.exp(log_p))
 
 
-def sample_iid(pmf: Pmf, count: int, seed: SeedSpec, sample_index: int = 0) -> ProcessPath:
-    """Draw ``count`` independent values from ``pmf`` by inverse CDF.
-
-    The inverse CDF walks the canonical (sorted) support, so the map from
-    uniforms to values is unambiguous and reproducible.
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    grid = TimeGrid.indices(count)
-    if count == 0:
-        return ProcessPath(grid, ())
-    draws = iid_draws(seed.generator(sample_index), np.cumsum(pmf.probs), np.asarray(pmf.values), count)
-    return ProcessPath(grid, tuple(draws.tolist()))
-
-
 def iid_draws(gen: np.random.Generator, cum: np.ndarray, support: np.ndarray, count: int) -> np.ndarray:
-    """``count`` values of ``support`` by inverse CDF on ``cum``, its cumulative probabilities."""
+    """``count`` values of ``support`` by inverse CDF on ``cum``, its cumulative probabilities.
+
+    The support is a Pmf's sorted one, so the map from uniforms to values is
+    unambiguous; every i.i.d. value in the package is drawn here.
+    """
     idx = np.searchsorted(cum, gen.random(count), side="right")
     np.minimum(idx, len(cum) - 1, out=idx)
     return support[idx]
@@ -256,8 +244,10 @@ def walk_draws(gen: np.random.Generator, n_max: int) -> np.ndarray:
 
     Step i is 2u - 1 for the i-th draw u in {0, 1}; every walk in the package
     is drawn here.  The steps are formed in the draw array and summed straight
-    into the result, so a walk peaks at 16 bytes a step.
+    into the result, so a walk peaks at 16 bytes a step, and a walk past
+    10^8 steps is refused by ``check_walk_length`` before any draw.
     """
+    check_walk_length(n_max)
     steps = gen.integers(0, 2, size=n_max, dtype=np.int64)
     steps <<= 1
     steps -= 1
@@ -265,6 +255,15 @@ def walk_draws(gen: np.random.Generator, n_max: int) -> np.ndarray:
     positions[0] = 0
     np.cumsum(steps, out=positions[1:])
     return positions
+
+
+def check_walk_length(n_max: int) -> None:
+    """Refuse with GuardError a walk past _WALK_LENGTH_GUARD steps, whose draws would pass 1.6 GB."""
+    if n_max > _WALK_LENGTH_GUARD:
+        raise GuardError(
+            f"walk horizon {n_max} exceeds the desk-scale guard of 10^8 steps"
+            " (about 1.6 GB at 16 bytes a step)"
+        )
 
 
 def sample_random_walk(n_max: int, seed: SeedSpec, sample_index: int = 0) -> ProcessPath:

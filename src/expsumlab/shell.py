@@ -425,14 +425,8 @@ def shell_sup_ratio(d: int, D: float, e_samples: int) -> tuple[int, float, float
     """
     if e_samples < 1:
         raise ValueError("e_samples must be positive")
-    if D < 1:
-        raise ValueError("D must be at least 1")
+    lo_e, hi_e = _e_range(D)
     D = _python_number(D)
-    num, den = D.as_integer_ratio()
-    lo_e = -(-num // den)  # ceil(D) and floor(D^2), exactly
-    hi_e = num * num // (den * den)
-    if lo_e > hi_e:
-        raise ValueError(f"no integer E lies in [D, D^2] for D = {D}")
     integral = hi_e - lo_e + 1 <= e_samples
     top_e = float(hi_e) if integral else float(D) * float(D)  # the largest grid E
     top = _query_window(d, top_e, D)[1]  # refuses a bad d, or E + D > 2^63 at the largest E
@@ -462,6 +456,22 @@ def shell_sup_ratio(d: int, D: float, e_samples: int) -> tuple[int, float, float
     best = int(np.argmax(counts))  # the first maximum, so ties go to the smaller E
     best_count = int(counts[best])
     return best_count, best_count / D ** (2.0 / d), grid[best]
+
+
+def _e_range(D: float) -> tuple[int, int]:
+    """ceil(D) and floor(D^2), exactly: the integer E of a grid over [D, D^2].
+
+    Both are taken from D's integer ratio, so a D whose float square rounds
+    across an integer still gets the exact floor.  D below 1, and a D with
+    no integer in [D, D^2] (exactly 1 < D < sqrt 2), raise ValueError.
+    """
+    if D < 1:
+        raise ValueError("D must be at least 1")
+    num, den = _python_number(D).as_integer_ratio()
+    lo_e, hi_e = -(-num // den), num * num // (den * den)
+    if lo_e > hi_e:
+        raise ValueError(f"no integer E lies in [D, D^2] for D = {D}")
+    return lo_e, hi_e
 
 
 def _check_sup_work(work: int) -> None:
@@ -521,24 +531,6 @@ def _sweep_counts(d: int, lo: np.ndarray, hi: np.ndarray, last_js: Sequence[int]
             v = _differences(d, b, start, min(start + _SWEEP_BLOCK, last + 1))
             counts += np.searchsorted(v, hi, "right") - np.searchsorted(v, lo, "left")
     return counts
-
-
-def shell_power_law_bound(d: int, D: float, s: float) -> float:
-    """Predicted count scale for shells |k^d - j^d - D^s| < D, unit constant.
-
-    Two regimes split at s = d^2/(d^2 - d - 1); the exponents agree there,
-    so the bound is continuous in s.
-    """
-    if d < 3 or d != int(d):
-        raise ValueError("d must be an integer >= 3")
-    if not (1.0 < s <= 2.0):
-        raise ValueError("s must lie in (1, 2]")
-    if D < 1:
-        raise ValueError("D must be at least 1")
-    split = d * d / (d * d - d - 1.0)
-    if s <= split:
-        return D ** (1.0 + s * (2.0 / d - 1.0))
-    return D ** ((s / d) * (1.0 - 1.0 / d))
 
 
 def hyperbolic_count(d: int, x: float) -> int:

@@ -26,7 +26,6 @@ from expsumlab import (
 )
 from expsumlab.bounds import divisor_sieve, verification_suite
 from expsumlab.lattice import (
-    GreenRuzsaSpec,
     divisor_summatories,
     greenruzsa_generate,
     shell_counts,
@@ -196,7 +195,7 @@ def test_c11_digit_set_sparsity_bound():
     for base in (5, 7, 10):
         exponent = math.log(3) / math.log(base)
         for digits in range(1, 9):
-            values = greenruzsa_generate(GreenRuzsaSpec(base, digits))
+            values = greenruzsa_generate(base, digits)
             for _ in range(125):
                 center = int(gen.integers(-5, values[-1] + 5))
                 radius = int(gen.integers(1, max(2, values[-1])))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsumlab import SeedSpec, SignedTimeMultiset, coincidence_probability_poisson, poisson_pmf
+from expsumlab import SeedSpec, coincidence_probability_poisson, poisson_pmf
 from expsumlab import bounds, processes, shell
 from expsumlab.moments import interval_coefficients
 from expsumlab.bounds import (
@@ -319,12 +319,7 @@ class TestIntervalSum:
             for _ in range(n):
                 j = float(gen.uniform(0, 8))
                 intervals.append((j, j + float(gen.uniform(0.1, 6))))
-            other = coincidence_probability_poisson(
-                SignedTimeMultiset(
-                    tuple(k for _, k in intervals), tuple(j for j, _ in intervals)
-                ),
-                1e-9,
-            )
+            other = coincidence_probability_poisson([k for _, k in intervals], [j for j, _ in intervals], 1e-9)
             assert interval_pmf(intervals, 0) == pytest.approx(other, abs=1e-8)
 
 

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,7 @@ def parse_csv(text):
 
 def loop_shell_grid(D, cap):
     """The E grid of `shell --mode both|brute|fast` by a literal loop of x *= ratio."""
-    lo, hi = math.ceil(D), math.floor(D * D)
+    lo, hi = math.ceil(Fraction(D)), math.floor(Fraction(D) ** 2)
     if hi - lo + 1 <= cap:
         return [float(e) for e in range(lo, hi + 1)]
     ratio = (hi / lo) ** (1.0 / max(cap - 1, 1))
@@ -498,6 +499,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: no integer E") and "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", ["both", "brute", "fast"])
+    @pytest.mark.parametrize(
+        "D, message", [("1.2", "no integer E lies in [D, D^2] for D = 1.2"), ("0.5", "D must be at least 1")]
+    )
+    def test_shell_grid_without_integer_e_exits_one(self, capsys, mode, D, message):
+        # an empty grid is refused with the sup's message; it printed nothing and exited 0
+        for argv_mode in (mode, "sup"):
+            assert run(["shell", "--d", "2", "--D", D, "--mode", argv_mode]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("mode", ["both", "brute", "fast", "sup"])
     def test_shell_without_e_samples_exits_one(self, capsys, mode):
         assert run(["shell", "--d", "3", "--D", "100", "--mode", mode, "--e-samples", "0"]) == 1
@@ -505,10 +517,11 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("D", [1.0, 2.5, 7.0, 10.0, 37.3, 100.0, 1234.5, 1e5, 1e7])
+    @pytest.mark.parametrize("D", [1.0, 2.5, 7.0, 10.0, 37.3, 100.0, 1234.5, 7420.073315001679, 1e5, 1e7])
     @pytest.mark.parametrize("cap", [1, 2, 3, 50, 2048])
     def test_shell_grid_matches_loop(self, D, cap):
-        # at D = 1e7 and cap = 2048 the last x_i rounds past D^2 and is clamped
+        # at D = 1e7 and cap = 2048 the last x_i rounds past D^2 and is clamped;
+        # at D = 7420.07... the float D * D rounds up to 55057488, past floor(D^2)
         assert _shell_grid(D, cap) == loop_shell_grid(D, cap)
 
     def test_shell_one_e_sample_gives_grid_ends(self, capsys):

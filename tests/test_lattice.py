@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from expsumlab import FrequencySpectrum, GuardError, even_moment, lattice, shell
 from expsumlab.lattice import (
     EULER_GAMMA,
-    GreenRuzsaSpec,
     _DIVISOR_BLOCK,
     _isqrt,
     _quotient_sums,
@@ -21,7 +20,6 @@ from expsumlab.lattice import (
     divisor_error,
     divisor_summatories,
     divisor_summatory,
-    domination_check,
     greenruzsa_generate,
     representation_count,
     sparsity_count,
@@ -29,6 +27,7 @@ from expsumlab.lattice import (
 from expsumlab.shell import (
     ShellQuery,
     _bisect,
+    _e_range,
     _fast_counts,
     _first_above,
     _last_js,
@@ -40,7 +39,6 @@ from expsumlab.shell import (
     shell_count_brute,
     shell_count_fast,
     shell_counts,
-    shell_power_law_bound,
     shell_sup_ratio,
 )
 
@@ -216,13 +214,13 @@ class TestDivisor:
 
     def test_error_at_one(self):
         expected = 1.0 - (2 * EULER_GAMMA - 1)
-        assert divisor_error(1.0) == pytest.approx(expected, rel=1e-12)
+        assert divisor_error(1.0, 1) == pytest.approx(expected, rel=1e-12)
 
     def test_error_at_hundred(self):
         d100 = int(sieve_divisor_sums(100)[100])
         expected = d100 - 100 * math.log(100) - (2 * EULER_GAMMA - 1) * 100
-        assert divisor_error(100.0) == pytest.approx(expected, rel=1e-12)
-        assert abs(divisor_error(100.0)) <= 2 * math.sqrt(100)
+        assert divisor_error(100.0, d100) == pytest.approx(expected, rel=1e-12)
+        assert abs(divisor_error(100.0, d100)) <= 2 * math.sqrt(100)
 
 
 class TestDivisorKernel:
@@ -709,6 +707,33 @@ class TestShellSupRatio:
             shell_sup_ratio(3, 4e9, 2048)  # E + D > 2^63 at E = D^2
 
 
+class TestERange:
+    """[ceil D, floor D^2], shared by the sup and the CLI's grids, against Fractions."""
+
+    @given(st.one_of(st.floats(1.0, 3.0e9), st.integers(1, 3 * 10**9).map(float)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fractions(self, D):
+        lo, hi = math.ceil(Fraction(D)), math.floor(Fraction(D) ** 2)
+        if lo > hi:
+            with pytest.raises(ValueError, match=f"no integer E lies in \\[D, D\\^2\\] for D = {D}"):
+                _e_range(D)
+        else:
+            assert _e_range(D) == (lo, hi)
+
+    def test_float_square_rounding_up(self):
+        D = 7420.073315001679
+        assert math.floor(D * D) == 55057488  # the float square rounds up past the integer
+        assert _e_range(D) == (7421, 55057487)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="D must be at least 1"):
+            _e_range(0.5)
+        for D in (1.2, 1.414, np.float32(1.2)):
+            with pytest.raises(ValueError, match="no integer E"):
+                _e_range(D)
+        assert _e_range(1.0) == (1, 1) and _e_range(math.sqrt(2.0)) == (2, 2)
+
+
 class TestQueryChecks:
     def test_numpy_scalars_count_as_python_numbers(self):
         E, D = list(range(100, 105)), [5.0] * 5
@@ -758,15 +783,24 @@ class TestStrictWindow:
         assert _strict_window(4.0, 1.5) == (3, 5)
 
 
+def power_law_exponent(d: int, s: float) -> float:
+    """The exponent of D in the predicted count scale of the shells |k^d - j^d - D^s| < D.
+
+    Two regimes split at s = d^2/(d^2 - d - 1), with unit constant.
+    """
+    split = d * d / (d * d - d - 1.0)
+    return 1.0 + s * (2.0 / d - 1.0) if s <= split else (s / d) * (1.0 - 1.0 / d)
+
+
 class TestPowerLawBound:
+    """The two regimes of the predicted shell-count scale, and where they meet."""
+
     def test_upper_branch(self):
-        assert shell_power_law_bound(3, 100.0, 2.0) == pytest.approx(100 ** (4.0 / 9.0))
+        assert 100.0 ** power_law_exponent(3, 2.0) == pytest.approx(100 ** (4.0 / 9.0))
 
     def test_lower_branch(self):
         s = 1.001
-        assert shell_power_law_bound(3, 100.0, s) == pytest.approx(
-            100 ** (1 + s * (2 / 3 - 1))
-        )
+        assert 100.0 ** power_law_exponent(3, s) == pytest.approx(100 ** (1 + s * (2 / 3 - 1)))
 
     @pytest.mark.parametrize("d", [3, 4, 5, 7])
     def test_branches_agree_at_split(self, d):
@@ -774,13 +808,14 @@ class TestPowerLawBound:
         lo = 1 + split * (2 / d - 1)
         hi = (split / d) * (1 - 1 / d)
         assert lo == pytest.approx(hi, rel=1e-12)
-        assert shell_power_law_bound(d, 50.0, split) == pytest.approx(50.0**lo, rel=1e-12)
+        assert 50.0 ** power_law_exponent(d, split) == pytest.approx(50.0**lo, rel=1e-12)
+        assert power_law_exponent(d, split * (1 + 1e-9)) == pytest.approx(hi, rel=1e-8)  # continuous
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            shell_power_law_bound(2, 10.0, 1.5)
-        with pytest.raises(ValueError):
-            shell_power_law_bound(3, 10.0, 2.5)
+        # both regimes lie in s in (1, 2] from d = 3 on; at d = 2 the split is s = 4
+        assert 2 * 2 / (2 * 2 - 2 - 1) == 4
+        for d in range(3, 12):
+            assert 1 < d * d / (d * d - d - 1) <= 2
 
 
 class TestHyperbolicCount:
@@ -862,15 +897,15 @@ class TestRepresentationCounts:
 
 class TestGreenRuzsa:
     def test_single_digit(self):
-        assert greenruzsa_generate(GreenRuzsaSpec(5, 1)) == [0, 1, 3]
+        assert greenruzsa_generate(5, 1) == [0, 1, 3]
 
     def test_two_digits(self):
-        assert greenruzsa_generate(GreenRuzsaSpec(5, 2)) == [0, 1, 3, 5, 6, 8, 15, 16, 18]
+        assert greenruzsa_generate(5, 2) == [0, 1, 3, 5, 6, 8, 15, 16, 18]
 
     @given(st.integers(5, 11), st.integers(1, 6))
     @settings(max_examples=30, deadline=None)
     def test_size_and_digit_closure(self, base, k):
-        values = greenruzsa_generate(GreenRuzsaSpec(base, k))
+        values = greenruzsa_generate(base, k)
         assert len(values) == 3**k
         assert len(set(values)) == 3**k
         for v in values:
@@ -880,16 +915,18 @@ class TestGreenRuzsa:
 
     def test_guard(self):
         with pytest.raises(GuardError):
-            greenruzsa_generate(GreenRuzsaSpec(5, 16))
+            greenruzsa_generate(5, 16)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            GreenRuzsaSpec(4, 2)
+        with pytest.raises(ValueError, match="base must be at least 5"):
+            greenruzsa_generate(4, 2)
+        with pytest.raises(ValueError, match="digits must be at least 1"):
+            greenruzsa_generate(5, 0)
 
 
 class TestSparsity:
     def test_counts_window(self):
-        values = greenruzsa_generate(GreenRuzsaSpec(5, 2))
+        values = greenruzsa_generate(5, 2)
         assert sparsity_count(values, 2, 2) == 3  # {0, 1, 3}
         assert 3 <= 24 * 2 ** (math.log(3) / math.log(5))
 
@@ -897,7 +934,7 @@ class TestSparsity:
         assert sparsity_count([], 5, 3) == 0
 
     def test_bound_on_sampled_windows(self):
-        values = greenruzsa_generate(GreenRuzsaSpec(7, 5))
+        values = greenruzsa_generate(7, 5)
         exponent = math.log(3) / math.log(7)
         gen = np.random.Generator(np.random.Philox(key=np.array([5, 5], dtype=np.uint64)))
         for _ in range(300):
@@ -906,29 +943,44 @@ class TestSparsity:
             assert sparsity_count(values, center, radius) <= 24 * radius**exponent
 
 
+def pair_sum(phi, A, d: int) -> float:
+    """sum over j < k in A of phi(k^d - j^d)."""
+    return math.fsum(phi(k**d - j**d) for j, k in itertools.combinations(sorted(A), 2))
+
+
 class TestDominationCheck:
+    """Interval domination: for phi positive and decreasing and 0 < b <= min(A),
+    the pair sum over A never exceeds the one over {b, ..., b + |A| - 1}."""
+
     def test_interval_is_tight(self):
-        A = [4, 5, 6, 7]
-        lhs, rhs, holds = domination_check(lambda x: 1.0 / x, A, 4, 2)
-        assert holds
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        lhs = pair_sum(lambda x: 1.0 / x, [4, 5, 6, 7], 2)
+        assert lhs == pytest.approx(pair_sum(lambda x: 1.0 / x, range(4, 8), 2), rel=1e-12)
 
     def test_spread_set(self):
-        lhs, rhs, holds = domination_check(lambda x: 1.0 / x**2, [10, 20, 35], 10, 2)
-        assert holds
+        lhs = pair_sum(lambda x: 1.0 / x**2, [10, 20, 35], 2)
+        assert lhs <= pair_sum(lambda x: 1.0 / x**2, range(10, 13), 2)
         manual_lhs = sum(
             1.0 / (k**2 - j**2) ** 2 for j, k in [(10, 20), (10, 35), (20, 35)]
         )
         assert lhs == pytest.approx(manual_lhs, rel=1e-12)
 
     def test_singleton(self):
-        lhs, rhs, holds = domination_check(lambda x: 1.0 / x, [9], 3, 2)
-        assert (lhs, rhs, holds) == (0.0, 0.0, True)
+        assert (pair_sum(lambda x: 1.0 / x, [9], 2), pair_sum(lambda x: 1.0 / x, range(3, 4), 2)) == (0.0, 0.0)
 
-    def test_rejects_bad_b(self):
-        with pytest.raises(ValueError):
-            domination_check(lambda x: 1.0 / x, [3, 5], 4, 2)
+    def test_random_sets(self):
+        gen = np.random.Generator(np.random.Philox(key=np.array([5, 6], dtype=np.uint64)))
+        phis = (lambda x: 1.0 / x, lambda x: 1.0 / x**2, lambda x: math.exp(-x / 50.0))
+        for _ in range(200):
+            A = sorted(set(gen.integers(1, 40, int(gen.integers(1, 8))).tolist()))
+            b, d = int(gen.integers(1, A[0] + 1)), int(gen.integers(2, 5))
+            for phi in phis:
+                assert pair_sum(phi, A, d) <= pair_sum(phi, range(b, b + len(A)), d) * (1 + 1e-12)
 
-    def test_rejects_increasing_phi(self):
-        with pytest.raises(ValueError):
-            domination_check(lambda x: float(x), [3, 5, 9], 2, 2)
+    def test_needs_b_at_most_min(self):
+        # b = 4 > min(A) = 3: the interval {4, 5} differs by 9, A = {3, 4} by 7
+        assert pair_sum(lambda x: 1.0 / x, [3, 4], 2) > pair_sum(lambda x: 1.0 / x, range(4, 6), 2)
+
+    def test_needs_decreasing_phi(self):
+        # phi(x) = x increases: 144 over A against 24 over {2, 3, 4}
+        assert pair_sum(float, [3, 5, 9], 2) == 144.0
+        assert pair_sum(float, range(2, 5), 2) == 24.0

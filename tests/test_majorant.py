@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from expsumlab import FrequencySpectrum, SeedSpec, even_norm_coeff, expsum, lp_norm_quadrature, majorant
-from expsumlab.lattice import GreenRuzsaSpec, greenruzsa_generate
+from expsumlab.lattice import greenruzsa_generate
 from expsumlab.majorant import genericity_experiment, majorant_ratio, majorant_ratio_quadrature
 from expsumlab.moments import TimeMap
 from expsumlab.processes import Pmf
@@ -224,7 +224,7 @@ class TestNewtonPolish:
             ([0, 1, 3], 2.5, 4, 1.0051691880621385),
             ([0, 1, 3], 3.0, 1, 1.0059883822468842),
             ([0, 1, 3], 3.0, 4, 1.005988382247903),
-            (greenruzsa_generate(GreenRuzsaSpec(7, 2)), 3.0, 4, 1.0154078394566064),
+            (greenruzsa_generate(7, 2), 3.0, 4, 1.0154078394566064),
         ],
     )
     def test_non_even_ratios_match_golden_section(self, freqs, p, restarts, ratio):

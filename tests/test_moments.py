@@ -16,7 +16,6 @@ from expsumlab import (
     FrequencySpectrum,
     Pmf,
     SeedSpec,
-    SignedTimeMultiset,
     TimeMap,
     coincidence_probability_poisson,
     even_moment,
@@ -24,7 +23,6 @@ from expsumlab import (
     exact_even_moment_iid,
     exact_even_moment_poisson,
     exact_even_moment_walk,
-    exact_second_moment_iid,
     exact_second_moment_poisson,
     lp_norm_quadrature,
     mc_even_moment,
@@ -36,20 +34,39 @@ from expsumlab import (
 from expsumlab import expsum, moments
 from expsumlab.errors import GuardError
 from expsumlab.moments import (
-    _WALK_LENGTH_GUARD,
     _even_degree,
     _sampler,
     _summarize,
     interval_coefficients,
     truncated_poisson_pmf,
 )
-from expsumlab.processes import TimeGrid, sample_iid, sample_poisson_path, sample_random_walk
+from expsumlab.processes import (
+    _WALK_LENGTH_GUARD,
+    TimeGrid,
+    iid_draws,
+    sample_poisson_path,
+    sample_random_walk,
+)
 
 SEED = SeedSpec(2024, 3)
 
 time_multisets = st.lists(
     st.floats(0.0, 12.0, allow_nan=False), min_size=1, max_size=4
 ).map(tuple)
+
+
+def exact_second_moment_iid(pmf: Pmf, size: int) -> float:
+    """Closed form size + (size^2 - size) * sum_k mu_k^2 for ``size`` i.i.d. draws: the n = 1 oracle.
+
+    Valid for i.i.d. draws only; a general stationary process obeys the
+    matching inequality but not the equality.
+    """
+    return size + (size * size - size) * collision_mass(pmf)
+
+
+def collision_mass(pmf: Pmf) -> float:
+    """Sum of squared probabilities (the two-draw coincidence mass)."""
+    return math.fsum(p * p for p in pmf.probs)
 
 
 def oracle_equal_poisson_sums(lam: float, cutoff: int = 80) -> float:
@@ -74,14 +91,18 @@ class TestExactSecondMoments:
         value = exact_second_moment_poisson([float(t) for t in range(1, m + 1)])
         assert m <= value <= 3 * m
 
+    # the i.i.d. closed form is the tests' oracle; the engine at n = 1 gives the same hand values
     def test_iid_point_mass(self):
         assert exact_second_moment_iid(Pmf.point(3), 6) == pytest.approx(36.0)
+        assert exact_even_moment_iid(Pmf.point(3), 6, 1) == pytest.approx(36.0)
 
     def test_iid_uniform_pair(self):
         assert exact_second_moment_iid(Pmf.uniform([0, 1]), 2) == pytest.approx(3.0)
+        assert exact_even_moment_iid(Pmf.uniform([0, 1]), 2, 1) == pytest.approx(3.0)
 
     def test_iid_size_one(self):
         assert exact_second_moment_iid(Pmf.uniform([0, 1, 2]), 1) == pytest.approx(1.0)
+        assert exact_even_moment_iid(Pmf.uniform([0, 1, 2]), 1, 1) == pytest.approx(1.0)
 
     def test_second_moment_sandwich_for_uniform(self):
         # |A|^2 * sum mu_k^2 <= exact <= |A|^2, exactly from the closed form
@@ -89,60 +110,60 @@ class TestExactSecondMoments:
             pmf = Pmf.uniform(support)
             for size in (2, 7, 20):
                 value = exact_second_moment_iid(pmf, size)
-                assert size**2 * pmf.collision_mass() <= value <= size**2 + 1e-9
+                assert size**2 * collision_mass(pmf) <= value <= size**2 + 1e-9
 
 
 class TestCoincidence:
     def test_identical_sides(self):
-        s = SignedTimeMultiset((4.2,), (4.2,))
-        assert coincidence_probability_poisson(s, 1e-9) == 1.0
+        assert coincidence_probability_poisson((4.2,), (4.2,), 1e-9) == 1.0
 
     def test_single_increment_zero(self):
-        s = SignedTimeMultiset((1.0,), (2.0,))
-        assert coincidence_probability_poisson(s, 1e-9) == pytest.approx(
+        assert coincidence_probability_poisson((1.0,), (2.0,), 1e-9) == pytest.approx(
             math.exp(-1.0), abs=1e-9
         )
 
     def test_cancellation_leaves_two_increments(self):
-        s = SignedTimeMultiset((1.0, 2.0), (3.0,))
-        got = coincidence_probability_poisson(s, 1e-10)
+        got = coincidence_probability_poisson((1.0, 2.0), (3.0,), 1e-10)
         assert got == pytest.approx(oracle_equal_poisson_sums(1.0), abs=1e-9)
 
     @given(time_multisets, time_multisets)
     @settings(max_examples=40, deadline=None)
     def test_swap_symmetry_and_range(self, plus, minus):
-        a = coincidence_probability_poisson(SignedTimeMultiset(plus, minus), 1e-6)
-        b = coincidence_probability_poisson(SignedTimeMultiset(minus, plus), 1e-6)
+        a = coincidence_probability_poisson(plus, minus, 1e-6)
+        b = coincidence_probability_poisson(minus, plus, 1e-6)
         assert a == b
         assert 0.0 <= a <= 1.0
 
     @given(time_multisets, time_multisets)
     @settings(max_examples=20, deadline=None)
     def test_tolerance_refinement_stable(self, plus, minus):
-        s = SignedTimeMultiset(plus, minus)
-        coarse = coincidence_probability_poisson(s, 1e-4)
-        fine = coincidence_probability_poisson(s, 5e-5)
+        coarse = coincidence_probability_poisson(plus, minus, 1e-4)
+        fine = coincidence_probability_poisson(plus, minus, 5e-5)
         assert abs(fine - coarse) < 1e-4
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
-            coincidence_probability_poisson(SignedTimeMultiset((1.0,), ()), 0.5)
+            coincidence_probability_poisson((1.0,), (), 0.5)
+
+    def test_rejects_negative_times(self):
+        for plus, minus in (((-1.0,), ()), ((1.0,), (2.0, -0.5))):
+            with pytest.raises(ValueError, match="times must be nonnegative"):
+                coincidence_probability_poisson(plus, minus, 1e-9)
 
     def test_tolerance_below_rounding_level_returns(self):
         # 1 - sum(pmf) levels off near 1e-16, far above the per-interval budget
-        s = SignedTimeMultiset((1.0, 2.0), (3.0,))
-        got = coincidence_probability_poisson(s, 1e-18)
+        got = coincidence_probability_poisson((1.0, 2.0), (3.0,), 1e-18)
         assert got == pytest.approx(oracle_equal_poisson_sums(1.0), rel=1e-14)
 
     def test_result_within_tol_plus_rounding_term(self):
         # The stated bound: within tol + R * result of the truth, R the float64
         # rounding term.  Here the truth is P[X = Y] = e^{-2} I_0(2) for
         # independent Poisson(1) X, Y, and R * result is far above tol.
-        s = SignedTimeMultiset((1.0, 2.0), (3.0,))
+        plus, minus = (1.0, 2.0), (3.0,)
         tol = 1e-18
-        got = coincidence_probability_poisson(s, tol)
+        got = coincidence_probability_poisson(plus, minus, tol)
         truth = math.fsum(math.exp(-2.0) / math.factorial(k) ** 2 for k in range(30))
-        lengths, coeffs = interval_coefficients(s.plus, s.minus)
+        lengths, coeffs = interval_coefficients(plus, minus)
         rounding = 0.0
         for lam, c in zip(lengths, coeffs):
             k = len(truncated_poisson_pmf(lam, tol / len(coeffs))) - 1
@@ -217,7 +238,7 @@ def tuple_walk_even_moment(times, n, tol):
         minus = tuple(sorted(ts[i] for i in combo[n:]))
         key = (plus, minus) if plus <= minus else (minus, plus)
         if key not in cache:
-            cache[key] = coincidence_probability_poisson(SignedTimeMultiset(plus, minus), tol)
+            cache[key] = coincidence_probability_poisson(plus, minus, tol)
         terms.append(cache[key])
     return math.fsum(terms)
 
@@ -480,7 +501,8 @@ def public_values(spec, i):
     if spec.process == "poisson":
         return sample_poisson_path(TimeGrid(times), spec.seed, i).values
     if spec.process == "iid":
-        return sample_iid(spec.pmf, len(spec.index_set), spec.seed, i).values
+        pmf = spec.pmf
+        return iid_draws(spec.seed.generator(i), np.cumsum(pmf.probs), np.array(pmf.values), len(spec.index_set))
     path = sample_random_walk(int(times[-1]), spec.seed, i).values
     return tuple(path[int(t)] for t in times)
 

@@ -15,14 +15,21 @@ from expsumlab import (
     SeedSpec,
     TimeGrid,
     poisson_pmf,
-    sample_iid,
     sample_poisson_path,
     sample_random_walk,
 )
-from expsumlab import processes
-from expsumlab.processes import _LOG_FACTORIAL_LIMIT, walk_draws
+from expsumlab import GuardError, processes
+from expsumlab.processes import _LOG_FACTORIAL_LIMIT, iid_draws, walk_draws
 
 SEED = SeedSpec(1234, 7)
+
+
+def draw_iid(pmf, count, seed, sample_index=0):
+    """``count`` i.i.d. values of ``pmf`` from sample ``sample_index``'s own generator.
+
+    The draws of `moment --process iid`, which resets one generator per sample.
+    """
+    return iid_draws(seed.generator(sample_index), np.cumsum(pmf.probs), np.asarray(pmf.values), count).tolist()
 
 
 class TestPoissonPmf:
@@ -131,42 +138,40 @@ class TestPmfType:
     def test_uniform_helper(self):
         pmf = Pmf.uniform([0, 1])
         assert pmf.values == (0, 1)
-        assert pmf.collision_mass() == pytest.approx(0.5)
+        assert pmf.probs == (0.5, 0.5)
 
 
 class TestSampleIid:
     def test_point_mass(self):
-        path = sample_iid(Pmf.point(7), 5, SEED)
-        assert path.values == (7, 7, 7, 7, 7)
+        assert draw_iid(Pmf.point(7), 5, SEED) == [7, 7, 7, 7, 7]
 
     def test_empty(self):
-        path = sample_iid(Pmf.uniform([0, 1]), 0, SEED)
-        assert path.values == ()
+        assert draw_iid(Pmf.uniform([0, 1]), 0, SEED) == []
 
     def test_mean_within_five_se(self):
         n = 100_000
-        path = sample_iid(Pmf.uniform([0, 1]), n, SEED)
-        mean = sum(path.values) / n
+        values = draw_iid(Pmf.uniform([0, 1]), n, SEED)
+        mean = sum(values) / n
         se = 0.5 / math.sqrt(n)
         assert abs(mean - 0.5) <= 5 * se
 
     def test_marginals_within_five_se(self):
         pmf = Pmf(((0, 0.2), (1, 0.3), (5, 0.5)))
         n = 100_000
-        path = sample_iid(pmf, n, SEED, sample_index=3)
+        values = draw_iid(pmf, n, SEED, sample_index=3)
         counts = {v: 0 for v in pmf.values}
-        for v in path.values:
+        for v in values:
             counts[v] += 1
         for v, p in pmf.entries:
             se = math.sqrt(p * (1 - p) / n)
             assert abs(counts[v] / n - p) <= 5 * se
 
     def test_deterministic(self):
-        a = sample_iid(Pmf.uniform([0, 1]), 50, SEED, sample_index=9)
-        b = sample_iid(Pmf.uniform([0, 1]), 50, SEED, sample_index=9)
-        c = sample_iid(Pmf.uniform([0, 1]), 50, SEED, sample_index=10)
-        assert a.values == b.values
-        assert a.values != c.values
+        a = draw_iid(Pmf.uniform([0, 1]), 50, SEED, sample_index=9)
+        b = draw_iid(Pmf.uniform([0, 1]), 50, SEED, sample_index=9)
+        c = draw_iid(Pmf.uniform([0, 1]), 50, SEED, sample_index=10)
+        assert a == b
+        assert a != c
 
 
 class TestPoissonPath:
@@ -235,6 +240,14 @@ class TestRandomWalk:
     def test_rejects_zero_length(self):
         with pytest.raises(ValueError):
             sample_random_walk(0, SEED)
+
+    def test_length_guard_before_any_draw(self):
+        # 10^12 steps would need 16 TB; the guard refuses before numpy allocates
+        message = "10\\^8 steps \\(about 1.6 GB at 16 bytes a step\\)"
+        with pytest.raises(GuardError, match=message):
+            walk_draws(SEED.generator(0), 10**12)
+        with pytest.raises(GuardError, match=message):
+            sample_random_walk(10**12, SEED)
 
     @pytest.mark.parametrize("seed", [SEED, SeedSpec(0), SeedSpec(501, 3), SeedSpec(2**64 - 1)])
     @pytest.mark.parametrize("n_max", [1, 2, 257, 100_003])
