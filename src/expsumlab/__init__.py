@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .errors import COUNT_LIMIT, GuardError
 from .expsum import (
     FrequencySpectrum,
-    RepresentationTable,
     even_moment,
     even_norm_coeff,
     lp_norm_quadrature,
@@ -53,7 +52,6 @@ __all__ = [
     "MomentEstimate",
     "Pmf",
     "ProcessPath",
-    "RepresentationTable",
     "SeedSpec",
     "SlopeFit",
     "TimeGrid",

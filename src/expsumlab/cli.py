@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -123,6 +124,15 @@ def _parse_int_list(text: str) -> list[int]:
     if not values:
         raise ValueError(f"{text!r} lists no integer")
     return values
+
+
+def _finite(flag: str, value: float) -> float:
+    """``value`` unless it is NaN (ValueError) or +inf (GuardError); both messages name the flag."""
+    if math.isnan(value):
+        raise ValueError(f"{flag} must be a number, got {value}")
+    if value == math.inf:
+        raise GuardError(f"{flag} {value} exceeds the supported range")
+    return value
 
 
 def _parse_map(text: str) -> TimeMap:
@@ -339,7 +349,7 @@ def _cmd_shell(args) -> tuple[list[dict], int]:
 
     if args.e_samples < 1:
         raise ValueError("--e-samples must be at least 1")
-    d_values = [float(tok) for tok in args.D.split(",")]
+    d_values = [_finite("--D", float(tok)) for tok in args.D.split(",")]
     rows = []
     if args.mode == "sup":
         for D in d_values:
@@ -358,7 +368,7 @@ def _cmd_shell(args) -> tuple[list[dict], int]:
     if len(d_values) != 1:
         raise ValueError(f"shell --mode {args.mode} takes one --D value; a list needs --mode sup")
     (D,) = d_values
-    grid = [args.E] if args.E is not None else _shell_grid(D, args.e_samples)
+    grid = [_finite("--E", args.E)] if args.E is not None else _shell_grid(D, args.e_samples)
     rows = [{"E": e} for e in grid]
     for method in ("brute", "fast"):
         if args.mode in (method, "both"):
@@ -375,7 +385,7 @@ def _cmd_shell(args) -> tuple[list[dict], int]:
 def _cmd_divisor(args) -> tuple[list[dict], int]:
     xs, floors = [], []
     for tok in args.x.split(","):  # each x is parsed and checked in turn, so the first bad one raises
-        xs.append(float(tok))
+        xs.append(_finite("--x", float(tok)))
         floors.append(divisor_floor(xs[-1]))
     order = sorted(range(len(xs)), key=floors.__getitem__)  # one kernel call wants nondecreasing x
     ordered = divisor_summatories(np.array([floors[i] for i in order], dtype=np.int64)).tolist()
@@ -388,7 +398,7 @@ def _cmd_hyperbolic(args) -> tuple[list[dict], int]:
 
     rows = []
     for tok in args.x.split(","):
-        x = float(tok)
+        x = _finite("--x", float(tok))
         count = hyperbolic_count(args.d, x)
         rows.append({"d": args.d, "x": x, "count": count, "ratio": count / x ** (2.0 / args.d)})
     return rows, 0
@@ -399,8 +409,7 @@ def _cmd_repcount(args) -> tuple[list[dict], int]:
         total = diophantine_count(args.n, args.d, args.M)
         return [{"n": args.n, "d": args.d, "M": args.M, "diophantine": total}], 0
     table = representation_count(args.n, args.d, args.M)
-    rows = [{"m": m, "count": c} for m, c in sorted(table.counts.items())]
-    return rows, 0
+    return [{"m": m, "count": c} for m, c in table.items()], 0
 
 
 def _cmd_greenruzsa(args) -> tuple[list[dict], int]:
@@ -441,17 +450,7 @@ def _cmd_majorant(args) -> tuple[list[dict], int]:
             restarts=args.restarts,
             seed=SeedSpec(args.seed),
         )
-        rows = [
-            {
-                "size": pt.size,
-                "probability": pt.probability,
-                "std_error": pt.std_error,
-                "samples": pt.samples,
-                "threshold": pt.threshold,
-            }
-            for pt in points
-        ]
-        return rows, 0
+        return [dataclasses.asdict(pt) for pt in points], 0
     if not args.freqs:
         raise ValueError("majorant needs --freqs unless --genericity is given")
     freqs = _parse_int_list(args.freqs)
@@ -492,16 +491,7 @@ def _cmd_slope(args) -> tuple[list[dict], int]:
             if row[args.x_col] is None or row[args.y_col] is None:
                 raise ValueError(f"{args.input} line {reader.line_num} is shorter than its header")
             points.append((float(row[args.x_col]), float(row[args.y_col])))
-    fit = slope_fit(points)
-    rows = [
-        {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "residual": fit.residual,
-            "points": len(points),
-        }
-    ]
-    return rows, 0
+    return [{**dataclasses.asdict(slope_fit(points)), "points": len(points)}], 0
 
 
 _DISPATCH = {

@@ -76,11 +76,6 @@ class FrequencySpectrum:
         frequencies = _frequency_array(freqs)
         return cls(frequencies, np.ones(len(frequencies), np.complex128))
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, complex]]) -> "FrequencySpectrum":
-        pairs = list(pairs)
-        return cls(_frequency_array(f for f, _ in pairs), np.array([c for _, c in pairs], np.complex128))
-
     @property
     def size(self) -> int:
         return len(self.frequencies)
@@ -95,20 +90,6 @@ class FrequencySpectrum:
             raise ValueError("one phase per term required")
         coeffs = np.array([complex(math.cos(t), math.sin(t)) for t in phases], np.complex128)
         return FrequencySpectrum(self.frequencies, coeffs)
-
-
-@dataclass(frozen=True)
-class RepresentationTable:
-    """Exact counts R(m) of ordered n-tuples of terms summing to m."""
-
-    counts: dict[int, int]
-    order: int
-
-    def __getitem__(self, m: int) -> int:
-        return self.counts.get(m, 0)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +299,16 @@ def _representation(spectrum: FrequencySpectrum, n: int) -> _Profile:
     return table
 
 
-def representation_table(spectrum: FrequencySpectrum, n: int) -> RepresentationTable:
-    """R(m) = number of ordered n-tuples of term indices with frequency sum m.
+def representation_table(spectrum: FrequencySpectrum, n: int) -> dict[int, int]:
+    """{m: R(m)}, R(m) the number of ordered n-tuples of term indices with frequency sum m.
 
-    Needs a unit spectrum; computed by n-1 exact integer convolutions of the
-    multiplicity profile.  Total mass is exactly (number of terms)^n, and a
-    mass of 2^128 or more raises OverflowError before any convolution.
+    Only the m with R(m) > 0 are keys, in increasing order.  Needs a unit
+    spectrum; computed by n-1 exact integer convolutions of the multiplicity
+    profile.  Total mass is exactly (number of terms)^n, and a mass of 2^128
+    or more raises OverflowError before any convolution.
     """
     freqs, counts = _representation(spectrum, n)
-    return RepresentationTable(dict(zip(freqs.tolist(), counts.tolist())), n)
+    return dict(zip(freqs.tolist(), counts.tolist()))
 
 
 def even_moment(spectrum: FrequencySpectrum, n: int) -> int:
@@ -450,16 +432,20 @@ def lp_norm_quadrature(spectrum: FrequencySpectrum, p: float, nodes: int) -> flo
     S is evaluated at all nodes at once on an FFT grid (``_grid_values``).
     For even integer p = 2n and nodes > n*(max f - min f) the rule
     integrates |S|^{2n}, a trigonometric polynomial of that degree, exactly.
-    A node count past 2^24, or a p that ``check_power`` refuses for this many
-    terms, raises before any work; a mean past the float64 range raises
-    OverflowError.
+    A node count past 2^24, or a p that ``check_power`` refuses for this
+    many terms, raises before any work; a mean past float64 raises OverflowError.
     """
     check_power(spectrum.size, p)
     if nodes < 1:
         raise ValueError("nodes must be a positive integer")
     if not spectrum.size:
         raise ValueError("empty spectrum")
-    moduli = np.abs(_grid_values(spectrum.frequencies, spectrum.coefficients, nodes))
+    return _power_mean(_grid_values(spectrum.frequencies, spectrum.coefficients, nodes), p)
+
+
+def _power_mean(values: np.ndarray, p: float) -> float:
+    """mean |values|^p, the rectangle rule on a grid; past the float64 range, OverflowError."""
+    moduli = np.abs(values)
     moduli **= p
     mean = float(np.mean(moduli))
     if math.isinf(mean):

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GuardError, check_count
-from .expsum import FrequencySpectrum, RepresentationTable, even_moment, representation_table
+from .expsum import FrequencySpectrum, even_moment, representation_table
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -192,8 +192,8 @@ def _power_spectrum(n: int, d: int, M: int) -> FrequencySpectrum:
     return FrequencySpectrum.unit(j**d for j in range(1, M + 1))
 
 
-def representation_count(n: int, d: int, M: int) -> RepresentationTable:
-    """Table of R(m) = #{(j_1..j_n) : 1 <= j_i <= M, sum j_i^d = m}, exact."""
+def representation_count(n: int, d: int, M: int) -> dict[int, int]:
+    """R(m) = #{(j_1..j_n) : 1 <= j_i <= M, sum j_i^d = m}, exact, as ``representation_table``'s dict."""
     return representation_table(_power_spectrum(n, d, M), n)
 
 

@@ -30,9 +30,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import check_power
-from .expsum import FrequencySpectrum, _grid_values, even_norm_coeff, lp_norm_quadrature, suggested_nodes
+from .expsum import FrequencySpectrum, _grid_values, _power_mean, even_norm_coeff, suggested_nodes
 from .moments import ExperimentSpec, TimeMap, _even_degree, _sampler
-from .processes import Pmf, SeedSpec
+from .processes import SeedSpec
 
 _SWEEP_LIMIT = 80
 _COARSE = 33  # trial phases per coordinate
@@ -70,9 +70,9 @@ class _Grid:
         return self.roots[(self.freqs[j] % self.nodes * self.index) % self.nodes]
 
     def value(self, phases: np.ndarray) -> float:
-        """Recompute S from the phases; return mean |S|^p."""
+        """Recompute S from the phases; return mean |S|^p, which raises past the float64 range."""
         self.s = _grid_values(self.freqs, np.exp(1j * phases), self.nodes)
-        return float(np.mean(np.abs(self.s) ** self.p))
+        return _power_mean(self.s, self.p)
 
     def along(self, phases: np.ndarray, j: int) -> Callable[[np.ndarray], np.ndarray]:
         u = self._column(j)
@@ -191,29 +191,27 @@ def majorant_ratio_quadrature(
     below the unit-coefficient moment), then ``restarts - 1`` random phase
     vectors.  Ties between restarts resolve toward the earlier one.  The
     ascent runs on ``suggested_nodes`` points, and base and best moments are
-    ``lp_norm_quadrature`` values there.  Nothing here is exact for non-even
-    p: the result is only as good as the node count.  The returned ratio is
+    the search grid's rectangle-rule values there (``_Grid.value``, the rule
+    of ``lp_norm_quadrature``).  Nothing here is exact for non-even p: the
+    result is only as good as the node count.  The returned ratio is
     (best/base)^{1/p}, a lower bound on the true constant.
     """
     check_power(len(freqs), p)
     spectrum = FrequencySpectrum.unit(freqs)
-    nodes = suggested_nodes(spectrum, p)
-    grid = _Grid(spectrum.frequencies, p, nodes)
+    grid = _Grid(spectrum.frequencies, p, suggested_nodes(spectrum, p))
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    base = lp_norm_quadrature(spectrum, p, nodes)
-    best_val = -math.inf
-    best_phases: np.ndarray | None = None
+    size = spectrum.size
+    if not size:
+        raise ValueError("empty spectrum")
+    base = grid.value(np.zeros(size))
+    best_val, best_phases = -math.inf, None
     for r in range(restarts):
-        if r == 0:
-            phases = np.zeros(spectrum.size)
-        else:
-            phases = seed.generator(r).uniform(0.0, 2.0 * math.pi, spectrum.size)
-        phases = _ascend(grid, phases, base)
-        val = lp_norm_quadrature(spectrum.with_phases(phases), p, nodes)
+        start = seed.generator(r).uniform(0.0, 2.0 * math.pi, size) if r else np.zeros(size)
+        phases = _ascend(grid, start, base)  # a fresh array per restart, kept as it is
+        val = grid.value(phases)
         if val > best_val:
-            best_val = val
-            best_phases = phases.copy()
+            best_val, best_phases = val, phases
     ratio = (best_val / base) ** (1.0 / p)
     return MajorantResult(base, best_val, ratio, tuple(float(t) for t in best_phases), restarts)
 
@@ -227,7 +225,6 @@ def genericity_experiment(
     samples: int,
     restarts: int,
     seed: SeedSpec,
-    pmf: Pmf | None = None,
 ) -> list[GenericityPoint]:
     """Empirical probability that a realized set violates the majorant bound.
 
@@ -260,7 +257,6 @@ def genericity_experiment(
             p=float(p),
             samples=samples,
             seed=seed.child((seed.stream_index << 16) ^ size),
-            pmf=pmf,
         )
         threshold = size**epsilon
         opt_seed = SeedSpec(seed.master_seed, (seed.stream_index << 16) ^ size ^ (1 << 40))
@@ -270,11 +266,8 @@ def genericity_experiment(
                 raise ValueError("restarts must be at least 1")
             prob = 1.0 if 1.0 >= threshold else 0.0
         else:
-            hits = 0
-            for i in range(samples):
-                result = majorant_ratio_quadrature(sorted(sample(i).tolist()), p, restarts, opt_seed)
-                if result.ratio >= threshold:
-                    hits += 1
+            sets = (sorted(sample(i).tolist()) for i in range(samples))
+            hits = sum(majorant_ratio_quadrature(s, p, restarts, opt_seed).ratio >= threshold for s in sets)
             prob = hits / samples
         se = math.sqrt(prob * (1.0 - prob) / samples)
         points.append(GenericityPoint(size, prob, se, samples, threshold))

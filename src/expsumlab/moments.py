@@ -61,13 +61,11 @@ _BLOCK_VALUES = 1 << 10
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Monte Carlo mean with its standard error and seed provenance."""
+    """A moment's mean, with its standard error, sample count and descriptor."""
 
     mean: float
     std_error: float
     n_samples: int
-    seed: SeedSpec
-    p: float
     descriptor: str
 
 
@@ -168,7 +166,7 @@ def _summarize(values: list[float], spec: ExperimentSpec, descriptor: str) -> Mo
         se = math.sqrt(var / n)
     else:
         se = math.nan
-    return MomentEstimate(mean, se, n, spec.seed, spec.p, descriptor)
+    return MomentEstimate(mean, se, n, descriptor)
 
 
 def _even_degree(p: float) -> int:
@@ -499,7 +497,7 @@ def exact_even_moment(spec: ExperimentSpec) -> MomentEstimate:
         mean = exact_even_moment_walk(spec.times(), n)
     else:
         mean = exact_even_moment_poisson(spec.times(), n, _EXACT_TOL)
-    return MomentEstimate(mean, 0.0, 0, spec.seed, spec.p, spec.descriptor() + "/exact")
+    return MomentEstimate(mean, 0.0, 0, spec.descriptor() + "/exact")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -99,18 +99,6 @@ class Pmf:
             raise ValueError("pmf probabilities must be nonnegative")
         if abs(math.fsum(probs) - 1.0) > 1e-12:
             raise ValueError("pmf probabilities must sum to 1 within 1e-12")
-
-    @classmethod
-    def point(cls, value: int) -> "Pmf":
-        return cls(((int(value), 1.0),))
-
-    @classmethod
-    def uniform(cls, values: Iterable[int]) -> "Pmf":
-        vals = sorted(set(int(v) for v in values))
-        if not vals:
-            raise ValueError("uniform pmf needs a nonempty support")
-        p = 1.0 / len(vals)
-        return cls(tuple((v, p) for v in vals))
 
     @property
     def values(self) -> tuple[int, ...]:

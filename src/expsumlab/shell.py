@@ -82,7 +82,6 @@ class ShellQuery:
 @dataclass(frozen=True)
 class CountResult:
     count: int
-    method: str
     work: int
 
 
@@ -109,13 +108,13 @@ _OBJECT_ROW_LIMIT = 1 << 18  # the same past 2^63, at about 30 us a row on Pytho
 def shell_count_brute(q: ShellQuery) -> CountResult:
     """Count shell pairs by scanning j: the one-row face of `shell_counts`."""
     (count,), (work,) = shell_counts(q.d, [q.E], [q.D], "brute")
-    return CountResult(check_count(int(count), "shell count"), "brute", int(work))
+    return CountResult(check_count(int(count), "shell count"), int(work))
 
 
 def shell_count_fast(q: ShellQuery) -> CountResult:
     """Count shell pairs by scanning k - j: the one-row face of `shell_counts`."""
     (count,), (work,) = shell_counts(q.d, [q.E], [q.D], "fast")
-    return CountResult(check_count(int(count), "shell count"), "fast", int(work))
+    return CountResult(check_count(int(count), "shell count"), int(work))
 
 
 def shell_counts(

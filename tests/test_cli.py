@@ -488,6 +488,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numeric guard:") and "search rows" in err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_majorant_mean_past_float64_exits_two(self, capsys):
+        # 3^645 passes check_power, but the quadrature mean over the nodes overflows
+        assert run(["majorant", "--freqs", "0,1,3", "--p", "645", "--restarts", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "numeric guard: the p=645 quadrature mean exceeds the float64 range\n"
+        assert captured.out == ""
+
     def test_shell_sup_past_guard_exits_two(self, capsys):
         # the sweep would enumerate about 10^12 differences; refuse at once
         assert run(["shell", "--d", "2", "--D", "1000000", "--mode", "sup"]) == 2
@@ -509,6 +517,30 @@ class TestExitCodes:
             assert run(["shell", "--d", "2", "--D", D, "--mode", argv_mode]) == 1
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    # a NaN flag exits 1 and an infinite one 2, with the flag named, not Python's conversion text
+    NON_FINITE = [
+        ("nan", 1, "error: {flag} must be a number, got nan\n"),
+        ("inf", 2, "numeric guard: {flag} inf exceeds the supported range\n"),
+    ]
+
+    @pytest.mark.parametrize("value, code, message", NON_FINITE)
+    @pytest.mark.parametrize(
+        "flag, argv", [("--D", "--D {v} --mode both"), ("--D", "--D 10,{v} --mode sup"), ("--E", "--D 10 --E {v}")]
+    )
+    def test_shell_non_finite_flag_is_named(self, capsys, flag, argv, value, code, message):
+        assert run(["shell", "--d", "3", *argv.format(v=value).split()]) == code
+        assert capsys.readouterr() == ("", message.format(flag=flag))
+
+    @pytest.mark.parametrize("value, code, message", NON_FINITE)
+    def test_hyperbolic_non_finite_x_is_named(self, capsys, value, code, message):
+        assert run(["hyperbolic", "--d", "3", "--x", f"1000,{value}"]) == code
+        assert capsys.readouterr() == ("", message.format(flag="--x"))
+
+    @pytest.mark.parametrize("value, code, message", NON_FINITE)
+    def test_divisor_non_finite_x_is_named(self, capsys, value, code, message):
+        assert run(["divisor", "--x", f"10,{value}"]) == code
+        assert capsys.readouterr() == ("", message.format(flag="--x"))
 
     @pytest.mark.parametrize("mode", ["both", "brute", "fast", "sup"])
     def test_shell_without_e_samples_exits_one(self, capsys, mode):

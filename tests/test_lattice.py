@@ -320,11 +320,6 @@ class TestShellCounts:
         assert shell_count_brute(ShellQuery(d, E, D)).count == expected
         assert shell_count_fast(ShellQuery(d, E, D)).count == expected
 
-    def test_methods_tagged(self):
-        q = ShellQuery(3, 100.0, 5.0)
-        assert shell_count_brute(q).method == "brute"
-        assert shell_count_fast(q).method == "fast"
-
     def test_exhaustive_small(self):
         for d in (2, 3):
             for D in range(1, 9):
@@ -364,8 +359,8 @@ class TestShellCounts:
         q = ShellQuery(d, E, D)
         got_brute = shell_count_brute(q)
         got_fast = shell_count_fast(q)
-        assert (got_brute.count, got_brute.work, got_brute.method) == (*brute, "brute")
-        assert (got_fast.count, got_fast.work, got_fast.method) == (*fast, "fast")
+        assert (got_brute.count, got_brute.work) == brute
+        assert (got_fast.count, got_fast.work) == fast
 
     def test_fast_work_is_sublinear(self):
         q = ShellQuery(3, 1e6, 1e3)
@@ -871,7 +866,7 @@ class TestRepresentationCounts:
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
     def test_total_mass(self, n, d, M):
-        assert representation_count(n, d, M).total() == M**n
+        assert sum(representation_count(n, d, M).values()) == M**n
 
     def test_diophantine_n1(self):
         for d, M in ((1, 5), (3, 7)):

@@ -5,11 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from expsumlab import FrequencySpectrum, SeedSpec, even_norm_coeff, expsum, lp_norm_quadrature, majorant
+from expsumlab import (
+    FrequencySpectrum,
+    SeedSpec,
+    even_norm_coeff,
+    expsum,
+    lp_norm_quadrature,
+    majorant,
+    suggested_nodes,
+)
 from expsumlab.lattice import greenruzsa_generate
 from expsumlab.majorant import genericity_experiment, majorant_ratio, majorant_ratio_quadrature
 from expsumlab.moments import TimeMap
-from expsumlab.processes import Pmf
 
 SEED = SeedSpec(404)
 
@@ -98,6 +105,18 @@ class TestMajorantRatio:
             with pytest.raises(ValueError, match="^restarts must be at least 1$"):
                 search([1, 2], p, 0)
 
+    @pytest.mark.parametrize("p", [3.0, 4])
+    def test_rejects_empty_set(self, p):
+        with pytest.raises(ValueError, match="^empty spectrum$"):
+            majorant_ratio([], p)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_mean_past_float64_raises(self, restarts):
+        # 3^645 < 2^1024 passes check_power; the sum over the nodes does not fit
+        with pytest.raises(OverflowError, match="^the p=645 quadrature mean exceeds the float64 range$"):
+            majorant_ratio([0, 1, 3], 645.0, restarts, SEED)
+
     def test_repeated_frequencies_ok(self):
         result = majorant_ratio([4, 4, 9], 4, restarts=2, seed=SEED)
         assert result.ratio == pytest.approx(1.0, abs=1e-6)
@@ -149,10 +168,20 @@ class TestRoutes:
         for j, theta in ((1, 0.7), (3, 5.1), (1, 2.2)):
             grid.move(phases, j, theta)
             moved = grid.s.copy()
-            assert grid.value(phases) == pytest.approx(
-                lp_norm_quadrature(FrequencySpectrum.unit(freqs).with_phases(phases), 3.0, 41), rel=1e-12
-            )
+            # the search and lp_norm_quadrature evaluate one rule, bit for bit
+            spectrum = FrequencySpectrum.unit(freqs).with_phases(phases)
+            assert grid.value(phases) == lp_norm_quadrature(spectrum, 3.0, 41)
             np.testing.assert_allclose(moved, grid.s, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("freqs", [[0, 1, 3], greenruzsa_generate(7, 2)], ids=["013", "greenruzsa7x2"])
+    def test_base_and_best_are_lp_norm_quadrature(self, freqs, p):
+        # base and best come from the search grid; they are lp_norm_quadrature's values, bit for bit
+        result = majorant_ratio_quadrature(freqs, p, 2, SEED)
+        spectrum = FrequencySpectrum.unit(freqs)
+        nodes = suggested_nodes(spectrum, p)
+        assert result.base_moment == lp_norm_quadrature(spectrum, p, nodes)
+        assert result.best_moment == lp_norm_quadrature(spectrum.with_phases(result.best_phases), p, nodes)
 
 
 NON_EVEN = [1.0, 1.5, 2.5, 3.0, 5.0]
@@ -321,20 +350,6 @@ class TestGenericity:
     def test_p2_probability_zero(self):
         points = genericity_experiment(
             "poisson", TimeMap("identity"), [4, 8], 2, 0.3, samples=8, restarts=1, seed=SEED
-        )
-        assert all(pt.probability == 0.0 for pt in points)
-
-    def test_point_mass_degenerate(self):
-        points = genericity_experiment(
-            "iid",
-            TimeMap("identity"),
-            [4, 8],
-            4,
-            0.2,
-            samples=6,
-            restarts=1,
-            seed=SEED,
-            pmf=Pmf.point(3),
         )
         assert all(pt.probability == 0.0 for pt in points)
 

@@ -47,8 +47,10 @@ from expsumlab.processes import (
     sample_poisson_path,
     sample_random_walk,
 )
+from test_processes import point, uniform
 
 SEED = SeedSpec(2024, 3)
+
 
 time_multisets = st.lists(
     st.floats(0.0, 12.0, allow_nan=False), min_size=1, max_size=4
@@ -93,21 +95,21 @@ class TestExactSecondMoments:
 
     # the i.i.d. closed form is the tests' oracle; the engine at n = 1 gives the same hand values
     def test_iid_point_mass(self):
-        assert exact_second_moment_iid(Pmf.point(3), 6) == pytest.approx(36.0)
-        assert exact_even_moment_iid(Pmf.point(3), 6, 1) == pytest.approx(36.0)
+        assert exact_second_moment_iid(point(3), 6) == pytest.approx(36.0)
+        assert exact_even_moment_iid(point(3), 6, 1) == pytest.approx(36.0)
 
     def test_iid_uniform_pair(self):
-        assert exact_second_moment_iid(Pmf.uniform([0, 1]), 2) == pytest.approx(3.0)
-        assert exact_even_moment_iid(Pmf.uniform([0, 1]), 2, 1) == pytest.approx(3.0)
+        assert exact_second_moment_iid(uniform([0, 1]), 2) == pytest.approx(3.0)
+        assert exact_even_moment_iid(uniform([0, 1]), 2, 1) == pytest.approx(3.0)
 
     def test_iid_size_one(self):
-        assert exact_second_moment_iid(Pmf.uniform([0, 1, 2]), 1) == pytest.approx(1.0)
-        assert exact_even_moment_iid(Pmf.uniform([0, 1, 2]), 1, 1) == pytest.approx(1.0)
+        assert exact_second_moment_iid(uniform([0, 1, 2]), 1) == pytest.approx(1.0)
+        assert exact_even_moment_iid(uniform([0, 1, 2]), 1, 1) == pytest.approx(1.0)
 
     def test_second_moment_sandwich_for_uniform(self):
         # |A|^2 * sum mu_k^2 <= exact <= |A|^2, exactly from the closed form
         for support in ([0, 1], [0, 1, 2, 5], list(range(10))):
-            pmf = Pmf.uniform(support)
+            pmf = uniform(support)
             for size in (2, 7, 20):
                 value = exact_second_moment_iid(pmf, size)
                 assert size**2 * collision_mass(pmf) <= value <= size**2 + 1e-9
@@ -377,7 +379,7 @@ class TestExactEvenMoment:
         assert got == pytest.approx(iid_draws_even_moment(pmf, size, n), rel=1e-13)
 
     def test_iid_n1_equals_closed_form(self):
-        pmf = Pmf.uniform([0, 1, 3])
+        pmf = uniform([0, 1, 3])
         assert exact_even_moment_iid(pmf, 9, 1) == pytest.approx(
             exact_second_moment_iid(pmf, 9), rel=1e-13
         )
@@ -411,7 +413,7 @@ class TestMonteCarlo:
                 ExperimentSpec("poisson", (1, 2), TimeMap("identity"), p, 1, SEED)
 
     def test_point_mass_iid_fourth_moment(self):
-        pmf = Pmf.point(4)
+        pmf = point(4)
         spec = ExperimentSpec("iid", tuple(range(1, 7)), TimeMap("identity"), 4.0, 40, SEED, pmf)
         est = mc_even_moment(spec)
         assert est.mean == pytest.approx(6.0**4)
@@ -432,7 +434,7 @@ class TestMonteCarlo:
         assert abs(est.mean - exact) <= 5 * est.std_error
 
     def test_iid_second_moment_matches_closed_form(self):
-        pmf = Pmf.uniform([0, 1, 3])
+        pmf = uniform([0, 1, 3])
         spec = ExperimentSpec("iid", tuple(range(1, 9)), TimeMap("identity"), 2.0, 20_000, SEED, pmf)
         est = mc_even_moment(spec)
         exact = exact_second_moment_iid(pmf, 8)
@@ -445,7 +447,7 @@ class TestMonteCarlo:
         assert quad.mean == pytest.approx(even.mean, rel=1e-9)
 
     def test_general_moment_log_convexity_per_sample(self):
-        pmf = Pmf.uniform([0, 1])
+        pmf = uniform([0, 1])
         spec = ExperimentSpec("iid", (1, 2, 3, 4), TimeMap("identity"), 3.0, 1, SEED, pmf)
         sample = _sampler(spec)
         for i in range(50):
@@ -514,8 +516,8 @@ RUNGS = [
     ExperimentSpec("poisson", (3, 7), TimeMap("arith", r=2.0), 4.0, 23, SEED),
     ExperimentSpec("walk", tuple(range(1, 31)), TimeMap("identity"), 4.0, 23, SeedSpec(5, 30)),
     ExperimentSpec("walk", tuple(range(1, 7)), TimeMap("power", d=2), 4.0, 23, SEED),
-    ExperimentSpec("iid", tuple(range(1, 10)), TimeMap("identity"), 4.0, 23, SEED, Pmf.uniform([-3, 0, 5])),
-    ExperimentSpec("iid", tuple(range(1, 6)), TimeMap("identity"), 4.0, 23, SEED, Pmf.point(-4)),
+    ExperimentSpec("iid", tuple(range(1, 10)), TimeMap("identity"), 4.0, 23, SEED, uniform([-3, 0, 5])),
+    ExperimentSpec("iid", tuple(range(1, 6)), TimeMap("identity"), 4.0, 23, SEED, point(-4)),
     ExperimentSpec("poisson", (4,), TimeMap("identity"), 4.0, 1, SEED),
     ExperimentSpec("walk", (2, 5, 9), TimeMap("identity"), 4.0, 1, SEED),
 ]

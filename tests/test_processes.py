@@ -24,6 +24,16 @@ from expsumlab.processes import _LOG_FACTORIAL_LIMIT, iid_draws, walk_draws
 SEED = SeedSpec(1234, 7)
 
 
+def point(value):
+    """The point mass at ``value``."""
+    return Pmf(((value, 1.0),))
+
+
+def uniform(values):
+    """The uniform pmf on the increasing ``values``."""
+    return Pmf(tuple((v, 1.0 / len(values)) for v in values))
+
+
 def draw_iid(pmf, count, seed, sample_index=0):
     """``count`` i.i.d. values of ``pmf`` from sample ``sample_index``'s own generator.
 
@@ -136,21 +146,21 @@ class TestPmfType:
             Pmf(((0, 0.5), (1, 0.6)))
 
     def test_uniform_helper(self):
-        pmf = Pmf.uniform([0, 1])
+        pmf = uniform([0, 1])
         assert pmf.values == (0, 1)
         assert pmf.probs == (0.5, 0.5)
 
 
 class TestSampleIid:
     def test_point_mass(self):
-        assert draw_iid(Pmf.point(7), 5, SEED) == [7, 7, 7, 7, 7]
+        assert draw_iid(point(7), 5, SEED) == [7, 7, 7, 7, 7]
 
     def test_empty(self):
-        assert draw_iid(Pmf.uniform([0, 1]), 0, SEED) == []
+        assert draw_iid(uniform([0, 1]), 0, SEED) == []
 
     def test_mean_within_five_se(self):
         n = 100_000
-        values = draw_iid(Pmf.uniform([0, 1]), n, SEED)
+        values = draw_iid(uniform([0, 1]), n, SEED)
         mean = sum(values) / n
         se = 0.5 / math.sqrt(n)
         assert abs(mean - 0.5) <= 5 * se
@@ -167,9 +177,9 @@ class TestSampleIid:
             assert abs(counts[v] / n - p) <= 5 * se
 
     def test_deterministic(self):
-        a = draw_iid(Pmf.uniform([0, 1]), 50, SEED, sample_index=9)
-        b = draw_iid(Pmf.uniform([0, 1]), 50, SEED, sample_index=9)
-        c = draw_iid(Pmf.uniform([0, 1]), 50, SEED, sample_index=10)
+        a = draw_iid(uniform([0, 1]), 50, SEED, sample_index=9)
+        b = draw_iid(uniform([0, 1]), 50, SEED, sample_index=9)
+        c = draw_iid(uniform([0, 1]), 50, SEED, sample_index=10)
         assert a == b
         assert a != c
 
