@@ -13,17 +13,18 @@ byte-identical data rows.
 Seed precedence: ``--seed`` > the EXPSUM_SEED environment variable > a
 key=value config file passed with ``--config``, whose only keys are ``seed``
 and ``samples``.  Without any of them the seed is 0, except for ``verify``,
-whose default is 20240.  ``--samples`` (``moment`` and ``majorant``) falls
-back to the config file, then to 200.  ``moment`` and ``majorant`` read
-their method from p: exact counts and the theorem at even p, quadrature and
-the phase search otherwise.  A flag that the chosen mode would ignore exits
-1: ``--seed`` on ``shell``, ``divisor``, ``hyperbolic``, ``repcount``,
-``slope``, ``greenruzsa`` without ``--sparsity`` and ``moment --mode
-exact``, which draw nothing, ``--samples`` with ``moment --mode exact``,
-``--pmf`` unless the process is iid, ``shell --E`` with ``--mode sup`` and
-``--e-samples`` with ``--E``, ``majorant --freqs`` with ``--genericity`` and
-``--samples``, ``--process``, ``--map``, ``--sizes`` or ``--epsilon``
-without it.
+whose default is 20240.  A command that draws nothing (see below) reads
+neither EXPSUM_SEED nor the config's seed, and its seed is 0.  ``--samples``
+(``moment`` and ``majorant``) falls back to the config file, then to 200.
+``moment`` and ``majorant`` read their method from p: exact counts and the
+theorem at even p, quadrature and the phase search otherwise.  A flag that
+the chosen mode would ignore exits 1: ``--seed`` on ``shell``, ``divisor``,
+``hyperbolic``, ``repcount``, ``slope``, ``greenruzsa`` without
+``--sparsity`` and ``moment --mode exact``, which draw nothing,
+``--samples`` with ``moment --mode exact``, ``--pmf`` unless the process is
+iid, ``shell --E`` with ``--mode sup`` and ``--e-samples`` with ``--E``,
+``majorant --freqs`` with ``--genericity`` and ``--samples``, ``--process``,
+``--map``, ``--sizes`` or ``--epsilon`` without it.
 One exception: ``majorant`` at even p does not read ``--restarts``, nor
 ``--seed`` with ``--freqs``, since the even-p ratio is exactly 1 and no
 search runs.  ``--restarts`` is still validated (at least 1) and echoed in
@@ -250,14 +251,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _draws(args) -> bool:
+    """Whether the command draws random numbers, and so reads a seed."""
+    if args.subcommand == "moment":
+        return args.mode != "exact"
+    return args.subcommand in ("majorant", "verify") or getattr(args, "sparsity", None) is not None
+
+
 def _reject_ignored_flags(args) -> None:
     """Raise ValueError for a flag given on the command line that the mode would not read."""
-    draws = args.subcommand in ("moment", "majorant", "verify") or getattr(args, "sparsity", None) is not None
-    if args.seed is not None and not draws:
+    if args.seed is not None and not _draws(args):
         raise ValueError(f"--seed is unused: {args.subcommand} draws no random numbers here")
     if args.subcommand == "moment":
-        if args.mode == "exact" and (args.samples is not None or args.seed is not None):
-            raise ValueError("--mode exact samples nothing: drop --samples and --seed")
+        if args.mode == "exact" and args.samples is not None:
+            raise ValueError("--samples is unused: --mode exact samples nothing")
         if args.pmf is not None and args.process != "iid":
             raise ValueError(f"--pmf is unused: --process {args.process} draws no i.i.d. values")
     elif args.subcommand == "shell":
@@ -286,14 +293,13 @@ def _resolve_settings(args) -> None:
     vars(args).update((name, value) for name, value in late.items() if getattr(args, name) is None)
     config = _config_values(args.config)
     if args.seed is None:
-        env = os.environ.get("EXPSUM_SEED")
-        if env is not None:
-            args.seed = int(env)
-        elif "seed" in config:
-            args.seed = int(config["seed"])
+        # a command that draws nothing takes no seed from the environment or the config
+        ambient = os.environ.get("EXPSUM_SEED", config.get("seed")) if _draws(args) else None
+        if ambient is not None:
+            args.seed = int(ambient)
         else:
             args.seed = 20240 if args.subcommand == "verify" else 0
-    if "samples" in vars(args) and args.samples is None and getattr(args, "mode", None) != "exact":
+    if "samples" in vars(args) and args.samples is None and _draws(args):
         args.samples = int(config.get("samples", 200))
 
 

@@ -445,9 +445,10 @@ def lp_norm_quadrature(spectrum: FrequencySpectrum, p: float, nodes: int) -> flo
 
 def _power_mean(values: np.ndarray, p: float) -> float:
     """mean |values|^p, the rectangle rule on a grid; past the float64 range, OverflowError."""
-    moduli = np.abs(values)
-    moduli **= p
-    mean = float(np.mean(moduli))
+    with np.errstate(over="ignore"):  # an overflow is refused below, without numpy's warning
+        moduli = np.abs(values)
+        moduli **= p
+        mean = float(np.mean(moduli))
     if math.isinf(mean):
         raise OverflowError(f"the p={p:g} quadrature mean exceeds the float64 range")
     return mean

@@ -13,7 +13,7 @@ Two routes are implemented and cross-checked against each other:
 * Exact: the Poisson closed form at p = 2, and every even p for all three
   processes by one transfer matrix over y.  The moment E||.||_{2n}^{2n} is
   the integral over y in [0, 1] of E|sum_j e(y X(t_j))|^{2n}.  For fixed y that expectation is a state
-  machine on (n+1)^2 states, run over the distinct times with the
+  machine on (n+1)^2 states, run over the times, largest first, with the
   increments' characteristic functions; a rectangle rule in y, one numpy
   vector per state, integrates it.  The rule's only error is aliasing, a
   nonnegative term (Abate and Whitt, Oper. Res. Lett. 1992): none for the
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -51,7 +50,7 @@ from .processes import (
 )
 
 _DP_SUPPORT_LIMIT = 50_000_000
-_TRANSFER_WORK_LIMIT = 1 << 30  # nodes x layers x (n+1)^2: about 20 s of the exact engine
+_TRANSFER_WORK_LIMIT = 1 << 30  # nodes x times x (n+1)^2: about 20 s of the exact engine
 _Y_BLOCK = 1 << 13  # y nodes per block; a block's states stay in cache
 _EXACT_TOL = 1e-15  # Poisson aliasing budget per tuple of exact_even_moment
 # Sampled values counted together.  An n = 2 block packs at most 24 pairs a
@@ -325,12 +324,10 @@ def _signed_sum_pmf(pmfs: Sequence[np.ndarray], coeffs: Sequence[int]) -> tuple[
 # exact even moments by a transfer matrix over y
 # ---------------------------------------------------------------------------
 
-def _layers(times: Sequence[float]) -> list[tuple[int, float]]:
-    """(multiplicity, gap down to the next smaller time or 0) per distinct time, largest first."""
-    counts = Counter(times)
-    distinct = sorted(counts, reverse=True)
-    below = distinct[1:] + [0.0]
-    return [(counts[t], t - b) for t, b in zip(distinct, below)]
+def _gaps(times: Sequence[float]) -> list[float]:
+    """Each time's gap down to the next smaller time or to 0, largest first; a repeated time's gap is 0."""
+    ts = sorted(times, reverse=True)
+    return [t - b for t, b in zip(ts, ts[1:] + [0.0])]
 
 
 def _signed(g: np.ndarray) -> np.ndarray:
@@ -338,35 +335,27 @@ def _signed(g: np.ndarray) -> np.ndarray:
     return np.concatenate((g[:0:-1].conj(), g))
 
 
-def _transfer_moment(n, nodes, layers, gap=None, slot=None) -> float:
+def _transfer_moment(n, nodes, gaps, increment=None, slot=None) -> float:
     """Rectangle rule over y = k/nodes of E|sum_j e(y X_j)|^{2n}, by a state machine.
 
     State (a, b) holds the partial tuples with a plus and b minus slots
-    placed.  Each layer (m, L) places da plus and db minus slots on a point
-    of multiplicity m, with weight C(n-a, da) C(n-b, db) m^(da+db), times
-    slot(z)[da - db] when slot is given.  Then state (a, b) is multiplied by
-    gap(z, L)[a - b].  Here z[c] = e(y c) for c = 0..n, and gap and slot
+    placed.  Each time places da plus and db minus slots with weight
+    C(n-a, da) C(n-b, db), times slot(z)[da - db] when slot is given.  Then
+    state (a, b) is multiplied by increment(z, L)[a - b], L the time's gap
+    in ``gaps``.  Here z[c] = e(y c) for c = 0..n, and increment and slot
     return their values for c = 0..n.  The rule's value is the mean of state
     (n, n).  Nodes y and 1 - y give conjugate values, so only y <= 1/2 is
     evaluated, in blocks of _Y_BLOCK nodes.
     """
     if nodes > _NODE_LIMIT:
         raise GuardError(f"{nodes} nodes exceed the desk-scale guard of {_NODE_LIMIT}")
-    if nodes * len(layers) * (n + 1) ** 2 > _TRANSFER_WORK_LIMIT:
-        raise GuardError("nodes x layers x (n+1)^2 exceeds the desk-scale guard")
-    # No state exceeds the tuple count, points^(2n); keep it inside float64.
-    if 2 * n * math.log2(sum(m for m, _ in layers)) > 1000:
+    if nodes * len(gaps) * (n + 1) ** 2 > _TRANSFER_WORK_LIMIT:
+        raise GuardError("nodes x times x (n+1)^2 exceeds the desk-scale guard")
+    # No state exceeds the tuple count, times^(2n); keep it inside float64.
+    if 2 * n * math.log2(len(gaps)) > 1000:
         raise OverflowError("the 2n-tuple count exceeds the float64 range")
-    weights = {}
-    for m, _ in layers:
-        if m not in weights:
-            w = [
-                np.array([math.comb(n - a, d) * float(m) ** d for a in range(n + 1 - d)])
-                for d in range(n + 1)
-            ]
-            weights[m] = {
-                (da, db): np.outer(w[da], w[db])[..., None] for da in range(n + 1) for db in range(n + 1)
-            }
+    w = [np.array([math.comb(n - a, d) for a in range(n + 1 - d)], dtype=np.float64) for d in range(n + 1)]
+    weights = {(da, db): np.outer(w[da], w[db])[..., None] for da in range(n + 1) for db in range(n + 1)}
     diff = np.subtract.outer(np.arange(n + 1), np.arange(n + 1)) + n  # a - b, as a row of _signed
     half = nodes // 2 + 1
     values: list[float] = []
@@ -377,17 +366,17 @@ def _transfer_moment(n, nodes, layers, gap=None, slot=None) -> float:
         states = np.zeros((n + 1, n + 1, len(k)), dtype=np.complex128)
         states[0, 0] = 1.0
         last_gap = factor = None
-        for m, length in layers:
+        for length in gaps:
             placed = np.zeros_like(states)
-            for (da, db), w in weights[m].items():
-                term = w * states[: n + 1 - da, : n + 1 - db]
+            for (da, db), weight in weights.items():
+                term = weight * states[: n + 1 - da, : n + 1 - db]
                 if slot_c is not None:
                     term *= slot_c[da - db + n]
                 placed[da:, db:] += term
             states = placed
-            if gap is not None and length != 0:
+            if increment is not None and length != 0:
                 if length != last_gap:
-                    factor = _signed(gap(z, length))[diff]
+                    factor = _signed(increment(z, length))[diff]
                     last_gap = length
                 states *= factor
         edge = (k == 0) | (2 * k == nodes)
@@ -406,10 +395,10 @@ def exact_even_moment_poisson(times: Sequence[float], n: int, tol: float) -> flo
     The moment is the sum over ordered 2n-tuples of times of P[X = 0], where
     X = N(t_1) + .. + N(t_n) - N(t_{n+1}) - .. - N(t_{2n}); that is the
     integral over y in [0, 1] of E|sum_j e(y N(t_j))|^{2n}.  The rectangle
-    rule on K nodes evaluates it by _transfer_moment, scanning the distinct
-    times from the largest down.  A gap of length L below a time multiplies
-    state (a, b) by exp(L (e(y (a - b)) - 1)), the characteristic function of
-    (a - b) Poisson(L).
+    rule on K nodes evaluates it by _transfer_moment, scanning the times from
+    the largest down.  A gap of length L below a time multiplies state (a, b)
+    by exp(L (e(y (a - b)) - 1)), the characteristic function of
+    (a - b) Poisson(L); a repeated time is a gap of 0.
 
     The rule's only error is aliasing: it returns the sum over tuples of
     P[X in K Z], an overestimate.  |X| <= n N(max t), and K = n (k_T + 1) + 1
@@ -417,8 +406,8 @@ def exact_even_moment_poisson(times: Sequence[float], n: int, tol: float) -> flo
     the excess is below |times|^{2n} tol.
 
     float64 adds a rounding term that tol cannot shrink.  Each node's value is
-    built from |times|^{2n} tuples of modulus at most 1 through D layers (the
-    distinct times), whose phases reach n T radians/(2 pi), T = max t.  With
+    built from |times|^{2n} tuples of modulus at most 1 through D = |times|
+    layers, whose phases reach n T radians/(2 pi), T = max t.  With
     R = eps (D ((n+1)^2 + 8) + (pi n + 4) T + 2), eps = 2^-52, the result
     lies within |times|^{2n} (tol + R) of the true moment.
 
@@ -435,7 +424,7 @@ def exact_even_moment_poisson(times: Sequence[float], n: int, tol: float) -> flo
     if not ts:
         return 0.0
     nodes = n * (_poisson_cutoff(max(ts), tol) + 1) + 1
-    return _transfer_moment(n, nodes, _layers(ts), gap=lambda z, length: np.exp(length * (z - 1.0)))
+    return _transfer_moment(n, nodes, _gaps(ts), increment=lambda z, length: np.exp(length * (z - 1.0)))
 
 
 def exact_even_moment_walk(times: Sequence[float], n: int) -> float:
@@ -453,14 +442,14 @@ def exact_even_moment_walk(times: Sequence[float], n: int) -> float:
     if not ts:
         return 0.0
     nodes = n * int(max(ts)) + 1
-    return _transfer_moment(n, nodes, _layers(ts), gap=lambda z, length: z.real ** int(length))
+    return _transfer_moment(n, nodes, _gaps(ts), increment=lambda z, length: z.real ** int(length))
 
 
 def exact_even_moment_iid(pmf: Pmf, size: int, n: int) -> float:
     """E||.||_{2n}^{2n} for ``size`` i.i.d. draws from ``pmf``.
 
-    The transfer loop with one layer per draw and no gaps: the da plus and
-    db minus slots placed on a draw contribute phi(y (da - db)), phi the
+    The transfer loop with one layer per draw, each a gap of 0: the da plus
+    and db minus slots placed on a draw contribute phi(y (da - db)), phi the
     pmf's characteristic function.  Shifting the support to start at 0
     changes no |S(y)|, and then |X| <= n (max - min of the support), so
     n (max - min) + 1 nodes alias nothing.  The rounding term and the guards
@@ -478,7 +467,7 @@ def exact_even_moment_iid(pmf: Pmf, size: int, n: int) -> float:
     def phi(z: np.ndarray) -> np.ndarray:
         return sum(p * z ** (v - lo) for v, p in pmf.entries)
 
-    return _transfer_moment(n, n * span + 1, [(1, 0.0)] * size, slot=phi)
+    return _transfer_moment(n, n * span + 1, [0.0] * size, slot=phi)
 
 
 def exact_even_moment(spec: ExperimentSpec) -> MomentEstimate:

@@ -488,13 +488,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numeric guard:") and "search rows" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_majorant_mean_past_float64_exits_two(self, capsys):
         # 3^645 passes check_power, but the quadrature mean over the nodes overflows
         assert run(["majorant", "--freqs", "0,1,3", "--p", "645", "--restarts", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "numeric guard: the p=645 quadrature mean exceeds the float64 range\n"
         assert captured.out == ""
+
+    def test_majorant_mean_past_float64_prints_one_line(self, tmp_path):
+        # in a fresh process, where no test harness captures warnings, numpy's
+        # overflow warning must not reach stderr ahead of the guard line
+        argv = ["majorant", "--freqs", "0,1,3", "--p", "645", "--restarts", "1"]
+        done = subprocess.run(
+            [sys.executable, "-m", "expsumlab.cli", *argv],
+            capture_output=True, text=True, env=_entry_point_env(), cwd=tmp_path,
+        )
+        assert done.returncode == 2
+        assert done.stderr == "numeric guard: the p=645 quadrature mean exceeds the float64 range\n"
+        assert done.stdout == ""
 
     def test_shell_sup_past_guard_exits_two(self, capsys):
         # the sweep would enumerate about 10^12 differences; refuse at once
@@ -656,6 +667,22 @@ class TestPrecedence:
         )
         manifest = json.loads((tmp_path / "cfg.csv.manifest.json").read_text())
         assert manifest["master_seed"] == 77
+
+    def test_nothing_drawn_takes_no_ambient_seed(self, tmp_path, capsys, monkeypatch):
+        # exact rows print seed 0 with or without EXPSUM_SEED or a config seed
+        monkeypatch.delenv("EXPSUM_SEED", raising=False)
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("seed = 9\n")
+        argv = ["moment", "--process", "poisson", "--p", "4", "--sizes", "8", "--mode", "exact"]
+        code, plain = run_capture(argv, capsys)
+        assert code == 0 and parse_csv(plain)[0]["seed"] == "0"
+        assert run_capture(argv + ["--config", str(cfg)], capsys) == (0, plain)
+        monkeypatch.setenv("EXPSUM_SEED", "7")
+        assert run_capture(argv, capsys) == (0, plain)
+        out = tmp_path / "divisor.csv"
+        assert run(["divisor", "--x", "10", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "divisor.csv.manifest.json").read_text())
+        assert manifest["master_seed"] == 0
 
     def test_config_unknown_key_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "lab.cfg"

@@ -351,6 +351,16 @@ class TestExactEvenMoment:
         with pytest.raises(GuardError):
             exact_even_moment_poisson(times, 2, 1e-8)
 
+    def test_guard_counts_every_copy_of_a_repeated_time(self, monkeypatch):
+        # Each copy of a time is a layer: K = 111 nodes at n = 5 and tol 1e-8,
+        # and 111 x 2^19 x 36 > 2^30, so the guard fires before any block.
+        def refuse(g):
+            raise AssertionError("a block ran past the work guard")
+
+        monkeypatch.setattr("expsumlab.moments._signed", refuse)
+        with pytest.raises(GuardError, match="nodes x times"):
+            exact_even_moment_poisson([1.0] * 2**19, 5, 1e-8)
+
     def test_past_the_old_tuple_guard(self):
         # 59^10 tuples stopped the tuple walk; the transfer loop takes ms.
         # The tuples whose plus side equals their minus side give N^n.

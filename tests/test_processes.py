@@ -19,7 +19,7 @@ from expsumlab import (
     sample_random_walk,
 )
 from expsumlab import GuardError, processes
-from expsumlab.processes import _LOG_FACTORIAL_LIMIT, iid_draws, walk_draws
+from expsumlab.processes import _LOG_FACTORIAL_LIMIT, iid_draws, poisson_draws, walk_draws
 
 SEED = SeedSpec(1234, 7)
 
@@ -190,12 +190,14 @@ class TestPoissonPath:
         assert path.values == (0,)
 
     def test_mean_at_ten(self):
+        # sample_poisson_path's draws, through one generator reset per sample
         n = 100_000
-        total = 0
-        for i in range(n):
-            total += sample_poisson_path(TimeGrid((10.0,)), SEED, i).values[0]
+        draw, gaps = SEED.reset_generator(), np.array([10.0])
+        values = np.array([poisson_draws(draw(i), gaps)[0] for i in range(n)])
+        first = [sample_poisson_path(TimeGrid((10.0,)), SEED, i).values[0] for i in range(5)]
+        assert values[:5].tolist() == first
         se = math.sqrt(10.0 / n)
-        assert abs(total / n - 10.0) <= 5 * se
+        assert abs(int(values.sum()) / n - 10.0) <= 5 * se
 
     def test_paths_nondecreasing(self):
         grid = TimeGrid((0.0, 0.5, 1.0, 2.0, 7.0))
@@ -240,10 +242,13 @@ class TestRandomWalk:
             assert all(abs(b - a) == 1 for a, b in zip(vals, vals[1:]))
 
     def test_squared_value_mean(self):
+        # sample_random_walk's draws, through one generator reset per sample
         n = 100_000
-        sq = np.empty(n)
-        for i in range(n):
-            sq[i] = sample_random_walk(100, SeedSpec(77), i).values[100] ** 2
+        draw = SeedSpec(77).reset_generator()
+        finals = np.array([walk_draws(draw(i), 100)[100] for i in range(n)])
+        first = [sample_random_walk(100, SeedSpec(77), i).values[100] for i in range(5)]
+        assert finals[:5].tolist() == first
+        sq = finals.astype(np.float64) ** 2
         se = float(np.std(sq, ddof=1)) / math.sqrt(n)
         assert abs(float(np.mean(sq)) - 100.0) <= 5 * se
 
